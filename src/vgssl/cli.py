@@ -11,9 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +26,7 @@ from .losses import LossConfig, Method
 from .methods import method_config, strategy_label
 from .retrieval import build_index, recall_at_n
 from .sampling import MiningConfig, MiningMode, build_pairs, mine_triplets
-from .trainer import AdamState, TrainConfig, run_single
+from .trainer import AdamState, ExperimentResult, TrainConfig, run_single
 
 __all__ = ["main"]
 
@@ -236,15 +234,9 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
         return run_single(mcfg, ds, rcfg, run_seed, enc_state=state,
                           adam=adam, start_epoch=start), start
 
-    workers = int(os.environ.get("VGSSL_THREADS", "1"))
-    if workers > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, seeds))
-    else:
-        results = [one(s) for s in seeds]
+    results = [one(s) for s in seeds]
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    finals = []
     for run_seed, (tres, start) in zip(seeds, results):
         run_dir = out_dir / f"{label}-seed{run_seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -278,16 +270,11 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
             "wall_seconds": tres.record.wall_seconds,
         })
         final = tres.record.final_recall
-        finals.append(final)
         print(f"{label} seed {run_seed}: loss={tres.record.final_loss:.4f} "
               + " ".join(f"R@{n}={r:.3f}" for n, r in zip(final.n_values, final.recalls)))
 
-    if len(finals) > 1:
-        parts = []
-        for i, n in enumerate(finals[0].n_values):
-            vals = np.array([f.recalls[i] for f in finals])
-            parts.append(f"R@{n}={vals.mean():.3f}+/-{vals.std():.3f}")
-        print(f"{label}: " + " ".join(parts))
+    if len(results) > 1:
+        print(ExperimentResult.from_runs([tres.record for tres, _ in results]).summary_line())
     return 0
 
 

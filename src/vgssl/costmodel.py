@@ -25,15 +25,6 @@ class CostLedger:
     comparisons: int = 0
     peak_cached: int = 0
 
-    # Legacy spellings kept as read-only views.
-    @property
-    def extractions_for_mining(self) -> int:
-        return self.extractions
-
-    @property
-    def matching_comparisons(self) -> int:
-        return self.comparisons
-
     def add_extractions(self, n: int) -> None:
         if n < 0:
             raise ValueError("extraction count cannot be negative")

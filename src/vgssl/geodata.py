@@ -91,7 +91,12 @@ class GeoSample:
 
 @dataclass
 class GeoDataset:
-    """Query and database samples plus the positive/negative radii."""
+    """Query and database samples plus the positive/negative radii.
+
+    Samples and radii are fixed after construction: the first
+    neighbourhood query runs one radius search over the whole database
+    and every later one reads its result.
+    """
 
     queries: list[GeoSample]
     database: list[GeoSample]
@@ -99,6 +104,9 @@ class GeoDataset:
     r_neg: float = 25.0
     _db_by_id: dict[int, GeoSample] = field(init=False, repr=False)
     _q_by_id: dict[int, GeoSample] = field(init=False, repr=False)
+    _neighbours: dict[int, tuple[list[int], list[int]]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not (0.0 < self.r_pos < self.r_neg):
@@ -135,27 +143,46 @@ class GeoDataset:
             raise KeyError(f"no sample with id {sample_id}")
         return s
 
+    def _neighbourhood(self, query_id: int) -> tuple[list[int], list[int]]:
+        """(positive ids, negative ids) of a query, both ascending.
+
+        Built for every query on first use, one ``distance_m`` per
+        (query, database) pair; the annulus between the radii lands in
+        neither list.
+        """
+        if query_id not in self._q_by_id:
+            raise KeyError(f"no query with id {query_id}")
+        if self._neighbours is None:
+            db = sorted(self.database, key=lambda s: s.id)
+            self._neighbours = {}
+            for q in self.queries:
+                pos, neg = [], []
+                for s in db:
+                    d = distance_m(q.position, s.position)
+                    if d <= self.r_pos:
+                        pos.append(s.id)
+                    elif d > self.r_neg:
+                        neg.append(s.id)
+                self._neighbours[q.id] = (pos, neg)
+        return self._neighbours[query_id]
+
     def positive_set(self, query_id: int) -> list[int]:
         """Database ids within r_pos meters of the query, ascending."""
-        q = self._q_by_id.get(query_id)
-        if q is None:
-            raise KeyError(f"no query with id {query_id}")
-        return sorted(
-            s.id
-            for s in self.database
-            if distance_m(q.position, s.position) <= self.r_pos
-        )
+        return list(self._neighbourhood(query_id)[0])
 
     def negative_set(self, query_id: int) -> list[int]:
         """Database ids strictly beyond r_neg meters, ascending."""
-        q = self._q_by_id.get(query_id)
-        if q is None:
-            raise KeyError(f"no query with id {query_id}")
-        return sorted(
-            s.id
-            for s in self.database
-            if distance_m(q.position, s.position) > self.r_neg
-        )
+        return list(self._neighbourhood(query_id)[1])
+
+    def eligible_queries(self, need_negatives: bool) -> list[int]:
+        """Query ids, in ``queries`` order, with a positive and, if
+        ``need_negatives``, a negative."""
+        out = []
+        for q in self.queries:
+            pos, neg = self._neighbourhood(q.id)
+            if pos and (neg or not need_negatives):
+                out.append(q.id)
+        return out
 
 
 def synth_dataset(

@@ -77,17 +77,6 @@ class MiningConfig:
             raise ValueError("partial mining needs pool_size >= 1")
 
 
-def _eligible_queries(ds: GeoDataset, need_negatives: bool) -> list[int]:
-    out = []
-    for q in ds.queries:
-        if not ds.positive_set(q.id):
-            continue
-        if need_negatives and not ds.negative_set(q.id):
-            continue
-        out.append(q.id)
-    return out
-
-
 def build_pairs(
     ds: GeoDataset,
     m_q: int,
@@ -101,8 +90,9 @@ def build_pairs(
     Returns exactly ``m_q + round(eta * m_q)`` pairs in a seeded shuffle.
     The ledger counts one anchor and one partner extraction per pair and
     no comparisons; ``verify_positives`` additionally distance-checks
-    every sampled query against every extracted positive partner, which
-    is the all-pairs verification sweep (``m_q * m_q`` comparisons).
+    each query against its positive partner and charges the
+    ``m_q * m_q`` comparisons of the all-pairs verification sweep that
+    ``predict_cost`` prices.
     """
     if m_q < 1:
         raise ValueError("m_q must be at least 1")
@@ -110,7 +100,7 @@ def build_pairs(
         raise ValueError(f"eta must be non-negative, got {eta}")
     rng = np.random.default_rng(rng_seed)
 
-    candidates = _eligible_queries(ds, need_negatives=False)
+    candidates = ds.eligible_queries(need_negatives=False)
     if len(candidates) < m_q:
         raise ValueError(
             f"need {m_q} queries with at least one positive, dataset has {len(candidates)}"
@@ -145,15 +135,13 @@ def build_pairs(
     if verify_positives:
         partners = [p for p in pairs if p.kind is PairKind.QUERY_POSITIVE]
         for p in partners:
-            q_pos = ds.sample(p.anchor_id).position
-            for other in partners:
-                d = distance_m(q_pos, ds.sample(other.partner_id).position)
-                if other is p and d > ds.r_pos:
-                    raise AssertionError(
-                        f"pair ({p.anchor_id}, {p.partner_id}) is {d:.1f} m apart"
-                    )
+            d = distance_m(ds.sample(p.anchor_id).position, ds.sample(p.partner_id).position)
+            if d > ds.r_pos:
+                raise AssertionError(
+                    f"pair ({p.anchor_id}, {p.partner_id}) is {d:.1f} m apart"
+                )
         if ledger is not None:
-            ledger.add_comparisons(len(partners) * len(partners))
+            ledger.add_comparisons(len(partners) ** 2)
 
     if ledger is not None:
         ledger.add_extractions(2 * len(pairs))
@@ -203,7 +191,7 @@ def mine_triplets(
         raise ValueError("m_q must be at least 1")
     rng = np.random.default_rng(rng_seed)
 
-    candidates = _eligible_queries(ds, need_negatives=True)
+    candidates = ds.eligible_queries(need_negatives=True)
     if len(candidates) < m_q:
         raise ValueError(
             f"need {m_q} queries with positives and negatives, dataset has {len(candidates)}"

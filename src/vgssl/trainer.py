@@ -14,9 +14,7 @@ decoupled weight decay, and evaluation embeds in eval mode only.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -178,13 +176,7 @@ def _features(ds: GeoDataset, ids: list[int]) -> np.ndarray:
 
 
 def _epoch_m_q(ds: GeoDataset, tcfg: TrainConfig, need_negatives: bool) -> int:
-    eligible = 0
-    for q in ds.queries:
-        if not ds.positive_set(q.id):
-            continue
-        if need_negatives and not ds.negative_set(q.id):
-            continue
-        eligible += 1
+    eligible = len(ds.eligible_queries(need_negatives))
     if eligible == 0:
         raise ValueError("no usable queries in the dataset")
     return min(tcfg.queries_per_epoch, eligible)
@@ -330,6 +322,26 @@ class ExperimentResult:
     recall_mean: dict[int, float]
     recall_std: dict[int, float]
 
+    @classmethod
+    def from_runs(cls, runs: list[RunRecord]) -> "ExperimentResult":
+        """Mean and population std of final recall across runs of one label."""
+        finals = [r.final_recall for r in runs]
+        if any(f is None for f in finals):
+            raise RuntimeError("every run must end with an evaluation")
+        recall_mean: dict[int, float] = {}
+        recall_std: dict[int, float] = {}
+        for n in finals[0].n_values:
+            vals = np.array([f.as_dict()[n] for f in finals])
+            recall_mean[n] = float(vals.mean())
+            recall_std[n] = float(vals.std())  # population std across seeds
+        return cls(
+            label=runs[0].label,
+            seeds=tuple(r.seed for r in runs),
+            runs=runs,
+            recall_mean=recall_mean,
+            recall_std=recall_std,
+        )
+
     def summary_line(self) -> str:
         parts = [
             f"R@{n}={self.recall_mean[n]:.3f}+/-{self.recall_std[n]:.3f}"
@@ -343,40 +355,15 @@ def run_experiment(
 ) -> ExperimentResult:
     """Repeat a run across seeds; report mean and population std of recall.
 
-    Seeds are ``tcfg.seed .. tcfg.seed + n_seeds - 1``.  Runs are
-    independent, so they may execute on a small thread pool
-    (``VGSSL_THREADS``, default 1); results merge in seed order either way.
+    Seeds are ``tcfg.seed .. tcfg.seed + n_seeds - 1``, run in order.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
-    seeds = tuple(tcfg.seed + i for i in range(n_seeds))
-    workers = int(os.environ.get("VGSSL_THREADS", "1"))
-
-    def one(seed: int) -> RunRecord:
-        return run_single(mcfg, ds, replace(tcfg, seed=seed), seed).record
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(one, seeds))
-    else:
-        runs = [one(s) for s in seeds]
-
-    finals = [r.final_recall for r in runs]
-    if any(f is None for f in finals):
-        raise RuntimeError("every run must end with an evaluation")
-    recall_mean: dict[int, float] = {}
-    recall_std: dict[int, float] = {}
-    for n in finals[0].n_values:
-        vals = np.array([f.as_dict()[n] for f in finals])
-        recall_mean[n] = float(vals.mean())
-        recall_std[n] = float(vals.std())  # population std across seeds
-    return ExperimentResult(
-        label=strategy_label(mcfg),
-        seeds=seeds,
-        runs=runs,
-        recall_mean=recall_mean,
-        recall_std=recall_std,
-    )
+    runs = [
+        run_single(mcfg, ds, replace(tcfg, seed=seed), seed).record
+        for seed in range(tcfg.seed, tcfg.seed + n_seeds)
+    ]
+    return ExperimentResult.from_runs(runs)
 
 
 # -- mechanism audit ---------------------------------------------------------

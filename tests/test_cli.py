@@ -6,6 +6,10 @@ import pytest
 
 from vgssl.cli import main
 from vgssl.encoder import load_checkpoint
+from vgssl.geodata import load_csv
+from vgssl.losses import Method
+from vgssl.methods import method_config
+from vgssl.trainer import TrainConfig, run_experiment
 
 
 def write_config(path, payload):
@@ -147,6 +151,26 @@ class TestTrain:
         assert run("train", "--config", cfg, "--out", str(out)) == 0
         assert (out / "SimCLR-FC-1-8-0.5-seed1").is_dir()
         assert (out / "SimCLR-FC-1-8-0.5-seed2").is_dir()
+
+    def test_multi_seed_summary_matches_run_experiment(self, tmp_path, world, capsys):
+        payload = train_config(world, n_seeds=2)
+        cfg = write_config(tmp_path / "t.json", payload)
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "runs")) == 0
+        printed = capsys.readouterr().out.splitlines()
+
+        ds = load_csv(world)
+        mcfg = method_config(
+            Method(payload["method"]), input_dim=ds.feature_dim,
+            hidden_dims=tuple(payload["hidden_dims"]), embed_dim=payload["embed_dim"],
+            proj_layers=payload["proj_layers"], eta=payload["eta"],
+        )
+        tcfg = TrainConfig(
+            epochs=payload["epochs"], batch_size=payload["batch_size"],
+            queries_per_epoch=payload["queries_per_epoch"], lr=payload["lr"],
+            seed=payload["seed"],
+        )
+        expected = run_experiment(mcfg, ds, tcfg, n_seeds=2).summary_line()
+        assert printed[-1] == expected
 
 
 class TestEval:

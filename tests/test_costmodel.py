@@ -17,11 +17,6 @@ class TestLedger:
         assert led.comparisons == 10
         assert led.peak_cached == 7
 
-    def test_alias_properties(self):
-        led = CostLedger(extractions=3, comparisons=9, peak_cached=2)
-        assert led.extractions_for_mining == 3
-        assert led.matching_comparisons == 9
-
     def test_negative_rejected(self):
         led = CostLedger()
         with pytest.raises(ValueError):

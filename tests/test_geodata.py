@@ -96,6 +96,77 @@ class TestNeighborhoods:
             ds.sample(555)
 
 
+def _hand_world():
+    # Query 10 has no positives, query 11 no negatives, query 12 both; listed
+    # out of id order so eligible_queries must keep list order.
+    db = [db_sample(0, 0, 0), db_sample(1, 5, 0), db_sample(2, 20, 0)]
+    queries = [q_sample(12, -10, 0), q_sample(10, 60, 0), q_sample(11, 3, 0)]
+    return GeoDataset(queries=queries, database=db)
+
+
+def _geodetic_world():
+    # Clusters straddling the antimeridian and around the north pole, with
+    # samples scattered over ~60 m so every set has members near both radii.
+    rng = np.random.default_rng(0)
+    deg = 180.0 / (np.pi * 6_371_000.0)  # degrees of latitude per meter
+    centres = [(10.0, 180.0), (-45.0, -180.0), (89.9996, 0.0), (90.0, 90.0)]
+    samples = []
+    for lat0, lon0 in centres:
+        for role in [Role.DATABASE] * 12 + [Role.QUERY] * 3:
+            dlat, dlon = rng.uniform(-30.0, 30.0, size=2) * deg
+            lat = float(np.clip(lat0 + dlat, -90.0, 90.0))
+            coslat = max(np.cos(np.radians(lat)), 1e-3)
+            lon = (lon0 + dlon / coslat + 180.0) % 360.0 - 180.0
+            pos = Position(PositionMode.GEODETIC, lat, float(lon))
+            samples.append(GeoSample(len(samples), role, pos, np.zeros(2)))
+    return GeoDataset(
+        queries=[s for s in samples if s.role is Role.QUERY],
+        database=[s for s in samples if s.role is Role.DATABASE],
+    )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: synth_dataset(seed=4, n_places=5, db_per_place=3, query_fraction=0.8,
+                          buffer_per_place=2),
+    _hand_world,
+    _geodetic_world,
+], ids=["planar_buffer", "hand_built", "geodetic_antimeridian_pole"])
+def test_neighbourhoods_match_scalar_oracle(make):
+    ds = make()
+    db_ids = sorted(s.id for s in ds.database)
+    pos, neg = {}, {}
+    for q in ds.queries:
+        d = {i: distance_m(q.position, ds.sample(i).position) for i in db_ids}
+        pos[q.id] = [i for i in db_ids if d[i] <= ds.r_pos]
+        neg[q.id] = [i for i in db_ids if d[i] > ds.r_neg]
+        assert ds.positive_set(q.id) == pos[q.id]
+        assert ds.negative_set(q.id) == neg[q.id]
+    assert ds.eligible_queries(need_negatives=False) == [
+        q.id for q in ds.queries if pos[q.id]
+    ]
+    assert ds.eligible_queries(need_negatives=True) == [
+        q.id for q in ds.queries if pos[q.id] and neg[q.id]
+    ]
+    # Every world has positives, negatives and samples in the annulus.
+    assert any(pos.values()) and any(neg.values())
+    assert any(len(pos[q]) + len(neg[q]) < len(db_ids) for q in pos)
+
+
+def test_hand_world_eligibility():
+    ds = _hand_world()
+    assert ds.positive_set(10) == [] and ds.negative_set(11) == []
+    assert ds.eligible_queries(need_negatives=False) == [12, 11]
+    assert ds.eligible_queries(need_negatives=True) == [12]
+
+
+def test_neighbourhood_lists_are_fresh_copies():
+    ds = _hand_world()
+    ds.positive_set(11).append(99)
+    ds.negative_set(12).clear()
+    assert ds.positive_set(11) == [0, 1]
+    assert ds.negative_set(12) == [2]
+
+
 class TestDatasetValidation:
     def test_radius_ordering_enforced(self):
         with pytest.raises(ValueError):

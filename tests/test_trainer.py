@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import vgssl.geodata
 from vgssl.autodiff import Value
 from vgssl.geodata import synth_dataset
 from vgssl.losses import Method
@@ -194,6 +195,27 @@ class TestRunSingle:
         tcfg = TrainConfig(epochs=1, batch_size=4, queries_per_epoch=5, lr=1e-3, seed=0)
         res = run_single(mcfg, ds, tcfg, seed=0)
         assert np.isfinite(res.record.epochs[0].loss)
+
+    @pytest.mark.parametrize("method,mining", [
+        (Method.SIMCLR, None),
+        (Method.TRIPLET, MiningConfig(mode=MiningMode.PARTIAL_HNM, pool_size=6)),
+    ])
+    def test_radius_search_runs_once_per_dataset(self, monkeypatch, method, mining):
+        ds = small_world()
+        calls = 0
+        distance = vgssl.geodata.distance_m
+
+        def counted(p, q):
+            nonlocal calls
+            calls += 1
+            return distance(p, q)
+
+        monkeypatch.setattr(vgssl.geodata, "distance_m", counted)
+        mcfg = method_config(method, input_dim=8, hidden_dims=(12,), embed_dim=8,
+                             mining=mining)
+        tcfg = TrainConfig(epochs=3, batch_size=8, queries_per_epoch=8, lr=1e-3, seed=0)
+        run_single(mcfg, ds, tcfg, seed=0)
+        assert calls == len(ds.queries) * len(ds.database)
 
 
 class TestEvaluate:
