@@ -6,6 +6,12 @@ produced it, a closure that routes the output adjoint to its parents.
 topological order exactly once and populates ``grad`` on every reachable
 node.  Everything is double precision; there are no views that alias
 storage, so gradient accumulation is plain ``+=`` on dense buffers.
+
+A closure takes the output gradient as its argument and never refers to
+its own output node, only to the parents and plain arrays.  References
+therefore run from outputs to inputs alone, the tape holds no cycle, and
+a graph is freed by reference counting the moment its output is dropped,
+without waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ class Value:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self._parents = parents
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
         self._op = op
         self._aux = None  # op metadata, e.g. the hinge threshold
         self._backward_ran = False
@@ -82,9 +88,9 @@ class Value:
         other = as_value(other)
         out = Value(self.data + other.data, (self, other), "add")
 
-        def bwd():
-            self._accum(_unbroadcast(out.grad, self.shape))
-            other._accum(_unbroadcast(out.grad, other.shape))
+        def bwd(g):
+            self._accum(_unbroadcast(g, self.shape))
+            other._accum(_unbroadcast(g, other.shape))
 
         out._backward = bwd
         return out
@@ -93,9 +99,9 @@ class Value:
         other = as_value(other)
         out = Value(self.data - other.data, (self, other), "sub")
 
-        def bwd():
-            self._accum(_unbroadcast(out.grad, self.shape))
-            other._accum(_unbroadcast(-out.grad, other.shape))
+        def bwd(g):
+            self._accum(_unbroadcast(g, self.shape))
+            other._accum(_unbroadcast(-g, other.shape))
 
         out._backward = bwd
         return out
@@ -104,9 +110,9 @@ class Value:
         other = as_value(other)
         out = Value(self.data * other.data, (self, other), "mul")
 
-        def bwd():
-            self._accum(_unbroadcast(out.grad * other.data, self.shape))
-            other._accum(_unbroadcast(out.grad * self.data, other.shape))
+        def bwd(g):
+            self._accum(_unbroadcast(g * other.data, self.shape))
+            other._accum(_unbroadcast(g * self.data, other.shape))
 
         out._backward = bwd
         return out
@@ -115,10 +121,10 @@ class Value:
         other = as_value(other)
         out = Value(self.data / other.data, (self, other), "div")
 
-        def bwd():
-            self._accum(_unbroadcast(out.grad / other.data, self.shape))
+        def bwd(g):
+            self._accum(_unbroadcast(g / other.data, self.shape))
             other._accum(
-                _unbroadcast(-out.grad * self.data / (other.data * other.data), other.shape)
+                _unbroadcast(-g * self.data / (other.data * other.data), other.shape)
             )
 
         out._backward = bwd
@@ -127,8 +133,8 @@ class Value:
     def __neg__(self) -> "Value":
         out = Value(-self.data, (self,), "neg")
 
-        def bwd():
-            self._accum(-out.grad)
+        def bwd(g):
+            self._accum(-g)
 
         out._backward = bwd
         return out
@@ -157,9 +163,9 @@ class Value:
             raise ValueError(f"matmul shape mismatch: {self.shape} @ {other.shape}")
         out = Value(self.data @ other.data, (self, other), "matmul")
 
-        def bwd():
-            self._accum(out.grad @ other.data.T)
-            other._accum(self.data.T @ out.grad)
+        def bwd(g):
+            self._accum(g @ other.data.T)
+            other._accum(self.data.T @ g)
 
         out._backward = bwd
         return out
@@ -170,8 +176,8 @@ class Value:
             raise ValueError(f"transpose expects a 2-d value, got shape {self.shape}")
         out = Value(self.data.T.copy(), (self,), "transpose")
 
-        def bwd():
-            self._accum(out.grad.T)
+        def bwd(g):
+            self._accum(g.T)
 
         out._backward = bwd
         return out
@@ -179,10 +185,11 @@ class Value:
     # -- nonlinearities --------------------------------------------------
 
     def exp(self) -> "Value":
-        out = Value(np.exp(self.data), (self,), "exp")
+        y = np.exp(self.data)
+        out = Value(y, (self,), "exp")
 
-        def bwd():
-            self._accum(out.grad * out.data)
+        def bwd(g):
+            self._accum(g * y)
 
         out._backward = bwd
         return out
@@ -190,17 +197,18 @@ class Value:
     def log(self) -> "Value":
         out = Value(np.log(self.data), (self,), "log")
 
-        def bwd():
-            self._accum(out.grad / self.data)
+        def bwd(g):
+            self._accum(g / self.data)
 
         out._backward = bwd
         return out
 
     def sqrt(self) -> "Value":
-        out = Value(np.sqrt(self.data), (self,), "sqrt")
+        y = np.sqrt(self.data)
+        out = Value(y, (self,), "sqrt")
 
-        def bwd():
-            self._accum(out.grad / (2.0 * out.data))
+        def bwd(g):
+            self._accum(g / (2.0 * y))
 
         out._backward = bwd
         return out
@@ -211,8 +219,8 @@ class Value:
         out._aux = float(threshold)
         mask = (self.data > threshold).astype(np.float64)
 
-        def bwd():
-            self._accum(out.grad * mask)
+        def bwd(g):
+            self._accum(g * mask)
 
         out._backward = bwd
         return out
@@ -226,8 +234,7 @@ class Value:
         out = Value(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
         shape = self.shape
 
-        def bwd():
-            g = out.grad
+        def bwd(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accum(np.broadcast_to(g, shape).copy())
@@ -245,8 +252,8 @@ class Value:
         old = self.shape
         out = Value(self.data.reshape(shape), (self,), "reshape")
 
-        def bwd():
-            self._accum(out.grad.reshape(old))
+        def bwd(g):
+            self._accum(g.reshape(old))
 
         out._backward = bwd
         return out
@@ -256,8 +263,8 @@ class Value:
         out = Value(np.broadcast_to(self.data, shape).copy(), (self,), "broadcast")
         old = self.shape
 
-        def bwd():
-            self._accum(_unbroadcast(out.grad, old))
+        def bwd(g):
+            self._accum(_unbroadcast(g, old))
 
         out._backward = bwd
         return out
@@ -266,10 +273,10 @@ class Value:
         out = Value(self.data[idx].copy(), (self,), "slice")
         shape = self.shape
 
-        def bwd():
-            g = np.zeros(shape, dtype=np.float64)
-            np.add.at(g, idx, out.grad)
-            self._accum(g)
+        def bwd(g):
+            full = np.zeros(shape, dtype=np.float64)
+            np.add.at(full, idx, g)
+            self._accum(full)
 
         out._backward = bwd
         return out
@@ -318,7 +325,7 @@ class Value:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
         self._backward_ran = True
         return {v: v.grad for v in order if v.is_leaf and v.grad is not None}
 
@@ -337,12 +344,13 @@ def concat(values: Sequence[Value], axis: int = 0) -> Value:
     out = Value(np.concatenate([v.data for v in vals], axis=axis), tuple(vals), "concat")
     sizes = [v.shape[axis] for v in vals]
     offsets = np.cumsum([0] + sizes)
+    ndim = out.data.ndim
 
-    def bwd():
+    def bwd(g):
         for v, a, b in zip(vals, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * out.data.ndim
+            idx = [slice(None)] * ndim
             idx[axis] = slice(a, b)
-            v._accum(out.grad[tuple(idx)])
+            v._accum(g[tuple(idx)])
 
     out._backward = bwd
     return out

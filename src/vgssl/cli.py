@@ -19,12 +19,12 @@ import numpy as np
 
 from . import __version__
 from .costmodel import CostLedger, assert_ledger, predict_cost
-from .encoder import forward, load_checkpoint, save_checkpoint
+from .encoder import load_checkpoint, save_checkpoint
 from .geodata import load_csv, save_csv, synth_dataset
 from .gradcheck import ALL_METHODS, gradcheck_method
 from .losses import LossConfig, Method
 from .methods import method_config, strategy_label
-from .retrieval import build_index, recall_at_n
+from .retrieval import evaluate_encoder
 from .sampling import MiningConfig, MiningMode, build_pairs, mine_triplets
 from .trainer import AdamState, ExperimentResult, TrainConfig, run_single
 
@@ -295,14 +295,7 @@ def cmd_eval(cfg: _Config, out_dir: Path, seed: int) -> int:
             f"checkpoint expects {enc_cfg.input_dim}-dim features, "
             f"dataset provides {ds.feature_dim}"
         )
-    index = build_index(state, enc_cfg, ds)
-    queries = sorted(ds.queries, key=lambda s: s.id)
-    q_emb = forward(
-        state, enc_cfg, np.stack([q.features for q in queries]), training=False
-    ).data
-    report = recall_at_n(
-        index, q_emb, [q.position for q in queries], n_values, threshold
-    )
+    report = evaluate_encoder(state, enc_cfg, ds, n_values, threshold)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [

@@ -20,6 +20,7 @@ running statistics.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -303,7 +304,10 @@ def save_checkpoint(
     every tensor's name, shape and byte offset, then the concatenated
     little-endian float64 buffers in manifest order.  ``meta`` holds small
     JSON-safe values (epoch counters, optimizer step); ``extra_tensors``
-    holds optimizer moments keyed by parameter name.
+    holds optimizer moments keyed by parameter name.  The file is written
+    under a temporary name in the same directory and renamed over ``path``,
+    so a reader sees the old checkpoint or the new one, never a partial
+    write.
     """
     tensors = _tensor_map(state, extra_tensors or {})
     manifest = []
@@ -320,11 +324,20 @@ def save_checkpoint(
         "tensors": manifest,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for name in names:
-            fh.write(tensors[name].astype("<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for name in names:
+                fh.write(tensors[name].astype("<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path):
@@ -338,6 +351,14 @@ def load_checkpoint(path: str | Path):
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
         body = fh.read()
+    if header["tensors"]:
+        last = header["tensors"][-1]
+        need = last["offset"] + 8 * int(np.prod(last["shape"]))
+        if len(body) < need:
+            raise ValueError(
+                f"truncated checkpoint {path}: tensor body has {len(body)} bytes, "
+                f"the header needs {need}"
+            )
     conf = dict(header["config"])
     conf["hidden_dims"] = tuple(conf["hidden_dims"])
     cfg = EncoderConfig(**conf)

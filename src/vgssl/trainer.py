@@ -25,7 +25,7 @@ from .encoder import forward, init_state, momentum_update
 from .geodata import GeoDataset
 from .losses import Method
 from .methods import MethodConfig, method_batch_loss, method_config, strategy_label
-from .retrieval import RecallReport, build_index, recall_at_n
+from .retrieval import RecallReport, evaluate_encoder
 from .sampling import build_pairs, mine_triplets
 
 __all__ = [
@@ -182,6 +182,17 @@ def _epoch_m_q(ds: GeoDataset, tcfg: TrainConfig, need_negatives: bool) -> int:
     return min(tcfg.queries_per_epoch, eligible)
 
 
+def _check_finite(loss: float, params: dict[str, Value], batch: int) -> None:
+    """Raise before a non-finite loss or gradient reaches the parameters."""
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"non-finite loss {loss!r} at batch {batch}")
+    for name, p in params.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise FloatingPointError(
+                f"non-finite gradient of {name} at batch {batch} (loss {loss!r})"
+            )
+
+
 def train_epoch(
     enc_state,
     adam: AdamState,
@@ -194,6 +205,8 @@ def train_epoch(
     """One pass over freshly drawn pairs or triplets.
 
     Returns (mean loss, per-term means), both weighted by batch size.
+    Raises ``FloatingPointError`` naming the batch when a loss or a
+    parameter gradient is not finite, before the Adam step applies it.
     """
     lr = tcfg.lr if tcfg.lr is not None else default_lr(mcfg.method)
     is_triplet = mcfg.method is Method.TRIPLET
@@ -229,6 +242,7 @@ def train_epoch(
         neg = _features(ds, negatives[start:stop]) if negatives is not None else None
         out, _ = method_batch_loss(enc_state, mcfg, a, p, negatives=neg, training=True)
         out.node.backward()
+        _check_finite(out.value, enc_state.params, start // tcfg.batch_size)
         adam_step(
             enc_state.params,
             adam,
@@ -259,16 +273,7 @@ def evaluate(
     threshold_m: float = 25.0,
 ) -> RecallReport:
     """Recall over every dataset query, eval-mode embeddings."""
-    index = build_index(enc_state, mcfg.encoder, ds)
-    queries = sorted(ds.queries, key=lambda s: s.id)
-    if not queries:
-        raise ValueError("dataset has no queries to evaluate")
-    q_emb = forward(
-        enc_state, mcfg.encoder, np.stack([q.features for q in queries]), training=False
-    ).data
-    return recall_at_n(
-        index, q_emb, [q.position for q in queries], n_values, threshold_m
-    )
+    return evaluate_encoder(enc_state, mcfg.encoder, ds, n_values, threshold_m)
 
 
 def run_single(
@@ -291,9 +296,12 @@ def run_single(
     master = np.random.default_rng(seed)
     epoch_seeds = master.integers(0, 2**62, size=start_epoch + tcfg.epochs)
     for epoch in range(start_epoch, start_epoch + tcfg.epochs):
-        loss, terms = train_epoch(
-            enc_state, adam, mcfg, ds, tcfg, int(epoch_seeds[epoch]), ledger
-        )
+        try:
+            loss, terms = train_epoch(
+                enc_state, adam, mcfg, ds, tcfg, int(epoch_seeds[epoch]), ledger
+            )
+        except FloatingPointError as err:
+            raise FloatingPointError(f"epoch {epoch}: {err}") from err
         is_last = epoch == start_epoch + tcfg.epochs - 1
         want_eval = is_last or (tcfg.eval_every > 0 and (epoch + 1) % tcfg.eval_every == 0)
         recall = (

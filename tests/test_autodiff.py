@@ -1,5 +1,8 @@
 """Tape correctness for the reverse-mode engine."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -249,6 +252,36 @@ class TestBackwardContract:
         g2 = run()
         np.testing.assert_array_equal(g1[0], g2[0])
         np.testing.assert_array_equal(g1[1], g2[1])
+
+
+class TestTapeLifetime:
+    def test_tape_freed_without_cyclic_gc(self):
+        # Every op's closure, in one graph; with the collector off, only
+        # reference counting can free the intermediates once the loss goes.
+        rng = np.random.default_rng(7)
+        x = Value(rng.uniform(0.5, 1.5, size=(3, 4)))
+        w = Value(rng.uniform(0.5, 1.5, size=(4, 4)))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            h = ((x @ w) + 1.0 - x.T.T * 0.5) / 2.0
+            h = concat([h.exp().log().sqrt(), -h.maximum(1.0)], axis=1)
+            loss = h[1:].reshape(4, 4).broadcast_to((2, 4, 4)).sum(axis=1).mean()
+            loss.backward()
+            tape = [v for v in loss._topo() if not v.is_leaf]
+            assert {v._op for v in tape} == {
+                "add", "sub", "mul", "div", "neg", "matmul", "transpose", "exp",
+                "log", "sqrt", "maximum", "sum", "reshape", "broadcast", "slice",
+                "concat",
+            }
+            refs = [weakref.ref(v.data) for v in tape]
+            del tape
+            del h, loss
+            assert [r() is None for r in refs] == [True] * len(refs)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert x.grad is not None and w.grad is not None
 
 
 class TestRandomizedComposites:

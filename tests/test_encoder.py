@@ -288,6 +288,30 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    def test_truncated_body_rejected(self, tmp_path):
+        cfg, state = self.make()
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, state, cfg)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8])
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        cfg, state = self.make()
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, state, cfg, meta={"epoch": 1})
+        old = path.read_bytes()
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("vgssl.encoder.os.fsync", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, state, cfg, meta={"epoch": 2})
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["enc.ckpt"]
+
     def test_plain_encoder_roundtrip(self, tmp_path):
         cfg = EncoderConfig(input_dim=3, hidden_dims=(4,), embed_dim=2)
         state = init_state(cfg, seed=0)

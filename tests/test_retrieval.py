@@ -1,8 +1,11 @@
 """Exact retrieval against independent oracles, recall semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import vgssl.retrieval
 from vgssl.encoder import EncoderConfig, init_state
 from vgssl.geodata import Position, PositionMode, synth_dataset
 from vgssl.retrieval import EmbeddingIndex, build_index, knn, recall_at_n
@@ -98,6 +101,51 @@ class TestKnn:
         idx = make_index(rng, m=4)
         with pytest.raises(ValueError):
             knn(idx, np.zeros((1, 4)), k=0)
+
+    def test_tiles_match_full_sort_oracle(self, monkeypatch):
+        # Three-row tiles over 23 rows: eight tiles, the last one ragged.
+        n_q, m, d = 6, 23, 4
+        monkeypatch.setattr(vgssl.retrieval, "_KNN_BLOCK_ELEMS", 3 * n_q * d)
+        rng = np.random.default_rng(5)
+        vecs = unit_rows(rng.normal(size=(m, d)))
+        # Exact duplicates spread over different tiles; ids descend with the
+        # row, so the later (smaller-id) copy must come first.
+        vecs[[8, 15, 22]] = vecs[1]
+        vecs[13] = vecs[4]
+        idx = EmbeddingIndex(
+            ids=np.arange(m)[::-1] * 7, vectors=vecs, positions=[planar(0, 0)] * m
+        )
+        # The last query is NaN: every distance ties at NaN, sorted by id.
+        q = np.concatenate(
+            [vecs[[1, 4, 8]], rng.normal(size=(n_q - 4, d)), [[np.nan] * d]]
+        )
+        with np.errstate(invalid="ignore"):
+            qn = unit_rows(q)
+        for k in range(1, m + 3):
+            ids, dists = knn(idx, q, k)
+            assert ids.shape == dists.shape == (n_q, min(k, m))
+            for row in range(n_q):
+                ref = np.linalg.norm(idx.vectors - qn[row], axis=1)
+                order = np.lexsort((idx.ids, ref))[:k]
+                np.testing.assert_array_equal(ids[row], idx.ids[order])
+                np.testing.assert_array_equal(dists[row], ref[order])
+        ids, _ = knn(idx, vecs[[1]], 4)
+        assert ids[0].tolist() == [0, 49, 98, 147]
+
+    def test_working_set_is_the_distance_matrix(self):
+        n_q, m, d = 50, 4000, 64
+        rng = np.random.default_rng(6)
+        idx = make_index(rng, m=m, d=d)
+        q = rng.normal(size=(n_q, d))
+        tracemalloc.start()
+        try:
+            knn(idx, q, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The (Q, M) distances are 1.6 MB and one difference tile about
+        # 1 MB; a (Q, M, D) difference tensor would be 102 MB.
+        assert peak < 8 * 2**20
 
 
 class TestRecall:

@@ -1,9 +1,14 @@
 """Optimizer numerics, the epoch loop, determinism, multi-seed summary."""
 
+import gc
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import vgssl.geodata
+import vgssl.trainer
 from vgssl.autodiff import Value
 from vgssl.geodata import synth_dataset
 from vgssl.losses import Method
@@ -218,6 +223,38 @@ class TestRunSingle:
         assert calls == len(ds.queries) * len(ds.database)
 
 
+class TestNonFinite:
+    def run_with(self, monkeypatch, tamper):
+        """Train with ``tamper`` applied to the sixth step's loss output:
+        four batches per epoch, so that is epoch 1, batch 1."""
+        ds = small_world()
+        mcfg = method_config(Method.SIMCLR, input_dim=8, hidden_dims=(12,), embed_dim=8)
+        tcfg = TrainConfig(epochs=3, batch_size=4, queries_per_epoch=8, lr=1e-3, seed=0)
+        orig = vgssl.trainer.method_batch_loss
+        steps = []
+
+        def tampered(*args, **kwargs):
+            out, frozen = orig(*args, **kwargs)
+            steps.append(None)
+            return (tamper(out) if len(steps) == 6 else out), frozen
+
+        monkeypatch.setattr(vgssl.trainer, "method_batch_loss", tampered)
+        run_single(mcfg, ds, tcfg, seed=0)
+
+    def test_nan_loss_names_epoch_and_batch(self, monkeypatch):
+        with pytest.raises(
+            FloatingPointError, match=r"^epoch 1: non-finite loss nan at batch 1$"
+        ):
+            self.run_with(monkeypatch, lambda out: replace(out, value=float("nan")))
+
+    def test_nan_gradient_names_the_parameter(self, monkeypatch):
+        with pytest.raises(
+            FloatingPointError,
+            match=r"^epoch 1: non-finite gradient of \S+ at batch 1 \(loss [-0-9.e]+\)$",
+        ):
+            self.run_with(monkeypatch, lambda out: replace(out, node=out.node * np.nan))
+
+
 class TestEvaluate:
     def test_reports_all_requested_ns(self):
         ds = small_world()
@@ -229,6 +266,35 @@ class TestEvaluate:
         assert rep.n_values == (1, 5)
         assert rep.n_queries == len(ds.queries)
         assert rep.recalls[0] <= rep.recalls[1]
+
+    def test_repeated_evaluate_retains_no_arrays(self):
+        ds = synth_dataset(seed=4, n_places=40, db_per_place=25, feature_dim=8)
+        mcfg = method_config(Method.SIMCLR, input_dim=8, hidden_dims=(64,), embed_dim=64)
+        from vgssl.encoder import init_state
+
+        state = init_state(mcfg.encoder, 0)
+        arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+
+        def array_bytes():
+            snap = tracemalloc.take_snapshot().filter_traces([arrays])
+            return sum(stat.size for stat in snap.statistics("filename"))
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            evaluate(state, mcfg, ds)
+            before = array_bytes()
+            for _ in range(4):
+                evaluate(state, mcfg, ds)
+            grown = array_bytes() - before
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        # One eval forward over the 1000-row database holds ~0.5 MB per
+        # activation; none of it may outlive the call.
+        assert grown < 64 * 2**10
 
 
 class TestRunExperiment:
