@@ -346,8 +346,20 @@ def load_checkpoint(path: str | Path):
     Returns (state, cfg, meta, extra_tensors).
     """
     with open(path, "rb") as fh:
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        prefix = fh.read(4)
+        if len(prefix) < 4:
+            raise ValueError(
+                f"truncated checkpoint {path}: {len(prefix)} bytes, "
+                "the header length needs 4"
+            )
+        (hlen,) = struct.unpack("<I", prefix)
+        blob = fh.read(hlen)
+        if len(blob) < hlen:
+            raise ValueError(
+                f"truncated checkpoint {path}: header has {len(blob)} bytes, "
+                f"its length prefix says {hlen}"
+            )
+        header = json.loads(blob.decode("utf-8"))
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
         body = fh.read()

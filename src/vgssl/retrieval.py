@@ -2,11 +2,16 @@
 
 The index is exact: every query is compared against every database
 vector (L2 on the unit sphere), with ties broken toward the smaller
-database id so results are reproducible bit for bit.  Recall@N asks
-whether any of the N nearest database samples lies within a threshold
-distance of the query's true position; it is monotone in N by
-construction and reaches its ceiling at N = database size, where it
-measures pure geography, independent of the embeddings.
+database id so results are reproducible bit for bit.  ``knn`` ranks all
+rows with one matrix product, using ||q||^2 + ||v||^2 - 2 q.v as exact
+brute-force search in FAISS does (Johnson et al., arXiv 1702.08734), and
+recomputes direct differences only for the rows that rounding could
+place in the top k, so its order and distances are those of a full sort
+of direct-difference distances.  Recall@N asks whether any of the N
+nearest database samples lies within a threshold distance of the
+query's true position; it is monotone in N by construction and reaches
+its ceiling at N = database size, where it measures pure geography,
+independent of the embeddings.
 """
 
 from __future__ import annotations
@@ -27,12 +32,6 @@ __all__ = [
     "knn",
     "recall_at_n",
 ]
-
-# Elements (Q * B * D) of knn's difference tile, about 1 MB of float64.
-# In a sweep at Q=100, M=5000, D=64 on a 2-vCPU host, tiles of
-# 2**16..2**18 elements ran fastest and 2**21 and above took ~1.7x longer.
-_KNN_BLOCK_ELEMS = 2**17
-
 
 def _normalize_rows(x: np.ndarray, what: str) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1, keepdims=True)
@@ -60,9 +59,11 @@ class EmbeddingIndex:
             raise ValueError("index cannot be empty")
         if len(np.unique(self.ids)) != len(self.ids):
             raise ValueError("index ids must be unique")
-        norms = np.linalg.norm(self.vectors, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
-            raise ValueError("index vectors must be unit norm")
+        # Written as "not within" so a NaN norm fails the check too.
+        bad = ~(np.abs(np.linalg.norm(self.vectors, axis=1) - 1.0) <= 1e-9)
+        if np.any(bad):
+            row = int(np.argmax(bad))
+            raise ValueError(f"index vectors must be unit norm; row {row} is not")
 
     @property
     def size(self) -> int:
@@ -91,12 +92,23 @@ def knn(index: EmbeddingIndex, query_vecs: np.ndarray, k: int) -> tuple[np.ndarr
     Returns (ids, dists), each (Q, k'), where k' = min(k, index size).
     Queries are row-normalized here; distances are L2 on the sphere.
 
-    The database is scanned in tiles of B rows, with B * Q * D about
-    ``_KNN_BLOCK_ELEMS``: each tile's (Q, B, D) differences go into one
-    reused buffer, so the working set is that buffer plus the (Q, M)
-    distance matrix, never a (Q, M, D) temporary.  Each query then keeps
-    only the rows at or below its k-th smallest distance and sorts those
-    by (distance, id), which is the order a full sort would give.
+    Filter, then rerank.  One matrix product gives every (query, row)
+    squared-distance estimate s = ||q||^2 + ||v||^2 - 2 q.v, built in
+    place, so the working set is that one (Q, M) matrix.  Per query, A_k
+    is the k-th smallest estimate, and the candidates are the rows with s
+    not above A_k + 2 eps, where eps bounds the rounding gap between s
+    and the squared direct-difference distance r (see ``_knn_margin``).
+    Only the candidates get direct differences (``np.linalg.norm``), and
+    they are sorted by (distance, id).
+
+    The result is that of a full sort of every row's direct distance:
+    the k rows with the smallest s have r within eps of A_k, so every
+    row of the exact top k, being no farther, has r <= A_k + eps (eps
+    also covers rows whose distances round to a tie) and hence
+    s <= A_k + 2 eps, which makes it a candidate.  Exact duplicates tie on distance and keep the
+    smaller id first; near-zero distances come from the direct
+    differences, never from the cancelling estimate; an all-NaN query
+    has NaN estimates, so every row stays a candidate and sorts by id.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -106,32 +118,54 @@ def knn(index: EmbeddingIndex, query_vecs: np.ndarray, k: int) -> tuple[np.ndarr
     if q.shape[1] != index.dim:
         raise ValueError(f"query dim {q.shape[1]} does not match index dim {index.dim}")
     q = _normalize_rows(q, "query embedding")
-    n_q, m = q.shape[0], index.size
-    k = min(k, m)
-    block = max(1, _KNN_BLOCK_ELEMS // max(1, n_q * index.dim))
-    buf = np.empty((n_q, min(block, m), index.dim))
-    dists = np.empty((n_q, m))
-    # Differences computed directly: the sphere identity 2 - 2 q.v loses
-    # digits to cancellation near zero distance and can reorder near-ties.
-    # Square, sum over the last axis and sqrt is np.linalg.norm(axis=2),
-    # step for step.
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        diff = buf[:, : hi - lo]
-        np.subtract(q[:, None, :], index.vectors[None, lo:hi, :], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.sqrt(np.add.reduce(diff, axis=2), out=dists[:, lo:hi])
-    out_ids = np.empty((n_q, k), dtype=np.int64)
-    out_d = np.empty((n_q, k), dtype=np.float64)
-    for row in range(n_q):
-        d = dists[row]
-        kth = np.partition(d, k - 1)[k - 1]
-        # Written as "not above" so a NaN k-th distance keeps every row.
-        cand = np.flatnonzero(~(d > kth))
-        order = cand[np.lexsort((index.ids[cand], d[cand]))[:k]]
-        out_ids[row] = index.ids[order]
+    v = index.vectors
+    k = min(k, index.size)
+    qq = np.einsum("ij,ij->i", q, q)
+    vv = np.einsum("ij,ij->i", v, v)
+    s = q @ v.T
+    s *= -2.0
+    s += qq[:, None]
+    s += vv[None, :]
+    limit = 2.0 * _knn_margin(index.dim, qq, vv.max())
+    out_ids = np.empty((q.shape[0], k), dtype=np.int64)
+    out_d = np.empty((q.shape[0], k), dtype=np.float64)
+    for row, est in enumerate(s):
+        a_k = np.partition(est, k - 1)[k - 1]
+        # Written as "not above" so a NaN bound keeps every row.
+        cand = np.flatnonzero(~(est > a_k + limit[row]))
+        d = np.linalg.norm(q[row] - v[cand], axis=1)
+        order = np.lexsort((index.ids[cand], d))[:k]
+        out_ids[row] = index.ids[cand[order]]
         out_d[row] = d[order]
     return out_ids, out_d
+
+
+def _knn_margin(dim: int, qq: np.ndarray, vv_max: float) -> np.ndarray:
+    """Per-query bound eps on |s - r| for every database row.
+
+    With u = 2**-53, gamma_n = n u / (1 - n u), D = ``dim`` and the
+    exact squared norms standing in for the computed ``qq`` and ``vv``:
+
+    - r, the direct distance squared, sums D non-negative terms each
+      rounded twice, so |r - d^2| <= gamma_{D+2} d^2, and
+      d^2 <= 2 (qq + vv).
+    - s: the norms carry gamma_D qq and gamma_D vv; the dot product
+      carries gamma_D sum|q_i v_i| <= gamma_D (qq + vv) / 2 whatever
+      the summation order, so BLAS blocking, FMA and thread count do
+      not matter; the two additions each add at most u times a value
+      of at most 2 (qq + vv).  So |s - d^2| <= (2 gamma_D + 4u)(qq + vv).
+    - Rows whose correctly rounded square roots are equal differ in r
+      by at most about 4u r <= 8u (qq + vv), and such rows tie on
+      distance, so the bound must cover them too.
+
+    To first order the sum is (4D + 16) u (qq + vv).  This returns
+    twice that, with vv at its largest over the database; the factor
+    two covers the second-order terms, the gap between computed and
+    exact norms and the rounding of A_k + 2 eps.  Rows are unit norm,
+    so underflow's absolute errors (below D * 2**-1074) do not count.
+    """
+    u = np.finfo(np.float64).eps / 2
+    return 8 * (dim + 4) * u * (qq + vv_max)
 
 
 @dataclass(frozen=True)
@@ -166,11 +200,12 @@ def recall_at_n(
     if list(n_values) != sorted(set(n_values)) or n_values[0] < 1:
         raise ValueError("n_values must be ascending unique positive ints")
     ids, _ = knn(index, query_vecs, k=max(n_values))
-    pos_by_id = {int(i): p for i, p in zip(index.ids, index.positions)}
-    hits = np.zeros((len(query_positions), ids.shape[1]), dtype=bool)
+    by_id = np.argsort(index.ids)
+    rows = by_id[np.searchsorted(index.ids, ids, sorter=by_id)]
+    hits = np.zeros(ids.shape, dtype=bool)
     for qi, qpos in enumerate(query_positions):
-        for rank in range(ids.shape[1]):
-            d = distance_m(qpos, pos_by_id[int(ids[qi, rank])])
+        for rank, row in enumerate(rows[qi]):
+            d = distance_m(qpos, index.positions[row])
             hits[qi, rank] = d <= threshold_m
     any_hit = np.cumsum(hits, axis=1) > 0
     recalls = []

@@ -297,6 +297,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated checkpoint"):
             load_checkpoint(path)
 
+    def test_truncated_header_rejected(self, tmp_path):
+        cfg, state = self.make()
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, state, cfg)
+        raw = path.read_bytes()
+        end = 4 + int.from_bytes(raw[:4], "little")
+        # Every cut inside the length prefix or the header, and the cut
+        # right after the header, which leaves the tensor body empty.
+        for n in range(end + 1):
+            path.write_bytes(raw[:n])
+            with pytest.raises(ValueError, match="truncated checkpoint"):
+                load_checkpoint(path)
+
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         cfg, state = self.make()
         path = tmp_path / "enc.ckpt"

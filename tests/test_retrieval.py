@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-import vgssl.retrieval
 from vgssl.encoder import EncoderConfig, init_state
 from vgssl.geodata import Position, PositionMode, synth_dataset
 from vgssl.retrieval import EmbeddingIndex, build_index, knn, recall_at_n
@@ -47,6 +49,13 @@ class TestIndexValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             EmbeddingIndex(ids=np.array([0, 1]), vectors=np.eye(2), positions=[planar(0, 0)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        vecs = np.eye(3)
+        vecs[1, 2] = bad
+        with pytest.raises(ValueError, match="row 1 is not"):
+            EmbeddingIndex(ids=np.arange(3), vectors=vecs, positions=[planar(0, 0)] * 3)
 
 
 class TestKnn:
@@ -102,13 +111,11 @@ class TestKnn:
         with pytest.raises(ValueError):
             knn(idx, np.zeros((1, 4)), k=0)
 
-    def test_tiles_match_full_sort_oracle(self, monkeypatch):
-        # Three-row tiles over 23 rows: eight tiles, the last one ragged.
+    def test_tiles_match_full_sort_oracle(self):
         n_q, m, d = 6, 23, 4
-        monkeypatch.setattr(vgssl.retrieval, "_KNN_BLOCK_ELEMS", 3 * n_q * d)
         rng = np.random.default_rng(5)
         vecs = unit_rows(rng.normal(size=(m, d)))
-        # Exact duplicates spread over different tiles; ids descend with the
+        # Exact duplicates spread over the database; ids descend with the
         # row, so the later (smaller-id) copy must come first.
         vecs[[8, 15, 22]] = vecs[1]
         vecs[13] = vecs[4]
@@ -143,9 +150,67 @@ class TestKnn:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The (Q, M) distances are 1.6 MB and one difference tile about
-        # 1 MB; a (Q, M, D) difference tensor would be 102 MB.
+        # The (Q, M) distance estimates are 1.6 MB; a (Q, M, D) difference
+        # tensor would be 102 MB.
         assert peak < 8 * 2**20
+
+
+def full_sort_knn(idx, q, k):
+    """Oracle: direct distance to every row, then one sort by (distance, id)."""
+    with np.errstate(invalid="ignore"):
+        qn = q / np.linalg.norm(q, axis=1, keepdims=True)
+    ids, dists = [], []
+    for row in qn:
+        ref = np.linalg.norm(idx.vectors - row, axis=1)
+        order = np.lexsort((idx.ids, ref))[:k]
+        ids.append(idx.ids[order])
+        dists.append(ref[order])
+    return np.array(ids), np.array(dists)
+
+
+@st.composite
+def tie_worlds(draw):
+    """A small database full of exact, one-ulp and 1e-9 near-ties, plus queries.
+
+    Queries are every base direction (each equal to the database rows
+    copied from it, whose neighbours sit one ulp or 1e-9 away), one free
+    direction and one all-NaN row.
+    """
+    d = draw(st.integers(1, 8))
+    direction = hnp.arrays(
+        np.float64, d, elements=st.integers(-3, 3).map(float)
+    ).filter(np.any).map(lambda a: a / np.linalg.norm(a))
+    base = [draw(direction) for _ in range(draw(st.integers(1, 4)))]
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        v = base[draw(st.integers(0, len(base) - 1))].copy()
+        kind = draw(st.sampled_from(["copy", "ulp", "near"]))
+        if kind == "ulp":
+            j = draw(st.integers(0, d - 1))
+            v[j] = np.nextafter(v[j], draw(st.sampled_from([-2.0, 2.0])))
+        elif kind == "near":
+            v += 1e-9 * draw(direction)
+            v /= np.linalg.norm(v)
+        rows.append(v)
+    m = len(rows)
+    # Permutations shrink toward the identity, so the minimal example has
+    # descending ids: later duplicates carry the smaller id.
+    ids = np.array(draw(st.permutations(range(m))))[::-1] * 5
+    idx = EmbeddingIndex(ids=ids, vectors=np.array(rows), positions=[planar(0, 0)] * m)
+    q = np.concatenate([np.array(base), draw(direction)[None], np.full((1, d), np.nan)])
+    return idx, q
+
+
+class TestKnnProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_worlds())
+    def test_bit_identical_to_full_sort(self, world):
+        idx, q = world
+        for k in range(1, idx.size + 3):
+            ids, dists = knn(idx, q, k)
+            ref_ids, ref_dists = full_sort_knn(idx, q, k)
+            np.testing.assert_array_equal(ids, ref_ids)
+            assert dists.tobytes() == ref_dists.tobytes()
 
 
 class TestRecall:
