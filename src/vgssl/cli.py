@@ -21,7 +21,7 @@ from . import __version__
 from .costmodel import CostLedger, assert_ledger, predict_cost
 from .encoder import load_checkpoint, save_checkpoint
 from .geodata import load_csv, save_csv, synth_dataset
-from .gradcheck import ALL_METHODS, gradcheck_method
+from .gradcheck import ALL_METHODS, gradcheck_all
 from .losses import LossConfig, Method
 from .methods import method_config, strategy_label
 from .retrieval import evaluate_encoder
@@ -210,6 +210,8 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
     resolved = dict(cfg._raw)
     cfg.finish()
 
+    if n_seeds < 1:
+        raise ConfigError(f"n_seeds must be at least 1, got {n_seeds}")
     if resume is not None and n_seeds != 1:
         raise ConfigError("resume applies to a single seed; set n_seeds to 1")
 
@@ -322,11 +324,9 @@ def cmd_gradcheck(cfg: _Config, seed: int) -> int:
 
     print(f"{'method':14s} {'instances':>9s} {'worst rel err':>14s}  verdict")
     failed = []
-    for method in methods:
-        worst = 0.0
-        for i in range(instances):
-            r = gradcheck_method(method, seed=base + i, tol=tol)
-            worst = max(worst, r.max_rel_err)
+    results = gradcheck_all(methods, instances=instances, seed0=base, tol=tol)
+    for method, runs in results.items():
+        worst = max([0.0] + [r.max_rel_err for r in runs])
         ok = worst < tol
         if not ok:
             failed.append(method.value)

@@ -58,16 +58,13 @@ def predict_cost(
     n_kp: int = 0,
     n_kn: int = 0,
     pool: int = 0,
-    verify_positives: bool = False,
 ) -> CostLedger:
     """Closed-form per-epoch cost for one sampling strategy.
 
     ``n_q`` queries are mined against a database of ``n_k`` samples, of
     which ``n_kn`` are eligible negatives per query (pass the average if
     it varies) and ``n_kp`` positive partners are extracted.  ``pool`` is
-    the partial candidate-pool size.  ``verify_positives`` adds the
-    optional distance check of each query against every extracted
-    positive, which costs ``n_q * n_kp`` comparisons in any mode.
+    the partial candidate-pool size.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mining mode {mode!r}; expected one of {_MODES}")
@@ -94,8 +91,6 @@ def predict_cost(
         led.extractions = 0
         led.comparisons = 0
         led.peak_cached = 0
-    if verify_positives:
-        led.comparisons += n_q * n_kp
     return led
 
 

@@ -86,6 +86,8 @@ class GeoSample:
         f = np.asarray(self.features, dtype=np.float64)
         if f.ndim != 1:
             raise ValueError(f"features must be 1-d, got shape {f.shape}")
+        if not np.isfinite(f).all():
+            raise ValueError(f"sample {self.id} has non-finite features")
         object.__setattr__(self, "features", f)
 
 
@@ -93,17 +95,23 @@ class GeoSample:
 class GeoDataset:
     """Query and database samples plus the positive/negative radii.
 
-    Samples and radii are fixed after construction: the first
-    neighbourhood query runs one radius search over the whole database
-    and every later one reads its result.
+    Samples and radii are fixed after construction, which sorts once:
+    ``db_ids`` and ``query_ids`` are ascending tuples, and one read-only
+    (N, F) matrix holds the database rows, then the query rows, in id
+    order (the CSV's row order); ``features(ids)`` copies rows out of it.
+    The first neighbourhood query runs one radius search over the whole
+    database and every later one reads its result.
     """
 
     queries: list[GeoSample]
     database: list[GeoSample]
     r_pos: float = 10.0
     r_neg: float = 25.0
-    _db_by_id: dict[int, GeoSample] = field(init=False, repr=False)
-    _q_by_id: dict[int, GeoSample] = field(init=False, repr=False)
+    db_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    query_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _samples: tuple[GeoSample, ...] = field(init=False, repr=False, compare=False)
+    _row: dict[int, int] = field(init=False, repr=False, compare=False)
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
     _neighbours: dict[int, tuple[list[int], list[int]]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -113,21 +121,20 @@ class GeoDataset:
             raise ValueError(f"need 0 < r_pos < r_neg, got {self.r_pos}, {self.r_neg}")
         if not self.database:
             raise ValueError("database must be non-empty")
-        modes = {s.position.mode for s in self.queries} | {
-            s.position.mode for s in self.database
-        }
-        if len(modes) != 1:
+        db = sorted(self.database, key=lambda s: s.id)
+        self._samples = tuple(db + sorted(self.queries, key=lambda s: s.id))
+        if len({s.position.mode for s in self._samples}) != 1:
             raise ValueError("all samples must share one position mode")
-        dims = {s.features.shape[0] for s in self.queries} | {
-            s.features.shape[0] for s in self.database
-        }
+        dims = {s.features.shape[0] for s in self._samples}
         if len(dims) != 1:
             raise ValueError(f"inconsistent feature widths {sorted(dims)}")
-        ids = [s.id for s in self.queries] + [s.id for s in self.database]
-        if len(set(ids)) != len(ids):
+        self._row = {s.id: row for row, s in enumerate(self._samples)}
+        if len(self._row) != len(self._samples):
             raise ValueError("sample ids must be unique across roles")
-        self._db_by_id = {s.id: s for s in self.database}
-        self._q_by_id = {s.id: s for s in self.queries}
+        ids = tuple(s.id for s in self._samples)
+        self.db_ids, self.query_ids = ids[: len(db)], ids[len(db) :]
+        self._matrix = np.stack([s.features for s in self._samples])
+        self._matrix.flags.writeable = False
 
     @property
     def mode(self) -> PositionMode:
@@ -137,11 +144,18 @@ class GeoDataset:
     def feature_dim(self) -> int:
         return self.database[0].features.shape[0]
 
+    def _rows(self, ids) -> list[int]:
+        try:
+            return [self._row[i] for i in ids]
+        except KeyError as err:
+            raise KeyError(f"no sample with id {err.args[0]}") from None
+
     def sample(self, sample_id: int) -> GeoSample:
-        s = self._db_by_id.get(sample_id) or self._q_by_id.get(sample_id)
-        if s is None:
-            raise KeyError(f"no sample with id {sample_id}")
-        return s
+        return self._samples[self._rows([sample_id])[0]]
+
+    def features(self, ids) -> np.ndarray:
+        """Feature rows of ``ids``, any roles, in the given order; a copy."""
+        return self._matrix[self._rows(ids)]
 
     def _neighbourhood(self, query_id: int) -> tuple[list[int], list[int]]:
         """(positive ids, negative ids) of a query, both ascending.
@@ -150,10 +164,10 @@ class GeoDataset:
         (query, database) pair; the annulus between the radii lands in
         neither list.
         """
-        if query_id not in self._q_by_id:
+        if self._row.get(query_id, -1) < len(self.db_ids):
             raise KeyError(f"no query with id {query_id}")
         if self._neighbours is None:
-            db = sorted(self.database, key=lambda s: s.id)
+            db = self._samples[: len(self.db_ids)]
             self._neighbours = {}
             for q in self.queries:
                 pos, neg = [], []
@@ -300,9 +314,7 @@ def save_csv(ds: GeoDataset, csv_path: str | Path) -> None:
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for s in sorted(ds.database, key=lambda s: s.id) + sorted(
-            ds.queries, key=lambda s: s.id
-        ):
+        for s in map(ds.sample, ds.db_ids + ds.query_ids):
             w.writerow(
                 [s.id, s.role.value, repr(s.position.a), repr(s.position.b)]
                 + [repr(float(x)) for x in s.features]
@@ -337,11 +349,15 @@ def load_csv(csv_path: str | Path) -> GeoDataset:
                 f"csv has {n_feat} feature columns, metadata says {meta['feature_dim']}"
             )
         for row in reader:
-            sid = int(row[0])
-            role = Role(row[1])
-            pos = Position(mode, float(row[2]), float(row[3]))
-            feats = np.array([float(x) for x in row[4:]], dtype=np.float64)
-            sample = GeoSample(sid, role, pos, feats)
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} columns, got {len(row)}")
+                role = Role(row[1])
+                pos = Position(mode, float(row[2]), float(row[3]))
+                feats = np.array([float(x) for x in row[4:]], dtype=np.float64)
+                sample = GeoSample(int(row[0]), role, pos, feats)
+            except ValueError as err:
+                raise ValueError(f"{csv_path}:{reader.line_num}: {err}") from err
             (queries if role is Role.QUERY else database).append(sample)
     return GeoDataset(
         queries=queries, database=database, r_pos=meta["r_pos"], r_neg=meta["r_neg"]

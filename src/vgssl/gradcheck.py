@@ -162,7 +162,6 @@ def gradcheck_method(
     method: Method,
     seed: int = 0,
     tol: float = 1e-4,
-    h: float = FD_STEP,
     corrupt: bool = False,
 ) -> GradCheckResult:
     """Compare the tape gradient against central differences.
@@ -223,16 +222,16 @@ def gradcheck_method(
             gf = g.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + h
+                flat[i] = orig + FD_STEP
                 hi, sig_hi = _loss_value(state, mcfg, anchors, partners, negatives, used)
-                flat[i] = orig - h
+                flat[i] = orig - FD_STEP
                 lo, sig_lo = _loss_value(state, mcfg, anchors, partners, negatives, used)
                 flat[i] = orig
                 if not (np.array_equal(sig_hi, sig_base)
                         and np.array_equal(sig_lo, sig_base)):
                     crossed = True
                     break
-                gf[i] = (hi - lo) / (2.0 * h)
+                gf[i] = (hi - lo) / (2.0 * FD_STEP)
             if crossed:
                 break
             numeric[name] = g

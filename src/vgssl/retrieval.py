@@ -16,6 +16,7 @@ independent of the embeddings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "EmbeddingIndex",
     "RecallReport",
     "build_index",
+    "check_recall_settings",
     "evaluate_encoder",
     "knn",
     "recall_at_n",
@@ -76,13 +78,11 @@ class EmbeddingIndex:
 
 def build_index(state: EncoderState, cfg: EncoderConfig, ds: GeoDataset) -> EmbeddingIndex:
     """Embed the whole database in eval mode, ascending id order."""
-    samples = sorted(ds.database, key=lambda s: s.id)
-    feats = np.stack([s.features for s in samples])
-    emb = forward(state, cfg, feats, branch="online", training=False).data
+    emb = forward(state, cfg, ds.features(ds.db_ids), branch="online", training=False).data
     return EmbeddingIndex(
-        ids=np.array([s.id for s in samples]),
+        ids=np.array(ds.db_ids),
         vectors=_normalize_rows(emb, "database embedding"),
-        positions=[s.position for s in samples],
+        positions=[ds.sample(i).position for i in ds.db_ids],
     )
 
 
@@ -179,6 +179,16 @@ class RecallReport:
         return dict(zip(self.n_values, self.recalls))
 
 
+def check_recall_settings(n_values: tuple[int, ...], threshold_m: float) -> None:
+    """Raise ``ValueError`` unless ``n_values`` is non-empty, ascending,
+    unique and at least 1, and ``threshold_m`` is finite and >= 0."""
+    ns = list(n_values)
+    if not ns or ns != sorted(set(ns)) or ns[0] < 1:
+        raise ValueError(f"n_values must be ascending unique positive ints, got {ns}")
+    if not (math.isfinite(threshold_m) and threshold_m >= 0):
+        raise ValueError(f"threshold_m must be finite and >= 0, got {threshold_m}")
+
+
 def recall_at_n(
     index: EmbeddingIndex,
     query_vecs: np.ndarray,
@@ -197,8 +207,7 @@ def recall_at_n(
         raise ValueError("recall needs at least one query")
     if len(query_positions) != np.asarray(query_vecs).shape[0]:
         raise ValueError("query vectors and positions disagree in length")
-    if list(n_values) != sorted(set(n_values)) or n_values[0] < 1:
-        raise ValueError("n_values must be ascending unique positive ints")
+    check_recall_settings(n_values, threshold_m)
     ids, _ = knn(index, query_vecs, k=max(n_values))
     by_id = np.argsort(index.ids)
     rows = by_id[np.searchsorted(index.ids, ids, sorter=by_id)]
@@ -229,12 +238,8 @@ def evaluate_encoder(
 ) -> RecallReport:
     """Recall over every dataset query, eval-mode embeddings."""
     index = build_index(state, cfg, ds)
-    queries = sorted(ds.queries, key=lambda s: s.id)
-    if not queries:
+    if not ds.query_ids:
         raise ValueError("dataset has no queries to evaluate")
-    q_emb = forward(
-        state, cfg, np.stack([q.features for q in queries]), training=False
-    ).data
-    return recall_at_n(
-        index, q_emb, [q.position for q in queries], n_values, threshold_m
-    )
+    q_emb = forward(state, cfg, ds.features(ds.query_ids), training=False).data
+    positions = [ds.sample(i).position for i in ds.query_ids]
+    return recall_at_n(index, q_emb, positions, n_values, threshold_m)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .costmodel import CostLedger
-from .geodata import GeoDataset, distance_m
+from .geodata import GeoDataset
 
 __all__ = [
     "PairKind",
@@ -83,16 +83,12 @@ def build_pairs(
     eta: float,
     rng_seed: int,
     ledger: CostLedger | None = None,
-    verify_positives: bool = False,
 ) -> list[Pair]:
     """Assemble one epoch batch of pairs at database-negative ratio eta.
 
     Returns exactly ``m_q + round(eta * m_q)`` pairs in a seeded shuffle.
     The ledger counts one anchor and one partner extraction per pair and
-    no comparisons; ``verify_positives`` additionally distance-checks
-    each query against its positive partner and charges the
-    ``m_q * m_q`` comparisons of the all-pairs verification sweep that
-    ``predict_cost`` prices.
+    no comparisons.
     """
     if m_q < 1:
         raise ValueError("m_q must be at least 1")
@@ -118,7 +114,7 @@ def build_pairs(
 
     n_neg = int(round(eta * m_q))
     if n_neg > 0:
-        eligible = sorted(s.id for s in ds.database if s.id not in banned)
+        eligible = [i for i in ds.db_ids if i not in banned]
         if len(eligible) < n_neg:
             raise ValueError(
                 f"need {n_neg} identical negatives, only {len(eligible)} database "
@@ -131,17 +127,6 @@ def build_pairs(
 
     order = rng.permutation(len(pairs))
     pairs = [pairs[i] for i in order]
-
-    if verify_positives:
-        partners = [p for p in pairs if p.kind is PairKind.QUERY_POSITIVE]
-        for p in partners:
-            d = distance_m(ds.sample(p.anchor_id).position, ds.sample(p.partner_id).position)
-            if d > ds.r_pos:
-                raise AssertionError(
-                    f"pair ({p.anchor_id}, {p.partner_id}) is {d:.1f} m apart"
-                )
-        if ledger is not None:
-            ledger.add_comparisons(len(partners) ** 2)
 
     if ledger is not None:
         ledger.add_extractions(2 * len(pairs))
@@ -211,20 +196,17 @@ def mine_triplets(
             triplets.append(Triplet(qid, pid, nid))
         return triplets
 
-    q_feats = np.stack([ds.sample(q).features for q in query_ids])
-
+    db_ids = ds.db_ids
     if cfg.mode is MiningMode.FULL_HNM:
-        db_ids = sorted(s.id for s in ds.database)
-        db_feats = np.stack([ds.sample(i).features for i in db_ids])
-        q_emb = embed(q_feats)
-        db_emb = embed(db_feats)
+        q_emb = embed(ds.features(query_ids))
+        db_emb = embed(ds.features(db_ids))
         if ledger is not None:
             ledger.add_extractions(m_q + len(db_ids))
             ledger.note_cached(m_q + len(db_ids))
-        emb_by_id = {i: db_emb[k] for k, i in enumerate(db_ids)}
+        id_array = np.array(db_ids)
         for k, (qid, pid) in enumerate(zip(query_ids, positive_ids)):
             negs = ds.negative_set(qid)
-            vecs = np.stack([emb_by_id[i] for i in negs])
+            vecs = db_emb[np.searchsorted(id_array, negs)]
             nid = hardest_negative(q_emb[k], negs, vecs)
             if ledger is not None:
                 ledger.add_comparisons(len(negs))
@@ -232,16 +214,14 @@ def mine_triplets(
         return triplets
 
     # PARTIAL_HNM: one shared candidate pool per call.
-    db_ids = sorted(s.id for s in ds.database)
     if cfg.pool_size > len(db_ids):
         raise ValueError(
             f"pool_size {cfg.pool_size} exceeds database size {len(db_ids)}"
         )
     pool_pick = rng.choice(len(db_ids), size=cfg.pool_size, replace=False)
     pool_ids = [db_ids[int(i)] for i in pool_pick]
-    pool_feats = np.stack([ds.sample(i).features for i in pool_ids])
-    q_emb = embed(q_feats)
-    pool_emb = embed(pool_feats)
+    q_emb = embed(ds.features(query_ids))
+    pool_emb = embed(ds.features(pool_ids))
     if ledger is not None:
         ledger.add_extractions(m_q + cfg.pool_size + m_q)  # queries + pool + positives
         ledger.note_cached(m_q + cfg.pool_size + m_q)

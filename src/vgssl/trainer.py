@@ -25,7 +25,7 @@ from .encoder import forward, init_state, momentum_update
 from .geodata import GeoDataset
 from .losses import Method
 from .methods import MethodConfig, method_batch_loss, method_config, strategy_label
-from .retrieval import RecallReport, evaluate_encoder
+from .retrieval import RecallReport, check_recall_settings, evaluate_encoder
 from .sampling import build_pairs, mine_triplets
 
 __all__ = [
@@ -134,6 +134,7 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if self.eval_every < 0:
             raise ValueError("eval_every cannot be negative")
+        check_recall_settings(self.recall_ns, self.threshold_m)
 
 
 @dataclass
@@ -169,10 +170,6 @@ class TrainResult:
     record: RunRecord
     state: object  # EncoderState
     adam: AdamState
-
-
-def _features(ds: GeoDataset, ids: list[int]) -> np.ndarray:
-    return np.stack([ds.sample(i).features for i in ids])
 
 
 def _epoch_m_q(ds: GeoDataset, tcfg: TrainConfig, need_negatives: bool) -> int:
@@ -237,9 +234,9 @@ def train_epoch(
         n = len(batch_ids)
         if n < 2:
             continue  # batch statistics are undefined on a single pair
-        a = _features(ds, batch_ids)
-        p = _features(ds, partners[start:stop])
-        neg = _features(ds, negatives[start:stop]) if negatives is not None else None
+        a = ds.features(batch_ids)
+        p = ds.features(partners[start:stop])
+        neg = ds.features(negatives[start:stop]) if negatives is not None else None
         out, _ = method_batch_loss(enc_state, mcfg, a, p, negatives=neg, training=True)
         out.node.backward()
         _check_finite(out.value, enc_state.params, start // tcfg.batch_size)

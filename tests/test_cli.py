@@ -1,12 +1,15 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vgssl.trainer
 from vgssl.cli import main
 from vgssl.encoder import load_checkpoint
-from vgssl.geodata import load_csv
+from vgssl.geodata import load_csv, save_csv, synth_dataset
 from vgssl.losses import Method
 from vgssl.methods import method_config
 from vgssl.trainer import TrainConfig, run_experiment
@@ -144,6 +147,33 @@ class TestTrain:
             assert np.array_equal(a.params[k].data, b.params[k].data)
         for k in ex_a:
             assert np.array_equal(ex_a[k], ex_b[k])
+
+    @pytest.mark.parametrize("over, message", [
+        ({"recall_ns": []}, "n_values must be"),
+        ({"recall_ns": [10, 1]}, "n_values must be"),
+        ({"threshold_m": -5}, "threshold_m must be"),
+        ({"n_seeds": 0}, "n_seeds must be at least 1"),
+    ])
+    def test_impossible_settings_fail_before_training(
+        self, tmp_path, world, capsys, monkeypatch, over, message
+    ):
+        epochs = []
+        monkeypatch.setattr(vgssl.trainer, "train_epoch",
+                            lambda *a, **k: epochs.append(a) or (0.0, {}))
+        cfg = write_config(tmp_path / "t.json", train_config(world, **over))
+        out = tmp_path / "runs"
+        assert run("train", "--config", cfg, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert epochs == [] and not out.exists()
+
+    def test_readme_train_config_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"A minimal train config:\s*```json\n(.*?)```", readme, re.S)
+        payload = json.loads(block.group(1))
+        save_csv(synth_dataset(seed=0), tmp_path / "dataset.csv")
+        payload["dataset"] = str(tmp_path / "dataset.csv")
+        cfg = write_config(tmp_path / "t.json", payload)
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "runs")) == 0
 
     def test_multi_seed_writes_one_dir_per_seed(self, tmp_path, world):
         cfg = write_config(tmp_path / "t.json", train_config(world, n_seeds=2))

@@ -36,10 +36,6 @@ class TestPredict:
         assert led.comparisons == 0
         assert led.peak_cached == 100
 
-    def test_pair_only_with_verification(self):
-        led = predict_cost("pair_only", n_q=50, n_kp=50, verify_positives=True)
-        assert led.comparisons == 2500
-
     def test_full_hnm(self):
         led = predict_cost("full_hnm", n_q=10, n_k=1000, n_kn=990)
         assert led.extractions == 1010

@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+from vgssl.encoder import EncoderConfig, init_state
 from vgssl.geodata import (
     GeoDataset,
     GeoSample,
@@ -15,6 +16,8 @@ from vgssl.geodata import (
     save_csv,
     synth_dataset,
 )
+from vgssl.retrieval import build_index
+from vgssl.sampling import MiningConfig, MiningMode, mine_triplets
 
 
 def planar(x, y):
@@ -187,6 +190,75 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             GeoDataset(queries=[], database=[])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(ValueError, match="sample 7 has non-finite features"):
+            db_sample(7, 0, 0, np.array([0.0, bad, 1.0]))
+
+
+class TestLayout:
+    def setup_method(self):
+        # ``ds`` is built from shuffled lists, ``ordered`` from the same
+        # samples in id order.
+        base = synth_dataset(seed=2, n_places=6, db_per_place=3, feature_dim=4,
+                             buffer_per_place=1)
+        queries = sorted(base.queries, key=lambda s: s.id)
+        database = sorted(base.database, key=lambda s: s.id)
+        rng = np.random.default_rng(0)
+        self.ds = GeoDataset(
+            queries=[queries[i] for i in rng.permutation(len(queries))],
+            database=[database[i] for i in rng.permutation(len(database))],
+        )
+        self.ordered = GeoDataset(queries=queries, database=database)
+
+    def test_ids_ascending_tuples(self):
+        ds = self.ds
+        assert isinstance(ds.db_ids, tuple) and isinstance(ds.query_ids, tuple)
+        assert list(ds.db_ids) == sorted(s.id for s in ds.database)
+        assert list(ds.query_ids) == sorted(s.id for s in ds.queries)
+
+    def test_features_any_mix_in_given_order(self):
+        ds = self.ds
+        ids = [ds.query_ids[2], ds.db_ids[5], ds.db_ids[0], ds.query_ids[2]]
+        got = ds.features(ids)
+        assert got.dtype == np.float64 and got.shape == (4, ds.feature_dim)
+        np.testing.assert_array_equal(got, np.stack([ds.sample(i).features for i in ids]))
+
+    def test_features_returns_a_copy(self):
+        ds = self.ds
+        ds.features(ds.db_ids)[:] = 123.0
+        np.testing.assert_array_equal(
+            ds.features([ds.db_ids[0]])[0], ds.sample(ds.db_ids[0]).features
+        )
+
+    def test_unknown_id_raises_like_sample(self):
+        with pytest.raises(KeyError) as from_sample:
+            self.ds.sample(9999)
+        with pytest.raises(KeyError) as from_features:
+            self.ds.features([self.ds.db_ids[0], 9999])
+        assert str(from_features.value) == str(from_sample.value) == "'no sample with id 9999'"
+
+    def test_shuffled_lists_match_sorted_lists(self, tmp_path):
+        """Index, mined triplets and CSV do not depend on the list order."""
+        cfg = EncoderConfig(input_dim=4, hidden_dims=(8,), embed_dim=8)
+        state = init_state(cfg, seed=0)
+        a, b = build_index(state, cfg, self.ordered), build_index(state, cfg, self.ds)
+        np.testing.assert_array_equal(a.ids, b.ids)
+        assert a.vectors.tobytes() == b.vectors.tobytes()
+        assert a.positions == b.positions
+        # Queries are drawn in list order (see eligible_queries), so only
+        # the database is shuffled for mining.
+        db_shuffled = GeoDataset(queries=self.ordered.queries, database=self.ds.database)
+        for mode, pool in [(MiningMode.FULL_HNM, 0), (MiningMode.PARTIAL_HNM, 5),
+                           (MiningMode.RANDOM, 0)]:
+            mcfg = MiningConfig(mode=mode, pool_size=pool)
+            for seed in range(5):
+                assert (mine_triplets(self.ordered, 4, mcfg, np.tanh, seed)
+                        == mine_triplets(db_shuffled, 4, mcfg, np.tanh, seed))
+        save_csv(self.ordered, tmp_path / "a.csv")
+        save_csv(self.ds, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
 
 class TestSynthDataset:
     def test_counts_and_ids(self):
@@ -285,6 +357,24 @@ class TestPersistence:
         (tmp_path / "world.meta.json").unlink()
         with pytest.raises(FileNotFoundError):
             load_csv(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cells: cells[:5] + ["nan"] + cells[6:], "sample 1 has non-finite features"),
+        (lambda cells: cells[:5] + ["inf"] + cells[6:], "sample 1 has non-finite features"),
+        (lambda cells: cells[:-1], "expected 7 columns, got 6"),
+        (lambda cells: cells[:5] + [""] + cells[6:], "could not convert string to float: ''"),
+        (lambda cells: cells[:1] + ["dtabase"] + cells[2:], "'dtabase' is not a valid Role"),
+    ], ids=["nan", "inf", "short_row", "empty_cell", "unknown_role"])
+    def test_bad_row_names_file_and_line(self, tmp_path, edit, message):
+        ds = synth_dataset(seed=1, n_places=2, db_per_place=2, feature_dim=3)
+        path = tmp_path / "world.csv"
+        save_csv(ds, path)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))  # the row of sample 1
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}:3: {message}"
 
     def test_header_names(self, tmp_path):
         ds = synth_dataset(seed=1, n_places=2, db_per_place=2, feature_dim=3)

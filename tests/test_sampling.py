@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vgssl.costmodel import CostLedger
-from vgssl.geodata import synth_dataset
+from vgssl.geodata import distance_m, synth_dataset
 from vgssl.sampling import (
     MiningConfig,
     MiningMode,
@@ -45,6 +45,8 @@ class TestPairContract:
         pairs = build_pairs(self.ds, m_q=10, eta=0.0, rng_seed=4)
         for p in pairs:
             assert p.partner_id in self.ds.positive_set(p.anchor_id)
+            a, b = self.ds.sample(p.anchor_id), self.ds.sample(p.partner_id)
+            assert distance_m(a.position, b.position) <= self.ds.r_pos
 
     def test_identical_negative_repeats_sample(self):
         pairs = build_pairs(self.ds, m_q=6, eta=1.0, rng_seed=5)
@@ -96,11 +98,6 @@ class TestPairContract:
         assert led.extractions == 2 * len(pairs)
         assert led.comparisons == 0
         assert led.peak_cached == 2 * len(pairs)
-
-    def test_verification_sweep_cost(self):
-        led = CostLedger()
-        build_pairs(self.ds, m_q=8, eta=0.0, rng_seed=9, ledger=led, verify_positives=True)
-        assert led.comparisons == 64
 
     def test_property_thousand_randomized_calls(self):
         """Count, collision and determinism over many randomized calls."""

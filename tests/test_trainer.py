@@ -81,6 +81,19 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, lr=-1.0)
 
+    @pytest.mark.parametrize("over, message", [
+        ({"recall_ns": ()}, "n_values must be"),
+        ({"recall_ns": (10, 1)}, "n_values must be"),
+        ({"recall_ns": (1, 1)}, "n_values must be"),
+        ({"recall_ns": (0, 5)}, "n_values must be"),
+        ({"threshold_m": -5.0}, "threshold_m must be"),
+        ({"threshold_m": float("inf")}, "threshold_m must be"),
+        ({"threshold_m": float("nan")}, "threshold_m must be"),
+    ])
+    def test_impossible_eval_settings(self, over, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(epochs=1, **over)
+
     def test_default_lrs(self):
         assert default_lr(Method.SIMCLR) == pytest.approx(1e-5)
         assert default_lr(Method.MOCOV2) == pytest.approx(1e-5)
