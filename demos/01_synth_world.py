@@ -34,12 +34,13 @@ for pid in pos:
 worst = min(distance_m(q.position, ds.sample(nid).position) for nid in neg)
 print(f"nearest negative: {worst:.1f} m (must exceed the exclusion buffer)")
 
-# roundtrip through the on-disk format
-path = os.path.join(tempfile.mkdtemp(), "demo_world.csv")
-save_csv(ds, path)
-back = load_csv(path)
+# roundtrip through the on-disk format, in a directory removed afterwards
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo_world.csv")
+    save_csv(ds, path)
+    back = load_csv(path)
 same = all(
     (a.id == b.id and a.features.tolist() == b.features.tolist())
     for a, b in zip(ds.queries + ds.database, back.queries + back.database)
 )
-print(f"\nwrote {path}, reload matches: {same}")
+print(f"\nwrote and reloaded {os.path.basename(path)}, reload matches: {same}")

@@ -12,10 +12,19 @@ its own output node, only to the parents and plain arrays.  References
 therefore run from outputs to inputs alone, the tape holds no cycle, and
 a graph is freed by reference counting the moment its output is dropped,
 without waiting for the cyclic garbage collector.
+
+Every op builds its result through ``_node``, the one place that attaches
+parents and a backward closure.  Inside the private ``_no_tape()`` region
+it attaches neither: results are leaves, so each intermediate is freed as
+soon as the next op has consumed it.  The values computed are the same
+bits either way.  Nothing differentiates through such a result; a
+backward pass that reaches it stops there.  The region is process-wide,
+not per thread; training and evaluation run on one thread.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -86,40 +95,33 @@ class Value:
 
     def __add__(self, other) -> "Value":
         other = as_value(other)
-        out = Value(self.data + other.data, (self, other), "add")
 
         def bwd(g):
             self._accum(_unbroadcast(g, self.shape))
             other._accum(_unbroadcast(g, other.shape))
 
-        out._backward = bwd
-        return out
+        return _node(self.data + other.data, (self, other), "add", bwd)
 
     def __sub__(self, other) -> "Value":
         other = as_value(other)
-        out = Value(self.data - other.data, (self, other), "sub")
 
         def bwd(g):
             self._accum(_unbroadcast(g, self.shape))
             other._accum(_unbroadcast(-g, other.shape))
 
-        out._backward = bwd
-        return out
+        return _node(self.data - other.data, (self, other), "sub", bwd)
 
     def __mul__(self, other) -> "Value":
         other = as_value(other)
-        out = Value(self.data * other.data, (self, other), "mul")
 
         def bwd(g):
             self._accum(_unbroadcast(g * other.data, self.shape))
             other._accum(_unbroadcast(g * self.data, other.shape))
 
-        out._backward = bwd
-        return out
+        return _node(self.data * other.data, (self, other), "mul", bwd)
 
     def __truediv__(self, other) -> "Value":
         other = as_value(other)
-        out = Value(self.data / other.data, (self, other), "div")
 
         def bwd(g):
             self._accum(_unbroadcast(g / other.data, self.shape))
@@ -127,17 +129,13 @@ class Value:
                 _unbroadcast(-g * self.data / (other.data * other.data), other.shape)
             )
 
-        out._backward = bwd
-        return out
+        return _node(self.data / other.data, (self, other), "div", bwd)
 
     def __neg__(self) -> "Value":
-        out = Value(-self.data, (self,), "neg")
-
         def bwd(g):
             self._accum(-g)
 
-        out._backward = bwd
-        return out
+        return _node(-self.data, (self,), "neg", bwd)
 
     def __radd__(self, other) -> "Value":
         return as_value(other) + self
@@ -161,68 +159,55 @@ class Value:
             )
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"matmul shape mismatch: {self.shape} @ {other.shape}")
-        out = Value(self.data @ other.data, (self, other), "matmul")
 
         def bwd(g):
             self._accum(g @ other.data.T)
             other._accum(self.data.T @ g)
 
-        out._backward = bwd
-        return out
+        return _node(self.data @ other.data, (self, other), "matmul", bwd)
 
     @property
     def T(self) -> "Value":
         if self.data.ndim != 2:
             raise ValueError(f"transpose expects a 2-d value, got shape {self.shape}")
-        out = Value(self.data.T.copy(), (self,), "transpose")
 
         def bwd(g):
             self._accum(g.T)
 
-        out._backward = bwd
-        return out
+        return _node(self.data.T.copy(), (self,), "transpose", bwd)
 
     # -- nonlinearities --------------------------------------------------
 
     def exp(self) -> "Value":
         y = np.exp(self.data)
-        out = Value(y, (self,), "exp")
 
         def bwd(g):
             self._accum(g * y)
 
-        out._backward = bwd
-        return out
+        return _node(y, (self,), "exp", bwd)
 
     def log(self) -> "Value":
-        out = Value(np.log(self.data), (self,), "log")
-
         def bwd(g):
             self._accum(g / self.data)
 
-        out._backward = bwd
-        return out
+        return _node(np.log(self.data), (self,), "log", bwd)
 
     def sqrt(self) -> "Value":
         y = np.sqrt(self.data)
-        out = Value(y, (self,), "sqrt")
 
         def bwd(g):
             self._accum(g / (2.0 * y))
 
-        out._backward = bwd
-        return out
+        return _node(y, (self,), "sqrt", bwd)
 
     def maximum(self, threshold: float) -> "Value":
         """Elementwise hinge max(x, threshold); subgradient 0 at the kink."""
-        out = Value(np.maximum(self.data, threshold), (self,), "maximum")
-        out._aux = float(threshold)
-        mask = (self.data > threshold).astype(np.float64)
 
         def bwd(g):
-            self._accum(g * mask)
+            self._accum(g * (self.data > threshold))
 
-        out._backward = bwd
+        out = _node(np.maximum(self.data, threshold), (self,), "maximum", bwd)
+        out._aux = float(threshold)
         return out
 
     def relu(self) -> "Value":
@@ -231,7 +216,6 @@ class Value:
     # -- reductions --------------------------------------------------------
 
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Value":
-        out = Value(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
         shape = self.shape
 
         def bwd(g):
@@ -239,8 +223,7 @@ class Value:
                 g = np.expand_dims(g, axis)
             self._accum(np.broadcast_to(g, shape).copy())
 
-        out._backward = bwd
-        return out
+        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum", bwd)
 
     def mean(self, axis: int | None = None, keepdims: bool = False) -> "Value":
         n = self.data.size if axis is None else self.shape[axis]
@@ -250,27 +233,22 @@ class Value:
 
     def reshape(self, *shape: int) -> "Value":
         old = self.shape
-        out = Value(self.data.reshape(shape), (self,), "reshape")
 
         def bwd(g):
             self._accum(g.reshape(old))
 
-        out._backward = bwd
-        return out
+        return _node(self.data.reshape(shape), (self,), "reshape", bwd)
 
     def broadcast_to(self, shape: Sequence[int]) -> "Value":
         shape = tuple(shape)
-        out = Value(np.broadcast_to(self.data, shape).copy(), (self,), "broadcast")
         old = self.shape
 
         def bwd(g):
             self._accum(_unbroadcast(g, old))
 
-        out._backward = bwd
-        return out
+        return _node(np.broadcast_to(self.data, shape).copy(), (self,), "broadcast", bwd)
 
     def __getitem__(self, idx) -> "Value":
-        out = Value(self.data[idx].copy(), (self,), "slice")
         shape = self.shape
 
         def bwd(g):
@@ -278,8 +256,7 @@ class Value:
             np.add.at(full, idx, g)
             self._accum(full)
 
-        out._backward = bwd
-        return out
+        return _node(self.data[idx].copy(), (self,), "slice", bwd)
 
     # -- backward pass --------------------------------------------------------
 
@@ -330,6 +307,39 @@ class Value:
         return {v: v.grad for v in order if v.is_leaf and v.grad is not None}
 
 
+# False inside ``_no_tape()``; read by ``_node`` alone.
+_recording = True
+
+
+@contextmanager
+def _no_tape():
+    """Ops inside build leaves with no parents and no backward closure.
+
+    Nests, and restores the outer setting on exit, also when the body raises.
+    """
+    global _recording
+    outer = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = outer
+
+
+def _node(
+    data: np.ndarray,
+    parents: tuple[Value, ...],
+    op: str,
+    bwd: Callable[[np.ndarray], None],
+) -> Value:
+    """An op's result: on the tape, or a bare leaf inside ``_no_tape()``."""
+    if not _recording:
+        return Value(data)
+    out = Value(data, parents, op)
+    out._backward = bwd
+    return out
+
+
 def as_value(x) -> Value:
     return x if isinstance(x, Value) else Value(x)
 
@@ -341,10 +351,10 @@ def stop_gradient(x: Value) -> Value:
 
 def concat(values: Sequence[Value], axis: int = 0) -> Value:
     vals = [as_value(v) for v in values]
-    out = Value(np.concatenate([v.data for v in vals], axis=axis), tuple(vals), "concat")
+    data = np.concatenate([v.data for v in vals], axis=axis)
     sizes = [v.shape[axis] for v in vals]
     offsets = np.cumsum([0] + sizes)
-    ndim = out.data.ndim
+    ndim = data.ndim
 
     def bwd(g):
         for v, a, b in zip(vals, offsets[:-1], offsets[1:]):
@@ -352,8 +362,7 @@ def concat(values: Sequence[Value], axis: int = 0) -> Value:
             idx[axis] = slice(a, b)
             v._accum(g[tuple(idx)])
 
-    out._backward = bwd
-    return out
+    return _node(data, tuple(vals), "concat", bwd)
 
 
 def backward(loss: Value) -> dict[Value, np.ndarray]:

@@ -4,11 +4,17 @@ The network is a ReLU MLP trunk followed by a projection head of ``L``
 affine layers with ReLU between them (batchnorm after each hidden
 projection affine when enabled), plus an optional two-layer predictor
 and an optional momentum-averaged target copy.  ``forward`` runs either
-the online branch (trainable, tape-connected) or the target branch,
-whose output is always detached: with a momentum target the parameters
-are the EMA copies, with stop-grad the online parameters are reused and
-only the tape connection is severed, so both branches share one code
-path and the stop-grad target is bit-identical to the online forward.
+the online branch (trainable) or the target branch: with a momentum
+target the parameters are the EMA copies, with stop-grad the online
+parameters are reused, so both branches share one code path and the
+stop-grad target is bit-identical to the online forward.
+
+Only an online forward in training mode records a tape.  A target-branch
+forward and every eval-mode forward (``training=False``) run the same
+layers inside the autodiff's no-recording region: each intermediate is
+freed as soon as the next layer has consumed it, and the output is a
+leaf with the bits a recorded forward would give.  Such outputs must not
+be differentiated; no gradient reaches the parameters through them.
 
 Batchnorm is composed from differentiable primitives, so its gradient
 (including the terms through batch mean and variance) is exact.  In
@@ -22,12 +28,13 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Value
+from .autodiff import Value, _no_tape
 
 __all__ = [
     "EncoderConfig",
@@ -191,8 +198,9 @@ def forward(
 ) -> Value:
     """Embed a batch (N, input_dim) -> (N, embed_dim).
 
-    ``branch='target'`` requires a momentum target or stop-grad target and
-    returns a tape-detached constant.
+    ``branch='target'`` requires a momentum target or stop-grad target.
+    Only ``branch='online'`` with ``training=True`` records a tape; any
+    other forward returns a leaf that must not be differentiated.
     """
     x = batch if isinstance(batch, Value) else Value(batch)
     if x.data.ndim != 2 or x.shape[1] != cfg.input_dim:
@@ -218,26 +226,30 @@ def forward(
     def affine(prefix: str, h: Value) -> Value:
         return h @ params[f"{prefix}.W"] + params[f"{prefix}.b"]
 
-    for i in range(len(cfg.hidden_dims)):
-        x = affine(f"trunk.{i}", x).relu()
+    inp = x
+    recording = branch == "online" and training
+    with nullcontext() if recording else _no_tape():
+        for i in range(len(cfg.hidden_dims)):
+            x = affine(f"trunk.{i}", x).relu()
 
-    if not cfg.identity_projection:
-        for i in range(cfg.proj_layers):
-            x = affine(f"proj.{i}", x)
-            if i < cfg.proj_layers - 1:
-                if cfg.proj_batchnorm:
-                    x = _batchnorm(
-                        x,
-                        params[f"proj.{i}.bn.gamma"],
-                        params[f"proj.{i}.bn.beta"],
-                        running,
-                        f"proj.{i}.bn",
-                        training,
-                        update_running,
-                    )
-                x = x.relu()
+        if not cfg.identity_projection:
+            for i in range(cfg.proj_layers):
+                x = affine(f"proj.{i}", x)
+                if i < cfg.proj_layers - 1:
+                    if cfg.proj_batchnorm:
+                        x = _batchnorm(
+                            x,
+                            params[f"proj.{i}.bn.gamma"],
+                            params[f"proj.{i}.bn.beta"],
+                            running,
+                            f"proj.{i}.bn",
+                            training,
+                            update_running,
+                        )
+                    x = x.relu()
 
-    return x.detach() if branch == "target" else x
+    # A net with no layer passes its input through; off the tape, cut it loose.
+    return inp.detach() if x is inp and not recording else x
 
 
 def predictor_forward(

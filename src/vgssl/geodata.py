@@ -98,7 +98,8 @@ class GeoDataset:
     Samples and radii are fixed after construction, which sorts once:
     ``db_ids`` and ``query_ids`` are ascending tuples, and one read-only
     (N, F) matrix holds the database rows, then the query rows, in id
-    order (the CSV's row order); ``features(ids)`` copies rows out of it.
+    order (the CSV's row order); ``features(ids)`` copies rows out of it
+    and ``positions(ids)`` reads the matching positions.
     The first neighbourhood query runs one radius search over the whole
     database and every later one reads its result.
     """
@@ -156,6 +157,10 @@ class GeoDataset:
     def features(self, ids) -> np.ndarray:
         """Feature rows of ``ids``, any roles, in the given order; a copy."""
         return self._matrix[self._rows(ids)]
+
+    def positions(self, ids) -> list[Position]:
+        """Positions of ``ids``, any roles, in the given order."""
+        return [self._samples[row].position for row in self._rows(ids)]
 
     def _neighbourhood(self, query_id: int) -> tuple[list[int], list[int]]:
         """(positive ids, negative ids) of a query, both ascending.
@@ -340,6 +345,7 @@ def load_csv(csv_path: str | Path) -> GeoDataset:
     mode = PositionMode(meta["mode"])
     queries: list[GeoSample] = []
     database: list[GeoSample] = []
+    first_line: dict[int, int] = {}
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -356,6 +362,9 @@ def load_csv(csv_path: str | Path) -> GeoDataset:
                 pos = Position(mode, float(row[2]), float(row[3]))
                 feats = np.array([float(x) for x in row[4:]], dtype=np.float64)
                 sample = GeoSample(int(row[0]), role, pos, feats)
+                line = first_line.setdefault(sample.id, reader.line_num)
+                if line != reader.line_num:
+                    raise ValueError(f"duplicate sample id {sample.id}, first on line {line}")
             except ValueError as err:
                 raise ValueError(f"{csv_path}:{reader.line_num}: {err}") from err
             (queries if role is Role.QUERY else database).append(sample)

@@ -82,7 +82,7 @@ def build_index(state: EncoderState, cfg: EncoderConfig, ds: GeoDataset) -> Embe
     return EmbeddingIndex(
         ids=np.array(ds.db_ids),
         vectors=_normalize_rows(emb, "database embedding"),
-        positions=[ds.sample(i).position for i in ds.db_ids],
+        positions=ds.positions(ds.db_ids),
     )
 
 
@@ -241,5 +241,4 @@ def evaluate_encoder(
     if not ds.query_ids:
         raise ValueError("dataset has no queries to evaluate")
     q_emb = forward(state, cfg, ds.features(ds.query_ids), training=False).data
-    positions = [ds.sample(i).position for i in ds.query_ids]
-    return recall_at_n(index, q_emb, positions, n_values, threshold_m)
+    return recall_at_n(index, q_emb, ds.positions(ds.query_ids), n_values, threshold_m)

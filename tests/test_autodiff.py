@@ -6,7 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from vgssl.autodiff import Value, as_value, concat, stop_gradient, zero_grads
+import vgssl.autodiff
+from vgssl.autodiff import Value, _no_tape, as_value, concat, stop_gradient, zero_grads
 
 
 def fd_grad(fn, arrays, h=1e-5):
@@ -254,6 +255,14 @@ class TestBackwardContract:
         np.testing.assert_array_equal(g1[1], g2[1])
 
 
+def every_op(x, w):
+    """One result per op kind, each built from the previous results."""
+    h = ((x @ w) + 1.0 - x.T.T * 0.5) / 2.0
+    c = concat([h.exp().log().sqrt(), -h.maximum(1.0)], axis=1)
+    b = c[1:].reshape(4, 4).broadcast_to((2, 4, 4))
+    return [h, c, b, b.sum(axis=1).mean()]
+
+
 class TestTapeLifetime:
     def test_tape_freed_without_cyclic_gc(self):
         # Every op's closure, in one graph; with the collector off, only
@@ -264,9 +273,7 @@ class TestTapeLifetime:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            h = ((x @ w) + 1.0 - x.T.T * 0.5) / 2.0
-            h = concat([h.exp().log().sqrt(), -h.maximum(1.0)], axis=1)
-            loss = h[1:].reshape(4, 4).broadcast_to((2, 4, 4)).sum(axis=1).mean()
+            loss = every_op(x, w)[-1]
             loss.backward()
             tape = [v for v in loss._topo() if not v.is_leaf]
             assert {v._op for v in tape} == {
@@ -276,12 +283,46 @@ class TestTapeLifetime:
             }
             refs = [weakref.ref(v.data) for v in tape]
             del tape
-            del h, loss
+            del loss
             assert [r() is None for r in refs] == [True] * len(refs)
         finally:
             if was_enabled:
                 gc.enable()
         assert x.grad is not None and w.grad is not None
+
+
+class TestNoTape:
+    def test_every_op_gives_a_leaf_with_the_recorded_bits(self):
+        rng = np.random.default_rng(7)
+        x = Value(rng.uniform(0.5, 1.5, size=(3, 4)))
+        w = Value(rng.uniform(0.5, 1.5, size=(4, 4)))
+        recorded = every_op(x, w)
+        with _no_tape():
+            bare = every_op(x, w)
+        assert all(not r.is_leaf for r in recorded)
+        for r, b in zip(recorded, bare):
+            assert b.is_leaf and b._parents == () and b._backward is None
+            assert np.array_equal(r.data, b.data)
+
+    def test_recording_restored_after_a_raise_inside(self):
+        x = Value(np.array([2.0]))
+        with pytest.raises(ValueError):
+            with _no_tape():
+                with _no_tape():
+                    assert (x * x).is_leaf
+                assert (x * x).is_leaf  # the inner exit restores the outer region
+                raise ValueError("inside the region")
+        assert vgssl.autodiff._recording
+        y = x * x
+        assert y._parents == (x, x)
+        y.sum().backward()
+        assert x.grad[0] == pytest.approx(4.0)
+
+    def test_hinge_mask_read_at_backward(self):
+        # Subgradient 0 at the kink, for either sign of the adjoint.
+        x = Value(np.array([-1.0, 0.0, 2.0, 3.0]))
+        (x.maximum(0.0) * np.array([1.0, 1.0, -2.0, 5.0])).sum().backward()
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, -2.0, 5.0])
 
 
 class TestRandomizedComposites:

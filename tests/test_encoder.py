@@ -1,9 +1,13 @@
 """Encoder branches, batchnorm semantics, momentum target, checkpoints."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
-from vgssl.autodiff import zero_grads
+import vgssl.autodiff
+import vgssl.encoder
+from vgssl.autodiff import Value, zero_grads
 from vgssl.encoder import (
     EncoderConfig,
     forward,
@@ -351,3 +355,71 @@ class TestEvalVsTrainBN:
         eval_out = forward(state, cfg, batch, training=False)
         # After convergence of the running stats the two paths agree closely.
         np.testing.assert_allclose(train_out.data, eval_out.data, atol=1e-3)
+
+
+NO_TAPE_CONFIGS = {
+    "plain": dict(),
+    "bn": dict(proj_layers=2, proj_batchnorm=True, stop_grad_target=True),
+    "predictor": dict(proj_layers=2, proj_batchnorm=True, predictor=True,
+                      stop_grad_target=True),
+    "momentum": dict(proj_layers=2, proj_batchnorm=True, predictor=True,
+                     momentum_target=True, momentum=0.9),
+}
+
+
+class TestNoTapeForward:
+    """Target-branch and eval-mode forwards record no tape, same bits."""
+
+    def make(self, name):
+        cfg = EncoderConfig(input_dim=5, hidden_dims=(7, 6), embed_dim=4,
+                            **NO_TAPE_CONFIGS[name])
+        state = init_state(cfg, seed=3)
+        rng = np.random.default_rng(4)
+        # Move the running statistics and the momentum target off their
+        # initial values so each branch reads its own.
+        forward(state, cfg, rng.normal(size=(8, 5)), training=True)
+        if cfg.momentum_target:
+            for p in state.params.values():
+                p.data += 0.1
+            momentum_update(state, cfg)
+        return cfg, state, rng.normal(size=(6, 5))
+
+    def untaped_calls(self, cfg):
+        calls = [("online", False)]
+        if cfg.has_target_branch:
+            calls += [("target", True), ("target", False)]
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(NO_TAPE_CONFIGS))
+    def test_leaf_with_the_bits_of_a_recorded_forward(self, name, monkeypatch):
+        cfg, state, x = self.make(name)
+        calls = self.untaped_calls(cfg)
+        bare = [forward(state, cfg, x, branch=b, training=t) for b, t in calls]
+        # The same layer code with recording left on is the reference.
+        monkeypatch.setattr(vgssl.encoder, "_no_tape", nullcontext)
+        recorded = [forward(state, cfg, x, branch=b, training=t) for b, t in calls]
+        for out, ref in zip(bare, recorded):
+            assert out.is_leaf and out._parents == () and out._backward is None
+            assert not ref.is_leaf
+            assert np.array_equal(out.data, ref.data)
+
+    def test_no_layer_net_cuts_its_input_loose(self):
+        cfg = EncoderConfig(input_dim=3, hidden_dims=(), embed_dim=3,
+                            identity_projection=True)
+        state = init_state(cfg, seed=0)
+        x = Value(np.ones((2, 3))) * 2.0
+        out = forward(state, cfg, x, training=False)
+        assert out.is_leaf and np.array_equal(out.data, x.data)
+
+    def test_raise_inside_restores_recording(self):
+        cfg, state, x = self.make("momentum")
+        loss = loss_of(state, cfg, x)
+        n_nodes = len(loss._topo())
+        with pytest.raises(ValueError, match="batch of at least 2"):
+            forward(state, cfg, x[:1], branch="target", training=True)
+        assert vgssl.autodiff._recording
+        loss = loss_of(state, cfg, x)
+        assert len(loss._topo()) == n_nodes
+        loss.backward()
+        online = [n for n in state.params if not n.startswith("pred.")]
+        assert all(state.params[n].grad is not None for n in online)

@@ -238,6 +238,14 @@ class TestLayout:
             self.ds.features([self.ds.db_ids[0], 9999])
         assert str(from_features.value) == str(from_sample.value) == "'no sample with id 9999'"
 
+    def test_positions_any_mix_in_given_order(self):
+        ds = self.ds
+        ids = [ds.query_ids[1], ds.db_ids[4], ds.db_ids[0], ds.query_ids[1]]
+        assert ds.positions(ids) == [ds.sample(i).position for i in ids]
+        with pytest.raises(KeyError) as err:
+            ds.positions([ds.db_ids[0], 9999])
+        assert str(err.value) == "'no sample with id 9999'"
+
     def test_shuffled_lists_match_sorted_lists(self, tmp_path):
         """Index, mined triplets and CSV do not depend on the list order."""
         cfg = EncoderConfig(input_dim=4, hidden_dims=(8,), embed_dim=8)
@@ -375,6 +383,18 @@ class TestPersistence:
         with pytest.raises(ValueError) as err:
             load_csv(path)
         assert str(err.value) == f"{path}:3: {message}"
+
+    def test_duplicate_id_names_file_line_and_id(self, tmp_path):
+        ds = synth_dataset(seed=1, n_places=2, db_per_place=2, feature_dim=3)
+        path = tmp_path / "world.csv"
+        save_csv(ds, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[2]]) + "\n")  # sample 1 again
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == (
+            f"{path}:{len(lines) + 1}: duplicate sample id 1, first on line 3"
+        )
 
     def test_header_names(self, tmp_path):
         ds = synth_dataset(seed=1, n_places=2, db_per_place=2, feature_dim=3)

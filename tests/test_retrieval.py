@@ -308,3 +308,20 @@ class TestBuildIndex:
         build_index(state, cfg, ds)
         for k in before:
             np.testing.assert_array_equal(before[k], state.bn_running[k])
+
+    def test_peak_memory_is_a_few_activations(self):
+        # An eval-mode forward records no tape, so each (N, width) layer
+        # output is freed once the next layer has read it; a taped
+        # forward holds every one of them (about 10.6 activations here).
+        ds = synth_dataset(seed=0, n_places=250, db_per_place=8, feature_dim=32)
+        cfg = EncoderConfig(input_dim=32, hidden_dims=(64, 64), embed_dim=64)
+        state = init_state(cfg, seed=0)
+        activation = len(ds.db_ids) * max(cfg.hidden_dims + (cfg.embed_dim,)) * 8
+        tracemalloc.start()
+        try:
+            build_index(state, cfg, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds.db_ids) >= 2000
+        assert peak < 6 * activation
