@@ -15,11 +15,26 @@ without waiting for the cyclic garbage collector.
 
 Every op builds its result through ``_node``, the one place that attaches
 parents and a backward closure.  Inside the private ``_no_tape()`` region
-it attaches neither: results are leaves, so each intermediate is freed as
-soon as the next op has consumed it.  The values computed are the same
-bits either way.  Nothing differentiates through such a result; a
-backward pass that reaches it stops there.  The region is process-wide,
-not per thread; training and evaluation run on one thread.
+it attaches neither: results are constants (below), so each intermediate
+is freed as soon as the next op has consumed it.  The values computed are the same
+bits either way.  The region is process-wide, not per thread; training
+and evaluation run on one thread.
+
+Constants stay off the tape.  A constant is a scalar or array that an op
+wraps (``x * 0.5``, ``x - shift``), every result built inside
+``_no_tape()``, and every result whose parents are all constants.
+``_node`` drops constant parents, returns a constant when none is left,
+and closures skip them, so a constant has no parents, no backward closure
+and never a ``grad``; a backward pass computes nothing for it.  A leaf the
+caller makes with ``Value(...)``, ``detach()`` output included, is not a
+constant and receives its gradient.  ``backward`` on a constant raises.
+
+A fused op (one node standing for a chain of primitives, such as the
+encoder's affine layer) must reproduce its chain's arithmetic: the same
+numpy operations in the same order, including the order in which
+contributions accumulate into each input's ``grad``, so that the fused
+tape gives the chain's bits.  Its closure takes the chain's place in the
+reverse topological order, which keeps the order across nodes.
 """
 
 from __future__ import annotations
@@ -56,7 +71,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Value:
     """Dense real tensor participating in reverse-mode differentiation."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "_op", "_aux", "_backward_ran")
+    __slots__ = (
+        "data", "grad", "_parents", "_backward", "_op", "_aux", "_backward_ran", "_const",
+        "_grad_home",
+    )
 
     def __init__(self, data, parents: tuple["Value", ...] = (), op: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
@@ -66,6 +84,11 @@ class Value:
         self._op = op
         self._aux = None  # op metadata, e.g. the hinge threshold
         self._backward_ran = False
+        self._const = False  # off the tape; see the module docstring
+        # An array of this shape that the first gradient contribution is
+        # copied into, instead of a fresh array: a view into an optimizer's
+        # flat gradient buffer.
+        self._grad_home: np.ndarray | None = None
 
     # -- introspection -------------------------------------------------
 
@@ -97,8 +120,10 @@ class Value:
         other = as_value(other)
 
         def bwd(g):
-            self._accum(_unbroadcast(g, self.shape))
-            other._accum(_unbroadcast(g, other.shape))
+            if not self._const:
+                self._accum(_unbroadcast(g, self.shape))
+            if not other._const:
+                other._accum(_unbroadcast(g, other.shape))
 
         return _node(self.data + other.data, (self, other), "add", bwd)
 
@@ -106,8 +131,10 @@ class Value:
         other = as_value(other)
 
         def bwd(g):
-            self._accum(_unbroadcast(g, self.shape))
-            other._accum(_unbroadcast(-g, other.shape))
+            if not self._const:
+                self._accum(_unbroadcast(g, self.shape))
+            if not other._const:
+                other._accum(_unbroadcast(-g, other.shape))
 
         return _node(self.data - other.data, (self, other), "sub", bwd)
 
@@ -115,8 +142,10 @@ class Value:
         other = as_value(other)
 
         def bwd(g):
-            self._accum(_unbroadcast(g * other.data, self.shape))
-            other._accum(_unbroadcast(g * self.data, other.shape))
+            if not self._const:
+                self._accum(_unbroadcast(g * other.data, self.shape))
+            if not other._const:
+                other._accum(_unbroadcast(g * self.data, other.shape))
 
         return _node(self.data * other.data, (self, other), "mul", bwd)
 
@@ -124,10 +153,12 @@ class Value:
         other = as_value(other)
 
         def bwd(g):
-            self._accum(_unbroadcast(g / other.data, self.shape))
-            other._accum(
-                _unbroadcast(-g * self.data / (other.data * other.data), other.shape)
-            )
+            if not self._const:
+                self._accum(_unbroadcast(g / other.data, self.shape))
+            if not other._const:
+                other._accum(
+                    _unbroadcast(-g * self.data / (other.data * other.data), other.shape)
+                )
 
         return _node(self.data / other.data, (self, other), "div", bwd)
 
@@ -161,8 +192,10 @@ class Value:
             raise ValueError(f"matmul shape mismatch: {self.shape} @ {other.shape}")
 
         def bwd(g):
-            self._accum(g @ other.data.T)
-            other._accum(self.data.T @ g)
+            if not self._const:
+                self._accum(g @ other.data.T)
+            if not other._const:
+                other._accum(self.data.T @ g)
 
         return _node(self.data @ other.data, (self, other), "matmul", bwd)
 
@@ -262,7 +295,12 @@ class Value:
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            home = self._grad_home
+            if home is None:
+                self.grad = np.array(g, dtype=np.float64)
+            else:
+                home[...] = g
+                self.grad = home
         else:
             self.grad += g
 
@@ -288,11 +326,14 @@ class Value:
     def backward(self) -> dict["Value", np.ndarray]:
         """Populate ``grad`` on every reachable node; return the leaf map.
 
-        Raises if the value is not scalar-shaped, or if any reachable node
-        already carries a gradient (call ``zero_grads`` between passes).
+        Raises if the value is not scalar-shaped, is a constant, or if any
+        reachable node already carries a gradient (call ``zero_grads``
+        between passes).
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
+        if self._const:
+            raise RuntimeError("backward on a constant: no leaf of it takes a gradient")
         order = self._topo()
         if self._backward_ran or any(v.grad is not None for v in order):
             raise RuntimeError(
@@ -313,7 +354,7 @@ _recording = True
 
 @contextmanager
 def _no_tape():
-    """Ops inside build leaves with no parents and no backward closure.
+    """Ops inside build constants: no parents and no backward closure.
 
     Nests, and restores the outer setting on exit, also when the body raises.
     """
@@ -326,22 +367,37 @@ def _no_tape():
         _recording = outer
 
 
+def _constant(data) -> Value:
+    """A leaf that never takes a gradient; see the module docstring."""
+    out = Value(data)
+    out._const = True
+    return out
+
+
 def _node(
     data: np.ndarray,
     parents: tuple[Value, ...],
     op: str,
     bwd: Callable[[np.ndarray], None],
 ) -> Value:
-    """An op's result: on the tape, or a bare leaf inside ``_no_tape()``."""
+    """An op's result: on the tape with its non-constant parents, or a
+    constant inside ``_no_tape()`` or when every parent is a constant.
+
+    ``bwd`` must skip the constant parents; it runs only if one is not.
+    """
     if not _recording:
-        return Value(data)
-    out = Value(data, parents, op)
+        return _constant(data)
+    live = tuple([p for p in parents if not p._const])
+    if not live:
+        return _constant(data)
+    out = Value(data, live, op)
     out._backward = bwd
     return out
 
 
 def as_value(x) -> Value:
-    return x if isinstance(x, Value) else Value(x)
+    """``x`` itself if it is a Value, else ``x`` wrapped as a constant."""
+    return x if isinstance(x, Value) else _constant(x)
 
 
 def stop_gradient(x: Value) -> Value:
@@ -358,6 +414,8 @@ def concat(values: Sequence[Value], axis: int = 0) -> Value:
 
     def bwd(g):
         for v, a, b in zip(vals, offsets[:-1], offsets[1:]):
+            if v._const:
+                continue
             idx = [slice(None)] * ndim
             idx[axis] = slice(a, b)
             v._accum(g[tuple(idx)])

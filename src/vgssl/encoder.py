@@ -10,17 +10,21 @@ parameters are reused, so both branches share one code path and the
 stop-grad target is bit-identical to the online forward.
 
 Only an online forward in training mode records a tape.  A target-branch
-forward and every eval-mode forward (``training=False``) run the same
-layers inside the autodiff's no-recording region: each intermediate is
-freed as soon as the next layer has consumed it, and the output is a
-leaf with the bits a recorded forward would give.  Such outputs must not
-be differentiated; no gradient reaches the parameters through them.
+forward and every eval-mode forward (``training=False``, the predictor's
+included) run the same layers inside the autodiff's no-recording region:
+each intermediate is freed as soon as the next layer has consumed it, and
+the output is a constant with the bits a recorded forward would give.  No
+gradient reaches the parameters through such an output.  A raw input
+array enters the tape as a constant, so no gradient is computed for it.
 
-Batchnorm is composed from differentiable primitives, so its gradient
-(including the terms through batch mean and variance) is exact.  In
-training mode it normalizes by batch statistics (population variance)
-and updates running statistics; in eval mode it applies the stored
-running statistics.
+Each affine layer and each training-mode batchnorm is one tape node whose
+backward replays the primitive chain it stands for (``h @ W + b``; batch
+mean, centring, population variance, scale and shift) with the same
+numpy operations in the same order, so its gradient, including the terms
+through the batch mean and variance, is exact and has that chain's bits.
+In training mode batchnorm normalizes by batch statistics and updates the
+running statistics; in eval mode it applies the stored running
+statistics.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Value, _no_tape
+from .autodiff import Value, _no_tape, _node, _unbroadcast, as_value
 
 __all__ = [
     "EncoderConfig",
@@ -159,6 +163,66 @@ def init_state(cfg: EncoderConfig, seed: int) -> EncoderState:
     )
 
 
+def _affine(h: Value, W: Value, b: Value) -> Value:
+    """``h @ W + b`` as one tape node.
+
+    Its closure runs the add node's backward and then the matmul node's,
+    with the same numpy operations, so the gradients are the chain's bits.
+    """
+
+    def bwd(g):
+        if not b._const:
+            b._accum(_unbroadcast(g, b.shape))
+        if not h._const:
+            h._accum(g @ W.data.T)
+        if not W._const:
+            W._accum(h.data.T @ g)
+
+    return _node(h.data @ W.data + b.data, (h, W, b), "affine", bwd)
+
+
+def _batchnorm_train(
+    x: Value, gamma: Value, beta: Value
+) -> tuple[Value, np.ndarray, np.ndarray]:
+    """Batch-statistics batchnorm as one tape node, with the batch mean and
+    population variance for the running statistics.
+
+    Forward and backward replay the primitive chain ``mu = x.mean(0)``,
+    ``c = x - mu``, ``var = (c * c).mean(0)``, ``xhat = c / sqrt(var +
+    eps)``, ``xhat * gamma + beta`` with the same numpy operations, node
+    by node in reverse, so the gradients are the chain's bits.
+    """
+    n = x.shape[0]
+    if n < 2:
+        raise ValueError("batchnorm in training mode needs a batch of at least 2")
+    inv_n = 1.0 / n
+    mu = x.data.sum(axis=0, keepdims=True) * inv_n
+    c = x.data - mu
+    var = (c * c).sum(axis=0, keepdims=True) * inv_n
+    sd = np.sqrt(var + BN_EPS)
+    xhat = c / sd
+
+    def bwd(g):
+        if not beta._const:
+            beta._accum(_unbroadcast(g, beta.shape))
+        if not gamma._const:
+            gamma._accum(_unbroadcast(g * xhat, gamma.shape))
+        if x._const:
+            return
+        g_xhat = g * gamma.data
+        g_c = g_xhat / sd
+        g_sd = _unbroadcast(-g_xhat * c / (sd * sd), sd.shape)
+        g_sq = np.broadcast_to(g_sd / (2.0 * sd) * inv_n, c.shape)
+        g_c += g_sq * c  # c * c feeds the variance through both factors
+        g_c += g_sq * c
+        x._accum(g_c)  # through c, then through mu = sum(x) / n
+        g_sum = _unbroadcast(-g_c, mu.shape) * inv_n
+        x._accum(np.broadcast_to(g_sum, x.shape))
+
+    out = _node(xhat * gamma.data + beta.data, (x, gamma, beta), "batchnorm", bwd)
+    return out, mu, var
+
+
 def _batchnorm(
     x: Value,
     gamma: Value,
@@ -169,23 +233,18 @@ def _batchnorm(
     update_running: bool,
 ) -> Value:
     if training:
-        if x.shape[0] < 2:
-            raise ValueError("batchnorm in training mode needs a batch of at least 2")
-        mu = x.mean(axis=0, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=0, keepdims=True)
-        xhat = centered / (var + BN_EPS).sqrt()
+        out, mu, var = _batchnorm_train(x, gamma, beta)
         if update_running:
             running[f"{prefix}.mean"] = (
-                (1 - BN_MOMENTUM) * running[f"{prefix}.mean"] + BN_MOMENTUM * mu.data
+                (1 - BN_MOMENTUM) * running[f"{prefix}.mean"] + BN_MOMENTUM * mu
             )
             running[f"{prefix}.var"] = (
-                (1 - BN_MOMENTUM) * running[f"{prefix}.var"] + BN_MOMENTUM * var.data
+                (1 - BN_MOMENTUM) * running[f"{prefix}.var"] + BN_MOMENTUM * var
             )
-    else:
-        mean = running[f"{prefix}.mean"]
-        var = running[f"{prefix}.var"]
-        xhat = (x - mean) / np.sqrt(var + BN_EPS)
+        return out
+    mean = running[f"{prefix}.mean"]
+    var = running[f"{prefix}.var"]
+    xhat = (x - mean) / np.sqrt(var + BN_EPS)
     return xhat * gamma + beta
 
 
@@ -202,7 +261,7 @@ def forward(
     Only ``branch='online'`` with ``training=True`` records a tape; any
     other forward returns a leaf that must not be differentiated.
     """
-    x = batch if isinstance(batch, Value) else Value(batch)
+    x = as_value(batch)  # a raw array enters as a constant
     if x.data.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise ValueError(f"expected batch of shape (N, {cfg.input_dim}), got {x.shape}")
 
@@ -224,7 +283,7 @@ def forward(
         raise ValueError(f"unknown branch {branch!r}")
 
     def affine(prefix: str, h: Value) -> Value:
-        return h @ params[f"{prefix}.W"] + params[f"{prefix}.b"]
+        return _affine(h, params[f"{prefix}.W"], params[f"{prefix}.b"])
 
     inp = x
     recording = branch == "online" and training
@@ -255,21 +314,26 @@ def forward(
 def predictor_forward(
     state: EncoderState, cfg: EncoderConfig, z: Value, training: bool = True
 ) -> Value:
-    """Two-layer head on top of an online embedding, batchnorm + ReLU inside."""
+    """Two-layer head on top of an online embedding, batchnorm + ReLU inside.
+
+    Like ``forward``, records a tape only in training mode; an eval-mode
+    output is a constant with the same bits.
+    """
     if not cfg.predictor:
         raise RuntimeError("encoder was built without a predictor")
-    h = z @ state.params["pred.0.W"] + state.params["pred.0.b"]
-    h = _batchnorm(
-        h,
-        state.params["pred.bn.gamma"],
-        state.params["pred.bn.beta"],
-        state.bn_running,
-        "pred.bn",
-        training,
-        update_running=training,
-    )
-    h = h.relu()
-    return h @ state.params["pred.1.W"] + state.params["pred.1.b"]
+    params = state.params
+    with nullcontext() if training else _no_tape():
+        h = _affine(z, params["pred.0.W"], params["pred.0.b"])
+        h = _batchnorm(
+            h,
+            params["pred.bn.gamma"],
+            params["pred.bn.beta"],
+            state.bn_running,
+            "pred.bn",
+            training,
+            update_running=training,
+        )
+        return _affine(h.relu(), params["pred.1.W"], params["pred.1.b"])
 
 
 def momentum_update(state: EncoderState, cfg: EncoderConfig) -> None:

@@ -17,9 +17,9 @@ Inputs are the raw projection outputs; whether they get row-normalized
 first is a per-method policy (contrastive and prediction objectives
 yes, decorrelation objectives no), enforced by ``LossConfig``.
 
-``paper_literal`` switches three objectives to transcription-faithful
-variants that are useful only for inspecting how the cleaned-up forms
-differ; they are documented at the call sites and never trained on.
+Objectives are composed from the autodiff primitives, except the row
+normalization, which is one tape node whose backward replays the
+primitive chain's arithmetic (so its gradients are that chain's bits).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .autodiff import Value
+from .autodiff import Value, _node, _unbroadcast
 
 __all__ = [
     "Method",
@@ -99,7 +99,6 @@ class LossConfig:
     std_margin: float = 1.0
     symmetric: bool | None = None
     normalize_inputs: bool | None = None
-    paper_literal: bool = False
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -146,12 +145,28 @@ class LossBranches:
 
 
 def l2_normalize_rows(x: Value) -> Value:
-    norms_sq = (x * x).sum(axis=1, keepdims=True)
-    mins = np.sqrt(np.min(norms_sq.data))
+    """Each row divided by its Euclidean norm, as one tape node.
+
+    The closure replays the chain ``x / sqrt((x * x).sum(axis=1))``:
+    the contribution through the quotient, then the two through the
+    square, with the chain's numpy operations.
+    """
+    xd = x.data
+    norms_sq = (xd * xd).sum(axis=1, keepdims=True)
+    mins = np.sqrt(np.min(norms_sq))
     if mins <= _NORM_FLOOR:
-        row = int(np.argmin(norms_sq.data))
+        row = int(np.argmin(norms_sq))
         raise DegenerateInputError(f"row {row} has norm {mins:.3e}, cannot normalize")
-    return x / norms_sq.sqrt()
+    norms = np.sqrt(norms_sq)
+
+    def bwd(g):
+        x._accum(g / norms)
+        g_norms = _unbroadcast(-g * xd / (norms * norms), norms.shape)
+        g_sq = np.broadcast_to(g_norms / (2.0 * norms), xd.shape) * xd
+        x._accum(g_sq)  # x * x feeds the norm through both factors
+        x._accum(g_sq)
+
+    return _node(xd / norms, (x,), "l2_normalize_rows", bwd)
 
 
 def _row_dist(a: Value, b: Value) -> Value:
@@ -189,7 +204,6 @@ def infonce_loss(
     tau: float,
     symmetric: bool = False,
     normalize: bool = True,
-    paper_literal: bool = False,
 ) -> Value:
     """Temperature-scaled contrastive loss with in-batch negatives.
 
@@ -197,11 +211,6 @@ def infonce_loss(
     ``k`` is a negative.  The denominator includes the positive term.
     ``symmetric`` averages the two directions computed from one logit
     matrix, which makes the result exactly invariant to swapping q and k.
-
-    ``paper_literal`` evaluates the transcription-faithful variant
-    instead: positive-over-others with the sign flipped and the positive
-    excluded from the denominator.  It rewards *low* positive similarity
-    when minimized and exists only for side-by-side inspection.
     """
     n = q.shape[0]
     if n < 2:
@@ -212,45 +221,21 @@ def infonce_loss(
         q = l2_normalize_rows(q)
         k = l2_normalize_rows(k)
     logits = (q @ k.T) * (1.0 / tau)
-    if paper_literal:
-        eye = np.eye(n)
-        pos = (logits * eye).sum(axis=1, keepdims=True)
-        # Exclude the diagonal by masking it out of the sum directly.
-        expl = logits.exp()
-        denom = (expl * (1.0 - eye)).sum(axis=1, keepdims=True)
-        lit = (pos - denom.log()).mean()
-        if symmetric:
-            post = (logits.T * eye).sum(axis=1, keepdims=True)
-            explt = logits.T.exp()
-            denomt = (explt * (1.0 - eye)).sum(axis=1, keepdims=True)
-            lit = (lit + (post - denomt.log()).mean()) * 0.5
-        return lit
     loss = _contrastive_one_way(logits)
     if symmetric:
         loss = (loss + _contrastive_one_way(logits.T)) * 0.5
     return loss
 
 
-def embedding_prediction_loss(
-    pred: Value, target: Value, paper_literal: bool = False
-) -> Value:
+def embedding_prediction_loss(pred: Value, target: Value) -> Value:
     """Cosine prediction loss, ``mean_b(2 - 2 <p_hat_b, t_hat_b>)``.
 
     Both sides are row-normalized here, so each row's value lies in
     [0, 4]: 0 when prediction and target align, 4 when anti-aligned.
     The caller is responsible for detaching the target branch.
-
-    ``paper_literal`` evaluates the transcription-faithful scalarization
-    ``mean_b(2 - 2 ||p_b|| * mean_i(t_hat_bi))``, which multiplies the
-    prediction's norm by the mean target coordinate; it is dimensionally
-    odd on purpose and exists only for inspection.
     """
     if pred.shape != target.shape:
         raise ValueError(f"prediction {pred.shape} vs target {target.shape}")
-    if paper_literal:
-        norms = ((pred * pred).sum(axis=1, keepdims=True) + _DIST_EPS).sqrt()
-        t_hat = l2_normalize_rows(target)
-        return (2.0 - 2.0 * (norms * t_hat.mean(axis=1, keepdims=True))).mean()
     p_hat = l2_normalize_rows(pred)
     t_hat = l2_normalize_rows(target)
     cos = (p_hat * t_hat).sum(axis=1, keepdims=True)
@@ -275,15 +260,11 @@ def cross_correlation_matrix(za: Value, zb: Value) -> Value:
     return (za / na).T @ (zb / nb)
 
 
-def barlow_twins_loss(
-    za: Value, zb: Value, lam: float, paper_literal: bool = False
-) -> tuple[Value, dict[str, float]]:
+def barlow_twins_loss(za: Value, zb: Value, lam: float) -> tuple[Value, dict[str, float]]:
     """Identity-matching penalty on the cross-correlation matrix.
 
     ``sum_i (1 - C_ii)^2 + lam * sum_{i != j} C_ij^2``.  The off-diagonal
     term is squared, so it is invariant to the sign of each correlation.
-    ``paper_literal`` drops that square (transcription-faithful, sign
-    sensitive, inspection only).
     """
     c = cross_correlation_matrix(za, zb)
     d = c.shape[0]
@@ -291,7 +272,7 @@ def barlow_twins_loss(
     diag = (c * eye).sum(axis=1, keepdims=True)
     on_term = ((1.0 - diag) * (1.0 - diag)).sum()
     off = c * (1.0 - eye)
-    off_term = (off * off).sum() if not paper_literal else off.sum()
+    off_term = (off * off).sum()
     total = on_term + lam * off_term
     return total, {
         "on_diag": float(on_term.data),
@@ -369,7 +350,6 @@ def compute_loss(cfg: LossConfig, branches: LossBranches) -> LossOutput:
             cfg.tau,
             symmetric=cfg.symmetric,
             normalize=cfg.normalize_inputs,
-            paper_literal=cfg.paper_literal,
         )
         return LossOutput(float(node.data), node, {"contrastive": float(node.data)})
     if m is Method.MOCOV2:
@@ -381,27 +361,20 @@ def compute_loss(cfg: LossConfig, branches: LossBranches) -> LossOutput:
             cfg.tau,
             symmetric=cfg.symmetric,
             normalize=cfg.normalize_inputs,
-            paper_literal=cfg.paper_literal,
         )
         return LossOutput(float(node.data), node, {"contrastive": float(node.data)})
     if m in (Method.BYOL, Method.SIMSIAM):
         if branches.pred_query is None or branches.target_partner is None:
             raise ValueError("prediction loss needs predictor and target branches")
-        node = embedding_prediction_loss(
-            branches.pred_query, branches.target_partner, paper_literal=cfg.paper_literal
-        )
+        node = embedding_prediction_loss(branches.pred_query, branches.target_partner)
         if cfg.symmetric:
             if branches.pred_partner is None or branches.target_query is None:
                 raise ValueError("symmetric prediction needs the reverse branches too")
-            rev = embedding_prediction_loss(
-                branches.pred_partner, branches.target_query, paper_literal=cfg.paper_literal
-            )
+            rev = embedding_prediction_loss(branches.pred_partner, branches.target_query)
             node = (node + rev) * 0.5
         return LossOutput(float(node.data), node, {"prediction": float(node.data)})
     if m is Method.BARLOW_TWINS:
-        node, terms = barlow_twins_loss(
-            branches.query, branches.partner, cfg.lambda_bt, paper_literal=cfg.paper_literal
-        )
+        node, terms = barlow_twins_loss(branches.query, branches.partner, cfg.lambda_bt)
         return LossOutput(float(node.data), node, terms)
     if m is Method.VICREG:
         node, terms = vicreg_loss(

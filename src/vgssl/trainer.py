@@ -66,11 +66,85 @@ def default_lr(method: Method) -> float:
     return _METHOD_LR[method]
 
 
+def _flatten(arrays: dict[str, np.ndarray], names: list[str]) -> np.ndarray:
+    """Copy ``arrays`` into one flat buffer in ``names`` order and replace
+    each entry by a view of it, shaped as before."""
+    flat = np.empty(sum(arrays[n].size for n in names))
+    offset = 0
+    for n in names:
+        a = arrays[n]
+        view = flat[offset:offset + a.size].reshape(a.shape)
+        view[...] = a
+        arrays[n] = view
+        offset += a.size
+    return flat
+
+
 @dataclass
 class AdamState:
+    """Adam's moments and step count, each moment in one flat buffer.
+
+    ``m`` and ``v`` map parameter names to views into the flat buffers,
+    laid out in sorted-name order; checkpoints and resume read and build
+    them by name.  The first step binds the parameters to two more flat
+    buffers of the same layout: each parameter's ``.data`` becomes a view
+    into one, and backward writes its gradient into its slice of the
+    other.  A step is then a handful of in-place ops over whole buffers.
+    """
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
+    _names: list[str] = field(init=False, repr=False, compare=False)
+    _m: np.ndarray = field(init=False, repr=False, compare=False)
+    _v: np.ndarray = field(init=False, repr=False, compare=False)
+    # The bound parameters, their flat buffer and the flat gradient.
+    _values: list[Value] | None = field(default=None, init=False, repr=False, compare=False)
+    _p: np.ndarray = field(init=False, repr=False, compare=False)
+    _g: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._names = sorted(self.m)
+        if sorted(self.v) != self._names:
+            raise ValueError("Adam moments m and v name different parameters")
+        self._m = _flatten(self.m, self._names)
+        self._v = _flatten(self.v, self._names)
+
+    def _bind(self, values: list[Value]) -> None:
+        """Move the parameters' arrays into one flat buffer, and point their
+        gradients to come at slices of another."""
+        data = {n: p.data for n, p in zip(self._names, values)}
+        grads = {n: np.zeros_like(a) for n, a in data.items()}
+        self._p = _flatten(data, self._names)
+        self._g = _flatten(grads, self._names)
+        for n, p in zip(self._names, values):
+            p.data = data[n]
+            p._grad_home = grads[n]
+        self._values = values
+
+    def _grad(self, params: dict[str, Value]) -> np.ndarray:
+        """The flat gradient of ``params``, zero where a parameter has none.
+
+        Binds ``params`` first unless they are the bound parameters.  A
+        gradient that backward wrote is in place already; one set by hand
+        is copied in.
+        """
+        values = [params[n] for n in self._names]
+        if len(params) != len(values):
+            raise ValueError(f"Adam state covers {self._names}, got {sorted(params)}")
+        if self._values is None or any(
+            a is not b or a.data.base is not self._p for a, b in zip(values, self._values)
+        ):
+            self._bind(values)
+        for p in values:
+            if p.grad is not p._grad_home:
+                p._grad_home[...] = 0.0 if p.grad is None else p.grad
+        return self._g
+
+    def _name_at(self, index: int) -> str:
+        """The parameter whose slice of the flat buffers holds ``index``."""
+        ends = np.cumsum([self.m[n].size for n in self._names])
+        return self._names[int(np.searchsorted(ends, index, side="right"))]
 
 
 def adam_init(params: dict[str, Value]) -> AdamState:
@@ -91,23 +165,33 @@ def adam_step(
 
     Coupled weight decay adds ``wd * p`` to the gradient (the classic
     L2 form); decoupled subtracts ``lr * wd * p`` after the adaptive
-    step.
+    step.  The update runs over the flat buffers with the per-parameter
+    expressions' operations in their order, so it has their bits:
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) (g g)`` and
+    ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``.
     """
     opt.t += 1
     bc1 = 1.0 - ADAM_BETA1**opt.t
     bc2 = 1.0 - ADAM_BETA2**opt.t
-    for name in sorted(params):
-        p = params[name]
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if weight_decay and not decoupled:
-            g = g + weight_decay * p.data
-        opt.m[name] = ADAM_BETA1 * opt.m[name] + (1.0 - ADAM_BETA1) * g
-        opt.v[name] = ADAM_BETA2 * opt.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = opt.m[name] / bc1
-        v_hat = opt.v[name] / bc2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if weight_decay and decoupled:
-            p.data -= lr * weight_decay * p.data
+    g = opt._grad(params)  # read only: backward wrote the gradients there
+    p, m, v = opt._p, opt._m, opt._v
+    if weight_decay and not decoupled:
+        g = g + weight_decay * p
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    scratch = g * g
+    scratch *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v += scratch
+    denom = np.divide(v, bc2, out=scratch)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step = m / bc1
+    step *= lr
+    step /= denom
+    p -= step
+    if weight_decay and decoupled:
+        p -= lr * weight_decay * p
 
 
 @dataclass(frozen=True)
@@ -179,15 +263,20 @@ def _epoch_m_q(ds: GeoDataset, tcfg: TrainConfig, need_negatives: bool) -> int:
     return min(tcfg.queries_per_epoch, eligible)
 
 
-def _check_finite(loss: float, params: dict[str, Value], batch: int) -> None:
-    """Raise before a non-finite loss or gradient reaches the parameters."""
+def _check_finite(loss: float, params: dict[str, Value], adam: AdamState, batch: int) -> None:
+    """Raise before a non-finite loss or gradient reaches the parameters.
+
+    One ``isfinite`` over the flat gradient; the parameter is looked up
+    only to name it in the error.
+    """
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss!r} at batch {batch}")
-    for name, p in params.items():
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            raise FloatingPointError(
-                f"non-finite gradient of {name} at batch {batch} (loss {loss!r})"
-            )
+    finite = np.isfinite(adam._grad(params))
+    if not finite.all():
+        name = adam._name_at(int(np.argmin(finite)))
+        raise FloatingPointError(
+            f"non-finite gradient of {name} at batch {batch} (loss {loss!r})"
+        )
 
 
 def train_epoch(
@@ -239,7 +328,7 @@ def train_epoch(
         neg = ds.features(negatives[start:stop]) if negatives is not None else None
         out, _ = method_batch_loss(enc_state, mcfg, a, p, negatives=neg, training=True)
         out.node.backward()
-        _check_finite(out.value, enc_state.params, start // tcfg.batch_size)
+        _check_finite(out.value, enc_state.params, adam, start // tcfg.batch_size)
         adam_step(
             enc_state.params,
             adam,

@@ -325,6 +325,61 @@ class TestNoTape:
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, -2.0, 5.0])
 
 
+class TestConstants:
+    @pytest.mark.parametrize("operand", [2.5, np.array([1.0, -2.0, 4.0])],
+                             ids=["scalar", "array"])
+    @pytest.mark.parametrize("op", [
+        lambda x, c: x + c, lambda x, c: c + x, lambda x, c: x - c,
+        lambda x, c: c - x, lambda x, c: x * c, lambda x, c: c * x,
+        lambda x, c: x / c, lambda x, c: c / x,
+    ], ids=["x+c", "c+x", "x-c", "c-x", "x*c", "c*x", "x/c", "c/x"])
+    def test_wrapped_operand_records_one_node(self, op, operand):
+        x = Value(np.array([0.5, 1.5, -3.0]))
+        c = as_value(operand)
+        y = op(x, c)
+        assert y._parents == (x,) and y._backward is not None
+        loss = y.sum()
+        assert len(loss._topo()) == 3  # x, y and the sum
+        loss.backward()
+        assert x.grad is not None
+        assert c.grad is None and c.is_leaf
+
+    @pytest.mark.parametrize("operand", [2.5, np.array([1.0, -2.0, 4.0])],
+                             ids=["scalar", "array"])
+    def test_raw_operand_is_wrapped_as_a_constant(self, operand):
+        x = Value(np.array([0.5, 1.5, -3.0]))
+        for y in (x + operand, x - operand, x * operand, x / operand,
+                  concat([x, np.broadcast_to(operand, (3,))])):
+            assert y._parents == (x,)
+
+    def test_constant_results_stay_off_the_tape(self):
+        x = Value(np.array([1.0, 2.0]))
+        c = as_value(np.array([3.0, 4.0]))
+        k = (c * 2.0).exp()  # parents all constants
+        assert k.is_leaf and k._backward is None
+        with _no_tape():
+            bare = x * x
+        assert bare.is_leaf and bare._backward is None
+        loss = (x * k + x * bare).sum()
+        assert len(loss._topo()) == 5  # x, two products, their sum, the sum
+        loss.backward()
+        assert k.grad is None and bare.grad is None and c.grad is None
+        np.testing.assert_array_equal(x.grad, k.data + bare.data)
+
+    def test_user_leaves_and_detached_values_take_gradients(self):
+        x = Value(np.array([1.0, -2.0]))
+        w = Value(np.array([0.5, 0.25]))
+        d = x.detach()
+        (x * w * d + 1.0).sum().backward()
+        np.testing.assert_array_equal(w.grad, x.data * d.data)
+        np.testing.assert_array_equal(d.grad, x.data * w.data)
+        assert x.grad is not None
+
+    def test_backward_on_a_constant_raises(self):
+        with pytest.raises(RuntimeError, match="constant"):
+            (as_value(np.array([2.0])) * 3.0).sum().backward()
+
+
 class TestRandomizedComposites:
     def test_property_fd_agreement(self):
         """Random small expression trees agree with central differences."""

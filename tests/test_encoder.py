@@ -403,6 +403,24 @@ class TestNoTapeForward:
             assert not ref.is_leaf
             assert np.array_equal(out.data, ref.data)
 
+    def test_eval_predictor_is_a_leaf_with_the_recorded_bits(self, monkeypatch):
+        cfg, state, x = self.make("predictor")
+        z = forward(state, cfg, x, training=False)
+        bare = predictor_forward(state, cfg, z, training=False)
+        monkeypatch.setattr(vgssl.encoder, "_no_tape", nullcontext)
+        recorded = predictor_forward(state, cfg, Value(z.data), training=False)
+        assert bare.is_leaf and bare._parents == () and bare._backward is None
+        assert not recorded.is_leaf
+        assert np.array_equal(bare.data, recorded.data)
+
+    def test_raw_input_rows_are_constants(self):
+        cfg, state, x = self.make("plain")
+        first = forward(state, cfg, x, training=True)
+        while first._parents and first._parents[0]._parents:
+            first = first._parents[0]
+        # The first affine's parents are its weight and bias, not the rows.
+        assert first._parents == (state.params["trunk.0.W"], state.params["trunk.0.b"])
+
     def test_no_layer_net_cuts_its_input_loose(self):
         cfg = EncoderConfig(input_dim=3, hidden_dims=(), embed_dim=3,
                             identity_projection=True)

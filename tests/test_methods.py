@@ -182,6 +182,32 @@ class TestBatchLoss:
         assert np.isfinite(out.value)
 
 
+# Nodes on one training step's tape at criterion 7's encoder (input 32,
+# trunk (64, 64), two projection layers of 64) and batch 20: parameters,
+# the fused affine, batchnorm and row-norm nodes and the loss primitives.
+# Constants (input rows, target outputs, wrapped scalars) are not counted.
+TAPE_NODES = {
+    Method.SIMCLR: 37,
+    Method.MOCOV2: 28,
+    Method.BYOL: 58,
+    Method.SIMSIAM: 58,
+    Method.BARLOW_TWINS: 47,
+    Method.VICREG: 81,
+    Method.TRIPLET: 34,
+}
+
+
+@pytest.mark.parametrize("method", list(TAPE_NODES), ids=lambda m: m.value)
+def test_training_step_tape_size(method):
+    rng = np.random.default_rng(0)
+    a, p, n = (rng.normal(size=(20, 32)) for _ in range(3))
+    mcfg = method_config(method, input_dim=32, embed_dim=64, proj_layers=2, eta=1.0)
+    state = init_state(mcfg.encoder, seed=0)
+    negatives = n if method is Method.TRIPLET else None
+    out, _ = method_batch_loss(state, mcfg, a, p, negatives=negatives)
+    assert len(out.node._topo()) == TAPE_NODES[method]
+
+
 class TestAudit:
     @pytest.mark.parametrize("method", PAIR_METHODS)
     def test_all_mechanisms_check_out(self, method):

@@ -202,7 +202,7 @@ def tie_worlds(draw):
 
 
 class TestKnnProperty:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(tie_worlds())
     def test_bit_identical_to_full_sort(self, world):
         idx, q = world

@@ -9,12 +9,15 @@ import pytest
 
 import vgssl.geodata
 import vgssl.trainer
-from vgssl.autodiff import Value
+from vgssl.autodiff import Value, zero_grads
 from vgssl.geodata import synth_dataset
 from vgssl.losses import Method
 from vgssl.methods import method_config
 from vgssl.sampling import MiningConfig, MiningMode
 from vgssl.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     TrainConfig,
     adam_init,
     adam_step,
@@ -70,6 +73,85 @@ class TestAdam:
         assert opt.t == 3
         assert opt.m["p"][0] > 0
         assert opt.v["p"][0] > 0
+
+
+def loop_adam_step(params, m, v, t, lr, weight_decay, decoupled):
+    """Per-parameter Adam, the reference for the flat-buffer update."""
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    for name in sorted(params):
+        p = params[name]
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if weight_decay and not decoupled:
+            g = g + weight_decay * p.data
+        m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+        v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = m[name] / bc1
+        v_hat = v[name] / bc2
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if weight_decay and decoupled:
+            p.data -= lr * weight_decay * p.data
+
+
+class TestFlatAdam:
+    SHAPES = {"w": (3, 4), "b": (4,), "gamma": (1, 4), "unused": (2, 2)}
+
+    def params(self, rng):
+        return {n: Value(rng.normal(size=s)) for n, s in self.SHAPES.items()}
+
+    @pytest.mark.parametrize("weight_decay, decoupled", [(0.0, False), (1e-2, False),
+                                                         (1e-2, True)])
+    def test_bit_identical_to_the_per_parameter_loop(self, weight_decay, decoupled):
+        rng = np.random.default_rng(0)
+        flat, ref = self.params(rng), {}
+        for n, p in flat.items():
+            ref[n] = Value(p.data.copy())
+        opt = adam_init(flat)
+        m = {n: np.zeros(s) for n, s in self.SHAPES.items()}
+        v = {n: np.zeros(s) for n, s in self.SHAPES.items()}
+        for t in range(1, 6):
+            loss_flat = sum(((flat[n] * flat[n]).sum() for n in ("w", "b", "gamma")),
+                            Value(0.0))
+            loss_flat.backward()
+            for n in ("w", "b", "gamma"):
+                ref[n].grad = flat[n].grad.copy()
+            if t == 3:  # a gradient set by hand is read too
+                flat["w"].grad = rng.normal(size=(3, 4))
+                ref["w"].grad = flat["w"].grad.copy()
+            adam_step(flat, opt, lr=0.05, weight_decay=weight_decay, decoupled=decoupled)
+            loop_adam_step(ref, m, v, t, 0.05, weight_decay, decoupled)
+            zero_grads(flat.values())
+            zero_grads(ref.values())
+            for n in self.SHAPES:
+                assert flat[n].data.tobytes() == ref[n].data.tobytes()
+                assert opt.m[n].tobytes() == m[n].tobytes()
+                assert opt.v[n].tobytes() == v[n].tobytes()
+
+    def test_parameters_and_moments_share_one_buffer_each(self):
+        params = self.params(np.random.default_rng(1))
+        opt = adam_init(params)
+        adam_step(params, opt, lr=0.1)
+        grads = {n: p._grad_home for n, p in params.items()}
+        for table in ({n: p.data for n, p in params.items()}, grads, opt.m, opt.v):
+            bases = [a.base for a in table.values()]
+            assert bases[0] is not None and all(b is bases[0] for b in bases)
+
+    def test_rebinds_new_parameter_values(self):
+        # A resumed run hands the optimizer freshly loaded Values.
+        rng = np.random.default_rng(2)
+        first = self.params(rng)
+        opt = adam_init(first)
+        adam_step(first, opt, lr=0.1)
+        second = {n: Value(p.data.copy()) for n, p in first.items()}
+        second["w"].grad = np.ones((3, 4))
+        adam_step(second, opt, lr=0.1)
+        assert not np.array_equal(second["w"].data, first["w"].data)
+        assert second["w"].data.base is not first["w"].data.base
+
+    def test_rejects_other_parameter_names(self):
+        opt = adam_init({"a": Value(np.zeros(2))})
+        with pytest.raises(ValueError, match="covers"):
+            adam_step({"a": Value(np.zeros(2)), "b": Value(np.zeros(2))}, opt, lr=0.1)
 
 
 class TestTrainConfig:
@@ -259,6 +341,17 @@ class TestNonFinite:
             FloatingPointError, match=r"^epoch 1: non-finite loss nan at batch 1$"
         ):
             self.run_with(monkeypatch, lambda out: replace(out, value=float("nan")))
+
+    @pytest.mark.parametrize("name, index", [("a", 0), ("b", 5), ("b", 0), ("c", 0)])
+    def test_names_the_parameter_of_the_entry(self, name, index):
+        shapes = {"a": (2,), "b": (2, 3), "c": (1,)}
+        params = {n: Value(np.zeros(s)) for n, s in shapes.items()}
+        for p in params.values():
+            p.grad = np.zeros_like(p.data)
+        params[name].grad.reshape(-1)[index] = np.inf
+        with pytest.raises(FloatingPointError,
+                           match=rf"^non-finite gradient of {name} at batch 4 \(loss 1\.0\)$"):
+            vgssl.trainer._check_finite(1.0, params, adam_init(params), 4)
 
     def test_nan_gradient_names_the_parameter(self, monkeypatch):
         with pytest.raises(
