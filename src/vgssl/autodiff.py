@@ -76,6 +76,10 @@ class Value:
         "_grad_home",
     )
 
+    # An ndarray on the left of an operator defers to the reflected method
+    # below instead of broadcasting it over the Value element by element.
+    __array_ufunc__ = None
+
     def __init__(self, data, parents: tuple["Value", ...] = (), op: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
@@ -179,6 +183,9 @@ class Value:
 
     def __rtruediv__(self, other) -> "Value":
         return as_value(other) / self
+
+    def __rmatmul__(self, other) -> "Value":
+        return as_value(other) @ self
 
     # -- linear algebra --------------------------------------------------
 

@@ -32,6 +32,15 @@ __all__ = [
 
 EARTH_RADIUS_M = 6_371_000.0
 
+# The factor ``math.radians`` multiplies by, so array conversions match it
+# bit for bit.
+_RADIANS = math.pi / 180.0
+# Relative band around each radius, and the haversine ``h`` beyond which a
+# pair is near-antipodal, inside which the radius search defers to
+# ``distance_m``; derived in ``GeoDataset._radius_search``.
+_RADIUS_MARGIN = 2.0**-32
+_ANTIPODE_H = 1.0 - 2.0**-20
+
 
 class PositionMode(Enum):
     PLANAR = "planar"
@@ -101,7 +110,10 @@ class GeoDataset:
     order (the CSV's row order); ``features(ids)`` copies rows out of it
     and ``positions(ids)`` reads the matching positions.
     The first neighbourhood query runs one radius search over the whole
-    database and every later one reads its result.
+    database, vectorised per query with a rounding margin decided by
+    ``distance_m`` (see ``_radius_search``), and stores each query's
+    positives and negatives as ascending row arrays into ``db_ids``;
+    every later query reads them.  Construction never pays for it.
     """
 
     queries: list[GeoSample]
@@ -113,7 +125,11 @@ class GeoDataset:
     _samples: tuple[GeoSample, ...] = field(init=False, repr=False, compare=False)
     _row: dict[int, int] = field(init=False, repr=False, compare=False)
     _matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    _neighbours: dict[int, tuple[list[int], list[int]]] | None = field(
+    _neighbours: dict[int, tuple[np.ndarray, np.ndarray]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # Query ids eligible without, then with, the need for a negative.
+    _eligible: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -162,46 +178,102 @@ class GeoDataset:
         """Positions of ``ids``, any roles, in the given order."""
         return [self._samples[row].position for row in self._rows(ids)]
 
-    def _neighbourhood(self, query_id: int) -> tuple[list[int], list[int]]:
-        """(positive ids, negative ids) of a query, both ascending.
+    def _radius_search(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Each query's (positive rows, negative rows) into ``db_ids``.
 
-        Built for every query on first use, one ``distance_m`` per
-        (query, database) pair; the annulus between the radii lands in
-        neither list.
+        One query at a time, the distances to every database row are
+        computed in one vectorised pass, O(M) memory: ``np.hypot`` of the
+        same coordinate differences in planar mode, the same haversine in
+        numpy in geodetic mode.  These may differ from ``distance_m`` in
+        the last bits, so any pair whose vectorised distance ``d`` lies
+        within ``_RADIUS_MARGIN * r`` of a radius ``r`` (and, in geodetic
+        mode, any pair near the antipode) is decided by ``distance_m``
+        itself.  That keeps membership bit for bit:
+
+        - Planar: the coordinate differences are the same IEEE
+          subtractions, and ``np.hypot`` and ``math.hypot`` are each within
+          one ulp of their exact length, so they differ by at most 2 ulp,
+          at most ``2**-51 * d``.
+        - Geodetic: degrees become radians through the product
+          ``math.radians`` forms, so the coordinate differences are again
+          identical.  Each of sin, cos, sqrt and asin is within a few ulp
+          of exact in numpy and in libm, and ``h`` is a sum of
+          non-negative terms, so the two ``h`` differ by a relative
+          ``2**-46`` (64 ulp) at most, and ``sqrt(h)`` by half that.
+          ``asin`` scales a relative error of its argument by at most
+          ``tan(t) / t <= 1 / sqrt(1 - h)`` at ``t = asin(sqrt(h))``, which is
+          ``2**10`` or less while ``h <= 1 - 2**-20``: the two distances
+          then differ by a relative ``2**-36`` at most.  Pairs with a
+          larger ``h``, within about 12 km of each other's antipode, go to
+          ``distance_m``.
+
+        Both bounds are at least 16 times tighter than the margin, so a
+        vectorised ``d`` beyond ``r * (1 + 2**-32)`` or below
+        ``r * (1 - 2**-32)`` puts the scalar distance on the same side of
+        ``r``.
         """
+        db = [s.position for s in self._samples[: len(self.db_ids)]]
+        a = np.array([p.a for p in db])
+        b = np.array([p.b for p in db])
+        geodetic = self.mode is PositionMode.GEODETIC
+        if geodetic:
+            a, b = a * _RADIANS, b * _RADIANS
+            cos_a = np.cos(a)
+        r_pos, r_neg = self.r_pos, self.r_neg
+        tol_pos, tol_neg = _RADIUS_MARGIN * r_pos, _RADIUS_MARGIN * r_neg
+        out = {}
+        for q in self.queries:
+            p = q.position
+            if geodetic:
+                lat, lon = p.a * _RADIANS, p.b * _RADIANS
+                h = (np.sin((a - lat) / 2) ** 2
+                     + math.cos(lat) * cos_a * np.sin((b - lon) / 2) ** 2)
+                d = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+                unsure = h > _ANTIPODE_H
+            else:
+                d = np.hypot(p.a - a, p.b - b)
+                unsure = False
+            unsure = unsure | (np.abs(d - r_pos) <= tol_pos) | (np.abs(d - r_neg) <= tol_neg)
+            pos, neg = d <= r_pos, d > r_neg
+            for j in unsure.nonzero()[0]:
+                dj = distance_m(p, db[j])
+                pos[j], neg[j] = dj <= r_pos, dj > r_neg
+            rows = pos.nonzero()[0], neg.nonzero()[0]
+            for r in rows:
+                r.flags.writeable = False
+            out[q.id] = rows
+        return out
+
+    def neighbour_rows(self, query_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """(positive rows, negative rows) of a query: ascending, read-only
+        indices into ``db_ids``; the annulus between the radii lands in
+        neither.  The first call of any neighbourhood query runs the
+        radius search for every query."""
         if self._row.get(query_id, -1) < len(self.db_ids):
             raise KeyError(f"no query with id {query_id}")
         if self._neighbours is None:
-            db = self._samples[: len(self.db_ids)]
-            self._neighbours = {}
-            for q in self.queries:
-                pos, neg = [], []
-                for s in db:
-                    d = distance_m(q.position, s.position)
-                    if d <= self.r_pos:
-                        pos.append(s.id)
-                    elif d > self.r_neg:
-                        neg.append(s.id)
-                self._neighbours[q.id] = (pos, neg)
+            self._neighbours = self._radius_search()
         return self._neighbours[query_id]
 
     def positive_set(self, query_id: int) -> list[int]:
         """Database ids within r_pos meters of the query, ascending."""
-        return list(self._neighbourhood(query_id)[0])
+        return [self.db_ids[i] for i in self.neighbour_rows(query_id)[0].tolist()]
 
     def negative_set(self, query_id: int) -> list[int]:
         """Database ids strictly beyond r_neg meters, ascending."""
-        return list(self._neighbourhood(query_id)[1])
+        return [self.db_ids[i] for i in self.neighbour_rows(query_id)[1].tolist()]
 
     def eligible_queries(self, need_negatives: bool) -> list[int]:
         """Query ids, in ``queries`` order, with a positive and, if
         ``need_negatives``, a negative."""
-        out = []
-        for q in self.queries:
-            pos, neg = self._neighbourhood(q.id)
-            if pos and (neg or not need_negatives):
-                out.append(q.id)
-        return out
+        if self._eligible is None:
+            rows = [self.neighbour_rows(q.id) for q in self.queries]
+            self._eligible = tuple(
+                tuple(q.id for q, (pos, neg) in zip(self.queries, rows)
+                      if pos.size and (neg.size or not need))
+                for need in (False, True)
+            )
+        return list(self._eligible[bool(need_negatives)])
 
 
 def synth_dataset(

@@ -15,7 +15,8 @@ Seven objectives share one entry point, ``compute_loss``:
 
 Inputs are the raw projection outputs; whether they get row-normalized
 first is a per-method policy (contrastive and prediction objectives
-yes, decorrelation objectives no), enforced by ``LossConfig``.
+yes, decorrelation objectives no), read by ``compute_loss`` from
+``NORMALIZE_POLICY``.
 
 Objectives are composed from the autodiff primitives, except the row
 normalization, which is one tape node whose backward replays the
@@ -98,7 +99,6 @@ class LossConfig:
     lambda_cov: float = 1.0
     std_margin: float = 1.0
     symmetric: bool | None = None
-    normalize_inputs: bool | None = None
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -107,14 +107,6 @@ class LossConfig:
             raise ValueError("margin cannot be negative")
         if min(self.lambda_bt, self.lambda_inv, self.lambda_var, self.lambda_cov) < 0:
             raise ValueError("loss weights cannot be negative")
-        policy = NORMALIZE_POLICY[self.method]
-        if self.normalize_inputs is None:
-            object.__setattr__(self, "normalize_inputs", policy)
-        elif self.normalize_inputs != policy:
-            raise ValueError(
-                f"{self.method.value} requires normalize_inputs={policy}; "
-                "the normalization policy is part of the method definition"
-            )
         if self.symmetric is None:
             object.__setattr__(self, "symmetric", SYMMETRIC_DEFAULT.get(self.method, False))
 
@@ -340,7 +332,7 @@ def compute_loss(cfg: LossConfig, branches: LossBranches) -> LossOutput:
             branches.partner,
             branches.negative,
             cfg.margin,
-            normalize=cfg.normalize_inputs,
+            normalize=NORMALIZE_POLICY[m],
         )
         return LossOutput(float(node.data), node, {"triplet": float(node.data)})
     if m is Method.SIMCLR:
@@ -349,7 +341,7 @@ def compute_loss(cfg: LossConfig, branches: LossBranches) -> LossOutput:
             branches.partner,
             cfg.tau,
             symmetric=cfg.symmetric,
-            normalize=cfg.normalize_inputs,
+            normalize=NORMALIZE_POLICY[m],
         )
         return LossOutput(float(node.data), node, {"contrastive": float(node.data)})
     if m is Method.MOCOV2:
@@ -360,7 +352,7 @@ def compute_loss(cfg: LossConfig, branches: LossBranches) -> LossOutput:
             branches.target_partner,
             cfg.tau,
             symmetric=cfg.symmetric,
-            normalize=cfg.normalize_inputs,
+            normalize=NORMALIZE_POLICY[m],
         )
         return LossOutput(float(node.data), node, {"contrastive": float(node.data)})
     if m in (Method.BYOL, Method.SIMSIAM):

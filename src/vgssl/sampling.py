@@ -11,8 +11,10 @@ positive partner in the same batch.
 
 Triplet construction mines a hard negative per query either against the
 full database (``FULL_HNM``), against a fixed random candidate pool
-(``PARTIAL_HNM``), or uniformly (``RANDOM``).  All randomness flows from
-one generator per call, so identical seeds give identical batches.
+(``PARTIAL_HNM``), or uniformly (``RANDOM``).  Mining normalises the
+embedded database or pool once per call and reads each query's negatives
+as ascending row arrays.  All randomness flows from one generator per
+call, so identical seeds give identical batches.
 """
 
 from __future__ import annotations
@@ -134,6 +136,29 @@ def build_pairs(
     return pairs
 
 
+def _unit_rows(vecs: np.ndarray) -> np.ndarray:
+    """Rows divided by their norms, floored at 1e-12.  On a C-ordered
+    matrix the norm is a per-row reduce, so normalising the whole matrix
+    gives every row the bits of normalising any gathered subset of it."""
+    return vecs / np.maximum(np.linalg.norm(vecs, axis=1, keepdims=True), 1e-12)
+
+
+def _query_distances(query_vec: np.ndarray, unit_vecs: np.ndarray) -> np.ndarray:
+    """L2 distance of the normalised query to each (normalised) row, by
+    direct differences.  The query keeps the 1-D ``np.linalg.norm``."""
+    q = query_vec / max(np.linalg.norm(query_vec), 1e-12)
+    return np.linalg.norm(unit_vecs - q[None, :], axis=1)
+
+
+def _closest(dists: np.ndarray, ids: np.ndarray) -> int:
+    """``np.lexsort((ids, dists))[0]`` without the sort: the index of the
+    smallest distance, ties to the smallest id, NaN distances last."""
+    tied = np.flatnonzero(dists == np.fmin.reduce(dists))
+    if tied.size == 0:  # every distance is NaN
+        tied = np.arange(dists.size)
+    return int(tied[np.argmin(ids[tied])])
+
+
 def hardest_negative(
     query_vec: np.ndarray, candidate_ids: list[int], candidate_vecs: np.ndarray
 ) -> int:
@@ -145,12 +170,8 @@ def hardest_negative(
         raise ValueError("no candidates to mine from")
     if candidate_vecs.shape[0] != len(candidate_ids):
         raise ValueError("candidate ids and vectors disagree in length")
-    q = query_vec / max(np.linalg.norm(query_vec), 1e-12)
-    norms = np.linalg.norm(candidate_vecs, axis=1, keepdims=True)
-    c = candidate_vecs / np.maximum(norms, 1e-12)
-    dists = np.linalg.norm(c - q[None, :], axis=1)
-    best = np.lexsort((candidate_ids, dists))[0]
-    return int(candidate_ids[best])
+    dists = _query_distances(query_vec, _unit_rows(candidate_vecs))
+    return int(candidate_ids[_closest(dists, np.asarray(candidate_ids))])
 
 
 def mine_triplets(
@@ -170,7 +191,10 @@ def mine_triplets(
     eligible negative; ``PARTIAL_HNM`` does the same against one shared
     random candidate pool, falling back to a uniform negative for any
     query whose eligible negatives missed the pool; ``RANDOM`` skips
-    embedding entirely.
+    embedding entirely.  Negatives are read as row arrays
+    (``GeoDataset.neighbour_rows``), and the embedded database or pool is
+    normalised once per call; each pick is the one ``hardest_negative``
+    would make, bit for bit.
     """
     if m_q < 1:
         raise ValueError("m_q must be at least 1")
@@ -188,29 +212,28 @@ def mine_triplets(
         positives = ds.positive_set(qid)
         positive_ids.append(positives[int(rng.integers(len(positives)))])
 
+    db_ids = ds.db_ids
     triplets: list[Triplet] = []
     if cfg.mode is MiningMode.RANDOM:
         for qid, pid in zip(query_ids, positive_ids):
-            negs = ds.negative_set(qid)
-            nid = negs[int(rng.integers(len(negs)))]
+            negs = ds.neighbour_rows(qid)[1]
+            nid = db_ids[negs[int(rng.integers(len(negs)))]]
             triplets.append(Triplet(qid, pid, nid))
         return triplets
 
-    db_ids = ds.db_ids
     if cfg.mode is MiningMode.FULL_HNM:
         q_emb = embed(ds.features(query_ids))
-        db_emb = embed(ds.features(db_ids))
+        db_unit = _unit_rows(np.ascontiguousarray(embed(ds.features(db_ids))))
         if ledger is not None:
             ledger.add_extractions(m_q + len(db_ids))
             ledger.note_cached(m_q + len(db_ids))
-        id_array = np.array(db_ids)
         for k, (qid, pid) in enumerate(zip(query_ids, positive_ids)):
-            negs = ds.negative_set(qid)
-            vecs = db_emb[np.searchsorted(id_array, negs)]
-            nid = hardest_negative(q_emb[k], negs, vecs)
+            negs = ds.neighbour_rows(qid)[1]
+            # Rows ascend with ids, so they break ties as the ids would.
+            best = _closest(_query_distances(q_emb[k], db_unit[negs]), negs)
             if ledger is not None:
                 ledger.add_comparisons(len(negs))
-            triplets.append(Triplet(qid, pid, nid))
+            triplets.append(Triplet(qid, pid, db_ids[negs[best]]))
         return triplets
 
     # PARTIAL_HNM: one shared candidate pool per call.
@@ -218,27 +241,28 @@ def mine_triplets(
         raise ValueError(
             f"pool_size {cfg.pool_size} exceeds database size {len(db_ids)}"
         )
-    pool_pick = rng.choice(len(db_ids), size=cfg.pool_size, replace=False)
-    pool_ids = [db_ids[int(i)] for i in pool_pick]
+    pool_rows = rng.choice(len(db_ids), size=cfg.pool_size, replace=False)
     q_emb = embed(ds.features(query_ids))
-    pool_emb = embed(ds.features(pool_ids))
+    pool_emb = embed(ds.features([db_ids[i] for i in pool_rows.tolist()]))
+    pool_unit = _unit_rows(np.ascontiguousarray(pool_emb))
     if ledger is not None:
         ledger.add_extractions(m_q + cfg.pool_size + m_q)  # queries + pool + positives
         ledger.note_cached(m_q + cfg.pool_size + m_q)
+    is_neg = np.zeros(len(db_ids), dtype=bool)
     for k, (qid, pid) in enumerate(zip(query_ids, positive_ids)):
         # Every pool member is distance-checked, then geometric eligibility
         # masks out anything not strictly beyond the negative radius.
         if ledger is not None:
             ledger.add_comparisons(cfg.pool_size)
-        negs = set(ds.negative_set(qid))
-        elig = [j for j, i in enumerate(pool_ids) if i in negs]
-        if elig:
-            ids = [pool_ids[j] for j in elig]
-            vecs = pool_emb[elig]
-            nid = hardest_negative(q_emb[k], ids, vecs)
+        negs = ds.neighbour_rows(qid)[1]
+        is_neg[negs] = True
+        elig = np.flatnonzero(is_neg[pool_rows])
+        is_neg[negs] = False
+        if elig.size:
+            dists = _query_distances(q_emb[k], pool_unit[elig])
+            nid = db_ids[pool_rows[elig[_closest(dists, pool_rows[elig])]]]
         else:
-            all_negs = ds.negative_set(qid)
-            nid = all_negs[int(rng.integers(len(all_negs)))]
+            nid = db_ids[negs[int(rng.integers(len(negs)))]]
             if ledger is not None:
                 ledger.add_extractions(1)  # the fallback negative is fetched fresh
         triplets.append(Triplet(qid, pid, nid))

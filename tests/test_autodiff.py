@@ -366,6 +366,33 @@ class TestConstants:
         assert k.grad is None and bare.grad is None and c.grad is None
         np.testing.assert_array_equal(x.grad, k.data + bare.data)
 
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b,
+    ], ids=["+", "-", "*", "/"])
+    @pytest.mark.parametrize("left", [np.array([3.0, -4.0]), np.float64(2.5)],
+                             ids=["ndarray", "numpy_scalar"])
+    def test_numpy_operand_on_the_left_defers_to_value(self, op, left):
+        # numpy defers to the reflected operator instead of broadcasting
+        # it over the Value element by element into an object array.
+        v = Value(np.array([1.0, 2.0]))
+        w = Value(np.array([1.0, 2.0]))
+        y = op(left, v)
+        ref = op(as_value(left), w)
+        assert type(y) is Value and y._op == ref._op and y._parents == (v,)
+        np.testing.assert_array_equal(y.data, ref.data)
+        y.sum().backward()
+        ref.sum().backward()
+        np.testing.assert_array_equal(v.grad, w.grad)
+
+    def test_ndarray_matmul_value_records_one_node(self):
+        a = np.array([[1.0, 2.0], [3.0, -1.0]])
+        v = Value(np.array([[0.5], [2.0]]))
+        y = a @ v
+        assert type(y) is Value and y._op == "matmul" and y._parents == (v,)
+        np.testing.assert_array_equal(y.data, a @ v.data)
+        y.sum().backward()
+        np.testing.assert_array_equal(v.grad, a.T @ np.ones((2, 1)))
+
     def test_user_leaves_and_detached_values_take_gradients(self):
         x = Value(np.array([1.0, -2.0]))
         w = Value(np.array([0.5, 0.25]))

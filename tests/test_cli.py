@@ -59,6 +59,15 @@ class TestConfigGuard:
         )
         assert run("train", "--config", cfg, "--out", str(tmp_path / "r")) == 2
 
+    def test_normalize_inputs_is_not_a_loss_key(self, tmp_path, world, capsys):
+        # Row normalization is part of each method's definition, not a knob.
+        cfg = write_config(
+            tmp_path / "t.json",
+            train_config(world, loss={"normalize_inputs": True}),
+        )
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "r")) == 2
+        assert "loss: unknown keys ['normalize_inputs']" in capsys.readouterr().err
+
     def test_bad_method_name(self, tmp_path, world, capsys):
         cfg = write_config(tmp_path / "t.json", train_config(world, method="simclrr"))
         assert run("train", "--config", cfg, "--out", str(tmp_path / "r")) == 2

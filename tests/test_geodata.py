@@ -1,8 +1,12 @@
 """Dataset geometry: distances, radii semantics, synthesis, persistence."""
 
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from vgssl.encoder import EncoderConfig, init_state
 from vgssl.geodata import (
@@ -168,6 +172,137 @@ def test_neighbourhood_lists_are_fresh_copies():
     ds.negative_set(12).clear()
     assert ds.positive_set(11) == [0, 1]
     assert ds.negative_set(12) == [2]
+
+
+# -- radius search against the scalar oracle ----------------------------------
+
+# Query and database positions of a world, and its radii:
+# (geodetic, r_pos, r_neg, [(a, b) per query], [(a, b) per database sample]).
+DEG_PER_M = 180.0 / (math.pi * 6_371_000.0)  # degrees of arc per meter
+
+
+def _wrap_lon(lon):
+    return (lon + 180.0) % 360.0 - 180.0
+
+
+def _straddle(dist, at, r, span):
+    """``[at(t_in), at(t_out)]`` for adjacent floats ``t_in < t_out`` in
+    [0, span] with ``dist(at(t_in)) <= r < dist(at(t_out))``: the two points
+    one ulp of ``t`` either side of the radius, by bisection on the bits."""
+    lo, hi = 0, int(np.float64(span).view(np.int64))
+    assert dist(at(0.0)) <= r < dist(at(float(span)))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if dist(at(float(np.int64(mid).view(np.float64)))) <= r:
+            lo = mid
+        else:
+            hi = mid
+    t_in = float(np.int64(lo).view(np.float64))
+    t_out = float(np.nextafter(t_in, np.inf))
+    return [at(t_in), at(t_out)]
+
+
+@st.composite
+def radius_worlds(draw, geodetic):
+    r_pos = draw(st.floats(0.5, 100.0))
+    r_neg = r_pos * draw(st.floats(1.05, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mode = PositionMode.GEODETIC if geodetic else PositionMode.PLANAR
+    queries, db = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        if geodetic:
+            # The poles, the antimeridian from both sides, the origin (where a
+            # degree's last bit is finest) and anywhere.
+            lat0, lon0 = draw(st.sampled_from([
+                (90.0, 0.0), (-90.0, 45.0), (12.5, 180.0), (-33.0, -180.0),
+                (89.99999, -179.99999), (0.0, 0.0),
+                tuple(rng.uniform([-90.0, -180.0], [90.0, 180.0])),
+            ]))
+        else:
+            # At the origin the coordinate differences are exact, so the
+            # scalar distance takes nearly every float near a radius.
+            lat0, lon0 = draw(st.sampled_from([
+                (0.0, 0.0), tuple(rng.uniform(-r_neg, r_neg, size=2)),
+            ]))
+        q = (float(lat0), float(lon0))
+        queries.append(q)
+
+        def dist(ab, q=q):
+            return distance_m(Position(mode, *q), Position(mode, *ab))
+
+        for r in (r_pos, r_neg):
+            for _ in range(draw(st.integers(1, 12))):
+                side, v = rng.choice([-1.0, 1.0]), rng.uniform(-0.5, 0.5)
+                if geodetic:
+                    # Along a meridian towards the equator, off the query's
+                    # longitude by up to half the radius.
+                    side = -1.0 if q[0] > 0 else 1.0
+                    coslat = max(math.cos(math.radians(q[0])), 1e-9)
+                    lon = _wrap_lon(q[1] + v * r * DEG_PER_M / coslat)
+                    span = 2.0 * r * DEG_PER_M
+
+                    def at(t, side=side, lon=lon, q=q):
+                        return (q[0] + side * t, lon)
+                else:
+                    span, off, swap = 2.0 * r, v * r, rng.random() < 0.5
+
+                    def at(t, side=side, off=off, swap=swap, q=q):
+                        da, db_ = (off, side * t) if swap else (side * t, off)
+                        return (q[0] + da, q[1] + db_)
+                db += _straddle(dist, at, r, span)
+        # Scatter around the query, and (geodetic) its antipode.
+        for _ in range(draw(st.integers(0, 8))):
+            da, db_ = rng.uniform(-2.0 * r_neg, 2.0 * r_neg, size=2)
+            if geodetic:
+                db.append((float(np.clip(q[0] + da * DEG_PER_M, -90.0, 90.0)),
+                           _wrap_lon(q[1] + db_ * DEG_PER_M)))
+            else:
+                db.append((q[0] + da, q[1] + db_))
+        if geodetic:
+            db.append((-q[0], _wrap_lon(q[1] + 180.0)))
+    return geodetic, r_pos, r_neg, queries, db
+
+
+def _world_from(spec):
+    geodetic, r_pos, r_neg, queries, db = spec
+    mode = PositionMode.GEODETIC if geodetic else PositionMode.PLANAR
+    db_s = [GeoSample(i, Role.DATABASE, Position(mode, *ab), np.zeros(1))
+            for i, ab in enumerate(db)]
+    q_s = [GeoSample(len(db) + i, Role.QUERY, Position(mode, *ab), np.zeros(1))
+           for i, ab in enumerate(queries)]
+    return GeoDataset(queries=q_s, database=db_s, r_pos=r_pos, r_neg=r_neg)
+
+
+def _check_against_scalar(spec):
+    ds = _world_from(spec)
+    eligible = {False: [], True: []}
+    for q in ds.queries:
+        d = [distance_m(q.position, ds.sample(i).position) for i in ds.db_ids]
+        pos = [i for i, di in zip(ds.db_ids, d) if di <= ds.r_pos]
+        neg = [i for i, di in zip(ds.db_ids, d) if di > ds.r_neg]
+        assert ds.positive_set(q.id) == pos
+        assert ds.negative_set(q.id) == neg
+        for need in eligible:
+            if pos and (neg or not need):
+                eligible[need].append(q.id)
+    for need, ids in eligible.items():
+        assert ds.eligible_queries(need_negatives=need) == ids
+
+
+# Each example puts a database sample at exactly a radius, as the scalar
+# distance reads it, where the vectorised distance reads one ulp more.
+@given(spec=radius_worlds(geodetic=False))
+@example(spec=(False, math.hypot(25.011, 9.4), math.hypot(24.175, 26.843),
+               [(0.0, 0.0)], [(25.011, 9.4), (24.175, 26.843)]))
+def test_planar_radius_membership_matches_scalar(spec):
+    _check_against_scalar(spec)
+
+
+@given(spec=radius_worlds(geodetic=True))
+@example(spec=(True, 13.607224851245714, 28.74803040142134,
+               [(0.0, 0.0)], [(0.00012165, -1.328e-05), (-3.7467e-05, 0.000255808)]))
+def test_geodetic_radius_membership_matches_scalar(spec):
+    _check_against_scalar(spec)
 
 
 class TestDatasetValidation:

@@ -225,17 +225,6 @@ class TestVicreg:
 
 
 class TestLossConfig:
-    def test_normalization_policy_defaults(self):
-        assert LossConfig(Method.SIMCLR).normalize_inputs is True
-        assert LossConfig(Method.BARLOW_TWINS).normalize_inputs is False
-        assert LossConfig(Method.VICREG).normalize_inputs is False
-
-    def test_policy_violation_rejected(self):
-        with pytest.raises(ValueError):
-            LossConfig(Method.SIMCLR, normalize_inputs=False)
-        with pytest.raises(ValueError):
-            LossConfig(Method.BARLOW_TWINS, normalize_inputs=True)
-
     def test_symmetric_defaults(self):
         assert LossConfig(Method.BYOL).symmetric is True
         assert LossConfig(Method.SIMSIAM).symmetric is True

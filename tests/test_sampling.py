@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vgssl.costmodel import CostLedger
-from vgssl.geodata import distance_m, synth_dataset
+from vgssl.geodata import GeoDataset, GeoSample, distance_m, synth_dataset
 from vgssl.sampling import (
     MiningConfig,
     MiningMode,
@@ -208,3 +210,107 @@ class TestTriplets:
         cfg = MiningConfig(mode=MiningMode.RANDOM)
         mine_triplets(self.ds, 4, cfg, spy, rng_seed=0)
         assert calls == []
+
+
+# -- mining against a per-query oracle -----------------------------------------
+
+
+def oracle_hardest_negative(query_vec, candidate_ids, candidate_vecs):
+    """The per-query pick as first written: every candidate renormalised for
+    this query, then a full lexsort by (distance, id)."""
+    q = query_vec / max(np.linalg.norm(query_vec), 1e-12)
+    norms = np.linalg.norm(candidate_vecs, axis=1, keepdims=True)
+    c = candidate_vecs / np.maximum(norms, 1e-12)
+    dists = np.linalg.norm(c - q[None, :], axis=1)
+    best = np.lexsort((candidate_ids, dists))[0]
+    return int(candidate_ids[best])
+
+
+def _embedding_table(rng, n, dim, exact):
+    """Rows drawn from a few vectors, so exact duplicates and tied distances
+    are common, with some zero rows and some NaN rows.  ``exact`` vectors
+    hold small integers, which sum exactly in any order; the others are
+    Gaussian, so a norm's summation order shows in its last bits."""
+    shape = (rng.integers(1, 6), dim)
+    distinct = rng.integers(-2, 3, size=shape) if exact else rng.normal(size=shape)
+    table = distinct[rng.integers(0, len(distinct), size=n)].astype(np.float64)
+    table *= rng.choice([1.0, 0.5, 3.0], size=(n, 1))
+    table[rng.random(n) < 0.1] = 0.0
+    table[rng.random(n) < 0.1] = np.nan
+    return table
+
+
+@st.composite
+def mining_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    world = synth_dataset(seed=int(rng.integers(1000)), n_places=int(rng.integers(3, 9)),
+                          db_per_place=int(rng.integers(1, 5)), query_fraction=1.0,
+                          feature_dim=1, buffer_per_place=int(rng.integers(0, 3)))
+    # Each sample's single feature is its id; embedding looks the id up.
+    ds = GeoDataset(
+        queries=[GeoSample(s.id, s.role, s.position, np.array([float(s.id)]))
+                 for s in world.queries],
+        database=[GeoSample(s.id, s.role, s.position, np.array([float(s.id)]))
+                  for s in world.database],
+    )
+    dim = draw(st.sampled_from([1, 2, 3, 4, 16, 40]))
+    table = _embedding_table(rng, len(world.database) + len(world.queries), dim,
+                             exact=draw(st.booleans()))
+    m_q = draw(st.integers(1, len(ds.eligible_queries(need_negatives=True))))
+    pool = draw(st.integers(1, len(ds.db_ids)))
+    # An embedding may come back in either memory order.
+    order = draw(st.sampled_from(["C", "F"]))
+    return ds, table, m_q, pool, draw(st.integers(0, 2**16)), order
+
+
+def _mine_with_spy(ds, table, m_q, cfg, seed, order):
+    calls = []
+
+    def embed(feats):
+        ids = feats[:, 0].astype(int)
+        calls.append(ids.tolist())
+        return np.asarray(table[ids], order=order)
+
+    led = CostLedger()
+    return mine_triplets(ds, m_q, cfg, embed, seed, ledger=led), calls, led
+
+
+@given(case=mining_cases())
+def test_full_mining_matches_per_query_oracle(case):
+    ds, table, m_q, _, seed, order = case
+    cfg = MiningConfig(MiningMode.FULL_HNM)
+    trips, calls, led = _mine_with_spy(ds, table, m_q, cfg, seed, order)
+    assert calls == [[t.anchor_id for t in trips], list(ds.db_ids)]
+    for t in trips:
+        negs = ds.negative_set(t.anchor_id)
+        assert t.negative_id == oracle_hardest_negative(table[t.anchor_id], negs, table[negs])
+    assert led.comparisons == sum(len(ds.negative_set(t.anchor_id)) for t in trips)
+
+
+@given(case=mining_cases())
+def test_partial_mining_matches_per_query_oracle(case):
+    ds, table, m_q, pool, seed, order = case
+    cfg = MiningConfig(MiningMode.PARTIAL_HNM, pool_size=pool)
+    trips, calls, led = _mine_with_spy(ds, table, m_q, cfg, seed, order)
+    assert calls[0] == [t.anchor_id for t in trips]
+    pool_ids = calls[1]
+    fallbacks = 0
+    for t in trips:
+        negs = ds.negative_set(t.anchor_id)
+        elig = [i for i in pool_ids if i in negs]
+        if elig:
+            assert t.negative_id == oracle_hardest_negative(table[t.anchor_id], elig, table[elig])
+        else:
+            fallbacks += 1
+            assert t.negative_id in negs
+    assert led.extractions == 2 * m_q + pool + fallbacks
+    assert led.comparisons == m_q * pool
+
+
+@given(case=mining_cases())
+def test_hardest_negative_matches_oracle(case):
+    ds, table, _, _, seed, _ = case
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(len(table))[: rng.integers(1, len(table) + 1)].tolist()
+    q = table[rng.integers(len(table))]
+    assert hardest_negative(q, ids, table[ids]) == oracle_hardest_negative(q, ids, table[ids])

@@ -10,7 +10,7 @@ import pytest
 import vgssl.geodata
 import vgssl.trainer
 from vgssl.autodiff import Value, zero_grads
-from vgssl.geodata import synth_dataset
+from vgssl.geodata import GeoDataset, synth_dataset
 from vgssl.losses import Method
 from vgssl.methods import method_config
 from vgssl.sampling import MiningConfig, MiningMode
@@ -301,21 +301,37 @@ class TestRunSingle:
         (Method.TRIPLET, MiningConfig(mode=MiningMode.PARTIAL_HNM, pool_size=6)),
     ])
     def test_radius_search_runs_once_per_dataset(self, monkeypatch, method, mining):
+        # The first epoch's neighbourhood query runs the one vectorised
+        # search; later epochs read its row arrays and compute no distance,
+        # vectorised or scalar.  No pair of this world lies within the
+        # rounding margin of a radius, so the scalar distance never runs.
         ds = small_world()
-        calls = 0
-        distance = vgssl.geodata.distance_m
+        counts = {"search": 0, "distance": 0}
+        search, distance = GeoDataset._radius_search, vgssl.geodata.distance_m
+        epoch = vgssl.trainer.train_epoch
+        after_epoch = []
 
-        def counted(p, q):
-            nonlocal calls
-            calls += 1
+        def counted_search(self):
+            counts["search"] += 1
+            return search(self)
+
+        def counted_distance(p, q):
+            counts["distance"] += 1
             return distance(p, q)
 
-        monkeypatch.setattr(vgssl.geodata, "distance_m", counted)
+        def recorded_epoch(*args, **kwargs):
+            out = epoch(*args, **kwargs)
+            after_epoch.append(dict(counts))
+            return out
+
+        monkeypatch.setattr(GeoDataset, "_radius_search", counted_search)
+        monkeypatch.setattr(vgssl.geodata, "distance_m", counted_distance)
+        monkeypatch.setattr(vgssl.trainer, "train_epoch", recorded_epoch)
         mcfg = method_config(method, input_dim=8, hidden_dims=(12,), embed_dim=8,
                              mining=mining)
         tcfg = TrainConfig(epochs=3, batch_size=8, queries_per_epoch=8, lr=1e-3, seed=0)
         run_single(mcfg, ds, tcfg, seed=0)
-        assert calls == len(ds.queries) * len(ds.database)
+        assert after_epoch == [{"search": 1, "distance": 0}] * 3
 
 
 class TestNonFinite:
