@@ -40,11 +40,10 @@ fd = (up - dn) / (2 * eps)
 print(f"analytic dL/dW1[{i},{j}] = {W1.grad[i, j]:.8f}")
 print(f"numeric  dL/dW1[{i},{j}] = {fd:.8f}")
 
-# stop_gradient: the target branch contributes value but no gradient.
-from vgssl.autodiff import stop_gradient
-
+# detach() is the stop-gradient: the target branch contributes value but no
+# gradient.
 a = Value(rng.normal(size=(3,)))
-b = stop_gradient(a * 2.0)
+b = (a * 2.0).detach()
 out = (a * b).sum()
 out.backward()
 print(f"\nd(a * sg(2a))/da = {a.grad}  (just b, no chain through the 2a)")

@@ -13,19 +13,16 @@ therefore run from outputs to inputs alone, the tape holds no cycle, and
 a graph is freed by reference counting the moment its output is dropped,
 without waiting for the cyclic garbage collector.
 
-Every op builds its result through ``_node``, the one place that attaches
-parents and a backward closure.  Inside the private ``_no_tape()`` region
-it attaches neither: results are constants (below), so each intermediate
-is freed as soon as the next op has consumed it.  The values computed are the same
-bits either way.  The region is process-wide, not per thread; training
-and evaluation run on one thread.
-
 Constants stay off the tape.  A constant is a scalar or array that an op
-wraps (``x * 0.5``, ``x - shift``), every result built inside
-``_no_tape()``, and every result whose parents are all constants.
-``_node`` drops constant parents, returns a constant when none is left,
-and closures skip them, so a constant has no parents, no backward closure
-and never a ``grad``; a backward pass computes nothing for it.  A leaf the
+wraps (``x * 0.5``, ``x - shift``), or any result whose parents are all
+constants.  Every op builds its result through ``_node``, the one place
+that attaches parents and a backward closure: it drops constant parents
+and returns a constant when none is left, and closures skip them, so a
+constant has no parents, no backward closure and never a ``grad``; a
+backward pass computes nothing for it, and each intermediate of a chain
+of constants is freed as soon as the next op has consumed it.  A forward
+that must record no tape wraps the arrays it reads with ``as_value`` and
+runs the same ops, which compute the same bits.  A leaf the
 caller makes with ``Value(...)``, ``detach()`` output included, is not a
 constant and receives its gradient.  ``backward`` on a constant raises.
 
@@ -39,17 +36,13 @@ reverse topological order, which keeps the order across nodes.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 __all__ = [
     "Value",
     "as_value",
-    "stop_gradient",
-    "concat",
-    "backward",
     "zero_grads",
 ]
 
@@ -72,8 +65,7 @@ class Value:
     """Dense real tensor participating in reverse-mode differentiation."""
 
     __slots__ = (
-        "data", "grad", "_parents", "_backward", "_op", "_aux", "_backward_ran", "_const",
-        "_grad_home",
+        "data", "grad", "_parents", "_backward", "_op", "_aux", "_const", "_grad_home",
     )
 
     # An ndarray on the left of an operator defers to the reflected method
@@ -87,7 +79,6 @@ class Value:
         self._backward: Callable[[np.ndarray], None] | None = None
         self._op = op
         self._aux = None  # op metadata, e.g. the hinge threshold
-        self._backward_ran = False
         self._const = False  # off the tape; see the module docstring
         # An array of this shape that the first gradient contribution is
         # copied into, instead of a fresh array: a view into an optimizer's
@@ -269,35 +260,6 @@ class Value:
         n = self.data.size if axis is None else self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
-    # -- shape manipulation -------------------------------------------------
-
-    def reshape(self, *shape: int) -> "Value":
-        old = self.shape
-
-        def bwd(g):
-            self._accum(g.reshape(old))
-
-        return _node(self.data.reshape(shape), (self,), "reshape", bwd)
-
-    def broadcast_to(self, shape: Sequence[int]) -> "Value":
-        shape = tuple(shape)
-        old = self.shape
-
-        def bwd(g):
-            self._accum(_unbroadcast(g, old))
-
-        return _node(np.broadcast_to(self.data, shape).copy(), (self,), "broadcast", bwd)
-
-    def __getitem__(self, idx) -> "Value":
-        shape = self.shape
-
-        def bwd(g):
-            full = np.zeros(shape, dtype=np.float64)
-            np.add.at(full, idx, g)
-            self._accum(full)
-
-        return _node(self.data[idx].copy(), (self,), "slice", bwd)
-
     # -- backward pass --------------------------------------------------------
 
     def _accum(self, g: np.ndarray) -> None:
@@ -342,7 +304,7 @@ class Value:
         if self._const:
             raise RuntimeError("backward on a constant: no leaf of it takes a gradient")
         order = self._topo()
-        if self._backward_ran or any(v.grad is not None for v in order):
+        if any(v.grad is not None for v in order):
             raise RuntimeError(
                 "gradients already populated on this tape; reset with zero_grads "
                 "before calling backward again"
@@ -351,27 +313,7 @@ class Value:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
-        self._backward_ran = True
         return {v: v.grad for v in order if v.is_leaf and v.grad is not None}
-
-
-# False inside ``_no_tape()``; read by ``_node`` alone.
-_recording = True
-
-
-@contextmanager
-def _no_tape():
-    """Ops inside build constants: no parents and no backward closure.
-
-    Nests, and restores the outer setting on exit, also when the body raises.
-    """
-    global _recording
-    outer = _recording
-    _recording = False
-    try:
-        yield
-    finally:
-        _recording = outer
 
 
 def _constant(data) -> Value:
@@ -388,12 +330,10 @@ def _node(
     bwd: Callable[[np.ndarray], None],
 ) -> Value:
     """An op's result: on the tape with its non-constant parents, or a
-    constant inside ``_no_tape()`` or when every parent is a constant.
+    constant when every parent is a constant.
 
     ``bwd`` must skip the constant parents; it runs only if one is not.
     """
-    if not _recording:
-        return _constant(data)
     live = tuple([p for p in parents if not p._const])
     if not live:
         return _constant(data)
@@ -407,36 +347,7 @@ def as_value(x) -> Value:
     return x if isinstance(x, Value) else _constant(x)
 
 
-def stop_gradient(x: Value) -> Value:
-    """Forward identity; contributes zero gradient to its inputs."""
-    return as_value(x).detach()
-
-
-def concat(values: Sequence[Value], axis: int = 0) -> Value:
-    vals = [as_value(v) for v in values]
-    data = np.concatenate([v.data for v in vals], axis=axis)
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
-    ndim = data.ndim
-
-    def bwd(g):
-        for v, a, b in zip(vals, offsets[:-1], offsets[1:]):
-            if v._const:
-                continue
-            idx = [slice(None)] * ndim
-            idx[axis] = slice(a, b)
-            v._accum(g[tuple(idx)])
-
-    return _node(data, tuple(vals), "concat", bwd)
-
-
-def backward(loss: Value) -> dict[Value, np.ndarray]:
-    """Module-level spelling of ``loss.backward()``."""
-    return loss.backward()
-
-
 def zero_grads(values: Iterable[Value]) -> None:
     """Clear gradient slots so a new backward pass may run."""
     for v in values:
         v.grad = None
-        v._backward_ran = False

@@ -11,11 +11,12 @@ stop-grad target is bit-identical to the online forward.
 
 Only an online forward in training mode records a tape.  A target-branch
 forward and every eval-mode forward (``training=False``, the predictor's
-included) run the same layers inside the autodiff's no-recording region:
-each intermediate is freed as soon as the next layer has consumed it, and
-the output is a constant with the bits a recorded forward would give.  No
-gradient reaches the parameters through such an output.  A raw input
-array enters the tape as a constant, so no gradient is computed for it.
+included) wrap the parameters they read and their input rows as autodiff
+constants and run the same layers: every result is then a constant, each
+intermediate is freed as soon as the next layer has consumed it, and the
+output has the bits a recorded forward would give.  No gradient reaches
+the parameters or the input through such an output.  A raw input array
+enters any forward as a constant, so no gradient is computed for it.
 
 Each affine layer and each training-mode batchnorm is one tape node whose
 backward replays the primitive chain it stands for (``h @ W + b``; batch
@@ -32,13 +33,12 @@ from __future__ import annotations
 import json
 import os
 import struct
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Value, _no_tape, _node, _unbroadcast, as_value
+from .autodiff import Value, _node, _unbroadcast, as_value
 
 __all__ = [
     "EncoderConfig",
@@ -163,6 +163,16 @@ def init_state(cfg: EncoderConfig, seed: int) -> EncoderState:
     )
 
 
+def _constants(params: dict[str, Value], predictor: bool) -> dict[str, Value]:
+    """The current values of the predictor's parameters, or of all the
+    others, as constants for a forward that records no tape."""
+    return {
+        name: as_value(v.data)
+        for name, v in params.items()
+        if name.startswith("pred.") == predictor
+    }
+
+
 def _affine(h: Value, W: Value, b: Value) -> Value:
     """``h @ W + b`` as one tape node.
 
@@ -259,53 +269,55 @@ def forward(
 
     ``branch='target'`` requires a momentum target or stop-grad target.
     Only ``branch='online'`` with ``training=True`` records a tape; any
-    other forward returns a leaf that must not be differentiated.
+    other forward runs on constants and returns a leaf with no parents,
+    through which no gradient reaches the parameters or the input.
     """
     x = as_value(batch)  # a raw array enters as a constant
     if x.data.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise ValueError(f"expected batch of shape (N, {cfg.input_dim}), got {x.shape}")
 
+    recording = branch == "online" and training
     if branch == "online":
-        params: dict[str, Value] = state.params
+        params = state.params if recording else _constants(state.params, False)
         running = state.bn_running
         update_running = training
     elif branch == "target":
         if not cfg.has_target_branch:
             raise ValueError("this encoder has no target branch")
         if cfg.momentum_target:
-            params = {name: Value(a) for name, a in state.target.items()}
+            params = {name: as_value(a) for name, a in state.target.items()}
             running = state.target_bn_running
-        else:  # stop-grad: same parameters, severed tape at the output
-            params = state.params
+        else:  # stop-grad: the online parameters' values, off the tape
+            params = _constants(state.params, False)
             running = state.bn_running
         update_running = False
     else:
         raise ValueError(f"unknown branch {branch!r}")
+    if not recording:
+        x = as_value(x.data)  # a live input takes no gradient here
 
     def affine(prefix: str, h: Value) -> Value:
         return _affine(h, params[f"{prefix}.W"], params[f"{prefix}.b"])
 
     inp = x
-    recording = branch == "online" and training
-    with nullcontext() if recording else _no_tape():
-        for i in range(len(cfg.hidden_dims)):
-            x = affine(f"trunk.{i}", x).relu()
+    for i in range(len(cfg.hidden_dims)):
+        x = affine(f"trunk.{i}", x).relu()
 
-        if not cfg.identity_projection:
-            for i in range(cfg.proj_layers):
-                x = affine(f"proj.{i}", x)
-                if i < cfg.proj_layers - 1:
-                    if cfg.proj_batchnorm:
-                        x = _batchnorm(
-                            x,
-                            params[f"proj.{i}.bn.gamma"],
-                            params[f"proj.{i}.bn.beta"],
-                            running,
-                            f"proj.{i}.bn",
-                            training,
-                            update_running,
-                        )
-                    x = x.relu()
+    if not cfg.identity_projection:
+        for i in range(cfg.proj_layers):
+            x = affine(f"proj.{i}", x)
+            if i < cfg.proj_layers - 1:
+                if cfg.proj_batchnorm:
+                    x = _batchnorm(
+                        x,
+                        params[f"proj.{i}.bn.gamma"],
+                        params[f"proj.{i}.bn.beta"],
+                        running,
+                        f"proj.{i}.bn",
+                        training,
+                        update_running,
+                    )
+                x = x.relu()
 
     # A net with no layer passes its input through; off the tape, cut it loose.
     return inp.detach() if x is inp and not recording else x
@@ -322,18 +334,20 @@ def predictor_forward(
     if not cfg.predictor:
         raise RuntimeError("encoder was built without a predictor")
     params = state.params
-    with nullcontext() if training else _no_tape():
-        h = _affine(z, params["pred.0.W"], params["pred.0.b"])
-        h = _batchnorm(
-            h,
-            params["pred.bn.gamma"],
-            params["pred.bn.beta"],
-            state.bn_running,
-            "pred.bn",
-            training,
-            update_running=training,
-        )
-        return _affine(h.relu(), params["pred.1.W"], params["pred.1.b"])
+    if not training:
+        params = _constants(params, True)
+        z = as_value(z.data)
+    h = _affine(z, params["pred.0.W"], params["pred.0.b"])
+    h = _batchnorm(
+        h,
+        params["pred.bn.gamma"],
+        params["pred.bn.beta"],
+        state.bn_running,
+        "pred.bn",
+        training,
+        update_running=training,
+    )
+    return _affine(h.relu(), params["pred.1.W"], params["pred.1.b"])
 
 
 def momentum_update(state: EncoderState, cfg: EncoderConfig) -> None:

@@ -42,15 +42,7 @@ __all__ = [
     "ALL_METHODS",
 ]
 
-ALL_METHODS = (
-    Method.TRIPLET,
-    Method.SIMCLR,
-    Method.MOCOV2,
-    Method.BYOL,
-    Method.SIMSIAM,
-    Method.BARLOW_TWINS,
-    Method.VICREG,
-)
+ALL_METHODS = tuple(Method)
 
 FD_STEP = 1e-5
 # A perturbation of one coordinate moves a hinge input by at most a few

@@ -13,10 +13,9 @@ Seven objectives share one entry point, ``compute_loss``:
 * variance / invariance / covariance regularization with a hinged
   standard-deviation floor and (N - 1)-normalized covariance.
 
-Inputs are the raw projection outputs; whether they get row-normalized
-first is a per-method policy (contrastive and prediction objectives
-yes, decorrelation objectives no), read by ``compute_loss`` from
-``NORMALIZE_POLICY``.
+Inputs are the raw projection outputs.  The triplet, contrastive and
+prediction objectives row-normalize them first; the decorrelation
+objectives (redundancy reduction, VICReg) do not.
 
 Objectives are composed from the autodiff primitives, except the row
 normalization, which is one tape node whose backward replays the
@@ -25,6 +24,8 @@ primitive chain's arithmetic (so its gradients are that chain's bits).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -64,17 +65,6 @@ class Method(Enum):
     VICREG = "vicreg"
 
 
-# Which methods row-normalize embeddings before the loss.
-NORMALIZE_POLICY = {
-    Method.TRIPLET: True,
-    Method.SIMCLR: True,
-    Method.MOCOV2: True,
-    Method.BYOL: True,
-    Method.SIMSIAM: True,
-    Method.BARLOW_TWINS: False,
-    Method.VICREG: False,
-}
-
 # Which methods average the objective over both view directions.
 SYMMETRIC_DEFAULT = {
     Method.BYOL: True,
@@ -82,6 +72,10 @@ SYMMETRIC_DEFAULT = {
     Method.SIMCLR: False,
     Method.MOCOV2: False,
 }
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class DegenerateInputError(ValueError):
@@ -101,12 +95,14 @@ class LossConfig:
     symmetric: bool | None = None
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"temperature must be positive, got {self.tau}")
-        if self.margin < 0:
-            raise ValueError("margin cannot be negative")
-        if min(self.lambda_bt, self.lambda_inv, self.lambda_var, self.lambda_cov) < 0:
-            raise ValueError("loss weights cannot be negative")
+        # Values may come straight from a JSON config, so check the type too.
+        if not (_is_real(self.tau) and math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
+        for name in ("margin", "lambda_bt", "lambda_inv", "lambda_var", "lambda_cov",
+                     "std_margin"):
+            value = getattr(self, name)
+            if not (_is_real(value) and math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         if self.symmetric is None:
             object.__setattr__(self, "symmetric", SYMMETRIC_DEFAULT.get(self.method, False))
 
@@ -166,14 +162,12 @@ def _row_dist(a: Value, b: Value) -> Value:
     return ((d * d).sum(axis=1, keepdims=True) + _DIST_EPS).sqrt()
 
 
-def triplet_margin_loss(
-    anchor: Value, positive: Value, negative: Value, margin: float, normalize: bool = True
-) -> Value:
-    """mean(max(d(a, p) - d(a, n) + margin, 0)) with L2 row distances."""
-    if normalize:
-        anchor = l2_normalize_rows(anchor)
-        positive = l2_normalize_rows(positive)
-        negative = l2_normalize_rows(negative)
+def triplet_margin_loss(anchor: Value, positive: Value, negative: Value, margin: float) -> Value:
+    """mean(max(d(a, p) - d(a, n) + margin, 0)) with L2 distances between
+    the row-normalized embeddings."""
+    anchor = l2_normalize_rows(anchor)
+    positive = l2_normalize_rows(positive)
+    negative = l2_normalize_rows(negative)
     gap = _row_dist(anchor, positive) - _row_dist(anchor, negative) + margin
     return gap.maximum(0.0).mean()
 
@@ -195,12 +189,12 @@ def infonce_loss(
     k: Value,
     tau: float,
     symmetric: bool = False,
-    normalize: bool = True,
 ) -> Value:
     """Temperature-scaled contrastive loss with in-batch negatives.
 
-    Row b of ``q`` is positive with row b of ``k``; every other row of
-    ``k`` is a negative.  The denominator includes the positive term.
+    Both views are row-normalized first.  Row b of ``q`` is positive with
+    row b of ``k``; every other row of ``k`` is a negative.  The
+    denominator includes the positive term.
     ``symmetric`` averages the two directions computed from one logit
     matrix, which makes the result exactly invariant to swapping q and k.
     """
@@ -209,9 +203,8 @@ def infonce_loss(
         raise ValueError("contrastive loss needs a batch of at least 2")
     if q.shape != k.shape:
         raise ValueError(f"view shapes disagree: {q.shape} vs {k.shape}")
-    if normalize:
-        q = l2_normalize_rows(q)
-        k = l2_normalize_rows(k)
+    q = l2_normalize_rows(q)
+    k = l2_normalize_rows(k)
     logits = (q @ k.T) * (1.0 / tau)
     loss = _contrastive_one_way(logits)
     if symmetric:
@@ -332,7 +325,6 @@ def compute_loss(cfg: LossConfig, branches: LossBranches) -> LossOutput:
             branches.partner,
             branches.negative,
             cfg.margin,
-            normalize=NORMALIZE_POLICY[m],
         )
         return LossOutput(float(node.data), node, {"triplet": float(node.data)})
     if m is Method.SIMCLR:
@@ -341,7 +333,6 @@ def compute_loss(cfg: LossConfig, branches: LossBranches) -> LossOutput:
             branches.partner,
             cfg.tau,
             symmetric=cfg.symmetric,
-            normalize=NORMALIZE_POLICY[m],
         )
         return LossOutput(float(node.data), node, {"contrastive": float(node.data)})
     if m is Method.MOCOV2:
@@ -352,7 +343,6 @@ def compute_loss(cfg: LossConfig, branches: LossBranches) -> LossOutput:
             branches.target_partner,
             cfg.tau,
             symmetric=cfg.symmetric,
-            normalize=NORMALIZE_POLICY[m],
         )
         return LossOutput(float(node.data), node, {"contrastive": float(node.data)})
     if m in (Method.BYOL, Method.SIMSIAM):

@@ -137,9 +137,12 @@ def build_pairs(
 
 
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:
-    """Rows divided by their norms, floored at 1e-12.  On a C-ordered
-    matrix the norm is a per-row reduce, so normalising the whole matrix
-    gives every row the bits of normalising any gathered subset of it."""
+    """Rows divided by their norms, floored at 1e-12.  The matrix is made
+    C-ordered first: the row norm of an F-ordered matrix sums each row in
+    another order.  On a C-ordered matrix the norm is a per-row reduce, so
+    normalising the whole matrix gives every row the bits of normalising
+    any gathered subset of it, whatever the caller's memory layout."""
+    vecs = np.ascontiguousarray(vecs)
     return vecs / np.maximum(np.linalg.norm(vecs, axis=1, keepdims=True), 1e-12)
 
 
@@ -223,7 +226,7 @@ def mine_triplets(
 
     if cfg.mode is MiningMode.FULL_HNM:
         q_emb = embed(ds.features(query_ids))
-        db_unit = _unit_rows(np.ascontiguousarray(embed(ds.features(db_ids))))
+        db_unit = _unit_rows(embed(ds.features(db_ids)))
         if ledger is not None:
             ledger.add_extractions(m_q + len(db_ids))
             ledger.note_cached(m_q + len(db_ids))
@@ -244,7 +247,7 @@ def mine_triplets(
     pool_rows = rng.choice(len(db_ids), size=cfg.pool_size, replace=False)
     q_emb = embed(ds.features(query_ids))
     pool_emb = embed(ds.features([db_ids[i] for i in pool_rows.tolist()]))
-    pool_unit = _unit_rows(np.ascontiguousarray(pool_emb))
+    pool_unit = _unit_rows(pool_emb)
     if ledger is not None:
         ledger.add_extractions(m_q + cfg.pool_size + m_q)  # queries + pool + positives
         ledger.note_cached(m_q + cfg.pool_size + m_q)

@@ -14,6 +14,7 @@ decoupled weight decay, and evaluation embeds in eval mode only.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -214,8 +215,12 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 2")
         if self.queries_per_epoch < 1:
             raise ValueError("queries_per_epoch must be at least 1")
-        if self.lr is not None and self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(
+                f"weight_decay must be finite and non-negative, got {self.weight_decay}"
+            )
         if self.eval_every < 0:
             raise ValueError("eval_every cannot be negative")
         check_recall_settings(self.recall_ns, self.threshold_m)

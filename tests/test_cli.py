@@ -113,7 +113,8 @@ class TestTrain:
         cfg = write_config(tmp_path / "t.json", train_config(world, epochs=3))
         out = tmp_path / "runs"
         assert run("train", "--config", cfg, "--out", str(out)) == 0
-        rows = list(csv.reader(open(out / "SimCLR-FC-1-8-0.5-seed1" / "epochs.csv")))
+        with open(out / "SimCLR-FC-1-8-0.5-seed1" / "epochs.csv") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0][:2] == ["epoch", "loss"]
         assert "recall_at_1" in rows[0]
         assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
@@ -146,7 +147,8 @@ class TestTrain:
         assert run("train", "--config", resume, "--out", str(p2)) == 0
         assert run("train", "--config", full, "--out", str(ref)) == 0
 
-        rows = list(csv.reader(open(p2 / "SimCLR-FC-1-8-0.5-seed1" / "epochs.csv")))
+        with open(p2 / "SimCLR-FC-1-8-0.5-seed1" / "epochs.csv") as fh:
+            rows = list(csv.reader(fh))
         assert [r[0] for r in rows[1:]] == ["1"]
 
         a, _, meta_a, ex_a = load_checkpoint(p2 / "SimCLR-FC-1-8-0.5-seed1" / "checkpoint.ckpt")
@@ -162,6 +164,12 @@ class TestTrain:
         ({"recall_ns": [10, 1]}, "n_values must be"),
         ({"threshold_m": -5}, "threshold_m must be"),
         ({"n_seeds": 0}, "n_seeds must be at least 1"),
+        ({"lr": float("nan")}, "lr must be finite and positive"),
+        ({"weight_decay": -1}, "weight_decay must be finite and non-negative"),
+        ({"loss": {"tau": float("inf")}}, "tau must be finite and positive"),
+        ({"loss": {"margin": float("nan")}}, "margin must be finite and non-negative"),
+        ({"loss": {"std_margin": -1}}, "std_margin must be finite and non-negative"),
+        ({"loss": {"tau": "0.1"}}, "tau must be finite and positive, got '0.1'"),
     ])
     def test_impossible_settings_fail_before_training(
         self, tmp_path, world, capsys, monkeypatch, over, message
@@ -223,7 +231,8 @@ class TestEval:
         })
         edir = tmp_path / "ev"
         assert run("eval", "--config", ecfg, "--out", str(edir)) == 0
-        rows = list(csv.reader(open(edir / "recall.csv")))
+        with open(edir / "recall.csv") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["N", "recall", "threshold_m", "n_queries"]
         assert [r[0] for r in rows[1:]] == ["1", "5"]
         assert rows[1][3] == "10"  # every query evaluated
@@ -261,7 +270,8 @@ class TestBenchMining:
         })
         out = tmp_path / "bench"
         assert run("bench-mining", "--config", cfg, "--out", str(out)) == 0
-        rows = list(csv.reader(open(out / "bench.csv")))
+        with open(out / "bench.csv") as fh:
+            rows = list(csv.reader(fh))
         header, body = rows[0], rows[1:]
         assert len(body) == 2 * 1 * 4
         assert header[0] == "mode" and header[-1] == "pass"

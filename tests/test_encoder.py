@@ -1,14 +1,11 @@
 """Encoder branches, batchnorm semantics, momentum target, checkpoints."""
 
-from contextlib import nullcontext
-
 import numpy as np
 import pytest
 
-import vgssl.autodiff
-import vgssl.encoder
 from vgssl.autodiff import Value, zero_grads
 from vgssl.encoder import (
+    BN_EPS,
     EncoderConfig,
     forward,
     init_state,
@@ -367,6 +364,44 @@ NO_TAPE_CONFIGS = {
 }
 
 
+def numpy_affine(params, prefix, h):
+    return h @ params[f"{prefix}.W"] + params[f"{prefix}.b"]
+
+
+def numpy_batchnorm(params, running, prefix, h, training):
+    """The recorded batchnorm's numpy operations, in its order."""
+    gamma, beta = params[f"{prefix}.gamma"], params[f"{prefix}.beta"]
+    if training:
+        inv_n = 1.0 / h.shape[0]
+        mu = h.sum(axis=0, keepdims=True) * inv_n
+        c = h - mu
+        var = (c * c).sum(axis=0, keepdims=True) * inv_n
+        return c / np.sqrt(var + BN_EPS) * gamma + beta
+    xhat = (h - running[f"{prefix}.mean"]) / np.sqrt(running[f"{prefix}.var"] + BN_EPS)
+    return xhat * gamma + beta
+
+
+def numpy_forward(params, running, cfg, x, training):
+    """The layer code of ``forward`` on bare arrays, same operations in the
+    same order."""
+    for i in range(len(cfg.hidden_dims)):
+        x = np.maximum(numpy_affine(params, f"trunk.{i}", x), 0.0)
+    if not cfg.identity_projection:
+        for i in range(cfg.proj_layers):
+            x = numpy_affine(params, f"proj.{i}", x)
+            if i < cfg.proj_layers - 1:
+                if cfg.proj_batchnorm:
+                    x = numpy_batchnorm(params, running, f"proj.{i}.bn", x, training)
+                x = np.maximum(x, 0.0)
+    return x
+
+
+def numpy_predictor(params, running, z, training):
+    h = numpy_affine(params, "pred.0", z)
+    h = np.maximum(numpy_batchnorm(params, running, "pred.bn", h, training), 0.0)
+    return numpy_affine(params, "pred.1", h)
+
+
 class TestNoTapeForward:
     """Target-branch and eval-mode forwards record no tape, same bits."""
 
@@ -391,27 +426,50 @@ class TestNoTapeForward:
         return calls
 
     @pytest.mark.parametrize("name", sorted(NO_TAPE_CONFIGS))
-    def test_leaf_with_the_bits_of_a_recorded_forward(self, name, monkeypatch):
+    def test_leaf_with_the_bits_of_a_recorded_forward(self, name):
         cfg, state, x = self.make(name)
-        calls = self.untaped_calls(cfg)
-        bare = [forward(state, cfg, x, branch=b, training=t) for b, t in calls]
-        # The same layer code with recording left on is the reference.
-        monkeypatch.setattr(vgssl.encoder, "_no_tape", nullcontext)
-        recorded = [forward(state, cfg, x, branch=b, training=t) for b, t in calls]
-        for out, ref in zip(bare, recorded):
+        online = {k: v.data for k, v in state.params.items()}
+        for branch, training in self.untaped_calls(cfg):
+            momentum = branch == "target" and cfg.momentum_target
+            params = state.target if momentum else online
+            running = state.target_bn_running if momentum else state.bn_running
+            before = {k: a.copy() for k, a in running.items()}
+            out = forward(state, cfg, x, branch=branch, training=training)
             assert out.is_leaf and out._parents == () and out._backward is None
-            assert not ref.is_leaf
-            assert np.array_equal(out.data, ref.data)
+            ref = numpy_forward(params, running, cfg, x, training)
+            assert out.data.tobytes() == ref.tobytes()
+            assert all(np.array_equal(running[k], a) for k, a in before.items())
+        # The reference replays the recorded forward bit for bit.
+        ref = numpy_forward(online, state.bn_running, cfg, x, training=True)
+        recorded = forward(state, cfg, x, training=True)
+        assert not recorded.is_leaf and recorded.data.tobytes() == ref.tobytes()
 
-    def test_eval_predictor_is_a_leaf_with_the_recorded_bits(self, monkeypatch):
+    def test_eval_predictor_is_a_leaf_with_the_recorded_bits(self):
         cfg, state, x = self.make("predictor")
         z = forward(state, cfg, x, training=False)
-        bare = predictor_forward(state, cfg, z, training=False)
-        monkeypatch.setattr(vgssl.encoder, "_no_tape", nullcontext)
-        recorded = predictor_forward(state, cfg, Value(z.data), training=False)
-        assert bare.is_leaf and bare._parents == () and bare._backward is None
-        assert not recorded.is_leaf
-        assert np.array_equal(bare.data, recorded.data)
+        out = predictor_forward(state, cfg, z, training=False)
+        assert out.is_leaf and out._parents == () and out._backward is None
+        params = {k: v.data for k, v in state.params.items()}
+        ref = numpy_predictor(params, state.bn_running, z.data, training=False)
+        assert out.data.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("branch, training",
+                             [("online", False), ("target", True), ("target", False)])
+    def test_live_input_takes_no_gradient(self, branch, training):
+        cfg, state, x = self.make("momentum")
+        rows = Value(x)
+        out = forward(state, cfg, rows, branch=branch, training=training)
+        assert out._parents == ()
+        live = Value(np.ones_like(out.data))
+        (out * live).sum().backward()
+        assert rows.grad is None
+        assert all(p.grad is None for p in state.params.values())
+        if not training:
+            z = Value(out.data.copy())
+            out = predictor_forward(state, cfg, z, training=False)
+            assert out._parents == ()
+            (out * Value(np.ones_like(out.data))).sum().backward()
+            assert z.grad is None
 
     def test_raw_input_rows_are_constants(self):
         cfg, state, x = self.make("plain")
@@ -428,6 +486,10 @@ class TestNoTapeForward:
         x = Value(np.ones((2, 3))) * 2.0
         out = forward(state, cfg, x, training=False)
         assert out.is_leaf and np.array_equal(out.data, x.data)
+        # Nor do the output rows alias the caller's array.
+        rows = np.ones((2, 3))
+        out = forward(state, cfg, rows, training=False)
+        assert np.array_equal(out.data, rows) and not np.shares_memory(out.data, rows)
 
     def test_raise_inside_restores_recording(self):
         cfg, state, x = self.make("momentum")
@@ -435,7 +497,6 @@ class TestNoTapeForward:
         n_nodes = len(loss._topo())
         with pytest.raises(ValueError, match="batch of at least 2"):
             forward(state, cfg, x[:1], branch="target", training=True)
-        assert vgssl.autodiff._recording
         loss = loss_of(state, cfg, x)
         assert len(loss._topo()) == n_nodes
         loss.backward()

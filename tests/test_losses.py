@@ -235,6 +235,19 @@ class TestLossConfig:
         with pytest.raises(ValueError):
             LossConfig(Method.SIMCLR, tau=0.0)
 
+    @pytest.mark.parametrize("name", ["tau", "margin", "lambda_bt", "lambda_inv",
+                                      "lambda_var", "lambda_cov", "std_margin"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), float("-inf"),
+                                       "1.0", None, True])
+    def test_impossible_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LossConfig(Method.VICREG, **{name: value})
+
+    @pytest.mark.parametrize("name", ["margin", "lambda_bt", "lambda_inv", "lambda_var",
+                                      "lambda_cov", "std_margin"])
+    def test_zero_weights_and_margins_allowed(self, name):
+        assert getattr(LossConfig(Method.VICREG, **{name: 0.0}), name) == 0.0
+
 
 class TestDispatch:
     def test_triplet_requires_negative(self):

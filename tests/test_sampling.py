@@ -314,3 +314,21 @@ def test_hardest_negative_matches_oracle(case):
     ids = rng.permutation(len(table))[: rng.integers(1, len(table) + 1)].tolist()
     q = table[rng.integers(len(table))]
     assert hardest_negative(q, ids, table[ids]) == oracle_hardest_negative(q, ids, table[ids])
+
+
+@st.composite
+def near_tie_cases(draw):
+    """Candidates that are positive multiples of one vector: their unit rows
+    tie exactly in exact arithmetic, so the pick rests on the last bits of
+    each row's norm."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, n = int(rng.integers(8, 65)), int(rng.integers(2, 13))
+    cands = rng.normal(size=(1, d)) * rng.uniform(0.5, 2.0, size=(n, 1))
+    ids = rng.permutation(1000)[:n].tolist()
+    return rng.normal(size=d), ids, cands
+
+
+@given(case=near_tie_cases())
+def test_hardest_negative_ignores_the_memory_order(case):
+    q, ids, cands = case
+    assert hardest_negative(q, ids, np.asfortranarray(cands)) == hardest_negative(q, ids, cands)

@@ -176,6 +176,19 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=message):
             TrainConfig(epochs=1, **over)
 
+    @pytest.mark.parametrize("over, message", [
+        ({"lr": 0.0}, "lr must be"),
+        ({"lr": float("nan")}, "lr must be"),
+        ({"lr": float("inf")}, "lr must be"),
+        ({"weight_decay": -1.0}, "weight_decay must be"),
+        ({"weight_decay": float("nan")}, "weight_decay must be"),
+        ({"weight_decay": float("inf")}, "weight_decay must be"),
+    ])
+    def test_impossible_optimizer_settings(self, over, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(epochs=1, **over)
+        TrainConfig(epochs=1, weight_decay=0.0)  # no decay is allowed
+
     def test_default_lrs(self):
         assert default_lr(Method.SIMCLR) == pytest.approx(1e-5)
         assert default_lr(Method.MOCOV2) == pytest.approx(1e-5)
