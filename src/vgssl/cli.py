@@ -57,6 +57,25 @@ class _Config:
             return default
         return self._raw[key]
 
+    def get_int(self, key: str, default=None, required: bool = False) -> int:
+        """An integer key: a JSON integer or an integral float; bools,
+        strings and fractions are errors, never truncated."""
+        return self._int(self.get(key, default, required), key)
+
+    def get_ints(self, key: str, default) -> tuple[int, ...]:
+        """A list of integers, each item checked as by ``get_int``."""
+        value = self.get(key, default)
+        if not isinstance(value, list):
+            raise ConfigError(f"{self._where}: {key} must be a list of integers, got {value!r}")
+        return tuple(self._int(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+    def _int(self, value, name: str) -> int:
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ConfigError(f"{self._where}: {name} must be an integer, got {value!r}")
+
     def sub(self, key: str) -> "_Config":
         self._used.add(key)
         return _Config(self._raw.get(key, {}), f"{self._where}.{key}")
@@ -92,16 +111,16 @@ def _fmt(x) -> str:
 
 def cmd_synth(cfg: _Config, out_dir: Path, seed: int) -> int:
     ds = synth_dataset(
-        seed=int(cfg.get("seed", seed)),
-        n_places=int(cfg.get("n_places", 20)),
-        db_per_place=int(cfg.get("db_per_place", 8)),
+        seed=cfg.get_int("seed", seed),
+        n_places=cfg.get_int("n_places", 20),
+        db_per_place=cfg.get_int("db_per_place", 8),
         query_fraction=float(cfg.get("query_fraction", 1.0)),
-        feature_dim=int(cfg.get("feature_dim", 32)),
+        feature_dim=cfg.get_int("feature_dim", 32),
         view_noise=float(cfg.get("view_noise", 0.5)),
         spacing_m=float(cfg.get("spacing_m", 100.0)),
         r_pos=float(cfg.get("r_pos", 10.0)),
         r_neg=float(cfg.get("r_neg", 25.0)),
-        buffer_per_place=int(cfg.get("buffer_per_place", 0)),
+        buffer_per_place=cfg.get_int("buffer_per_place", 0),
     )
     filename = cfg.get("filename", "dataset.csv")
     cfg.finish()
@@ -131,7 +150,7 @@ def _mining_from_config(sub: _Config) -> MiningConfig | None:
         sub.finish()
         return None
     mode = MiningMode(sub.get("mode", required=True))
-    pool = int(sub.get("pool_size", 0))
+    pool = sub.get_int("pool_size", 0)
     sub.finish()
     return MiningConfig(mode=mode, pool_size=pool)
 
@@ -184,9 +203,9 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
     mcfg = method_config(
         method,
         input_dim=ds.feature_dim,
-        hidden_dims=tuple(cfg.get("hidden_dims", [64, 64])),
-        embed_dim=int(cfg.get("embed_dim", 64)),
-        proj_layers=int(cfg.get("proj_layers", 1)),
+        hidden_dims=cfg.get_ints("hidden_dims", [64, 64]),
+        embed_dim=cfg.get_int("embed_dim", 64),
+        proj_layers=cfg.get_int("proj_layers", 1),
         eta=float(cfg.get("eta", 1.0)),
         mining=mining,
         momentum=float(cfg.get("momentum", 0.99)),
@@ -194,18 +213,18 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
     )
     lr = cfg.get("lr")
     tcfg = TrainConfig(
-        epochs=int(cfg.get("epochs", required=True)),
-        batch_size=int(cfg.get("batch_size", 64)),
-        queries_per_epoch=int(cfg.get("queries_per_epoch", 256)),
+        epochs=cfg.get_int("epochs", required=True),
+        batch_size=cfg.get_int("batch_size", 64),
+        queries_per_epoch=cfg.get_int("queries_per_epoch", 256),
         lr=None if lr is None else float(lr),
         weight_decay=float(cfg.get("weight_decay", 1e-6)),
         decoupled_wd=bool(cfg.get("decoupled_wd", False)),
-        seed=int(cfg.get("seed", seed)),
-        eval_every=int(cfg.get("eval_every", 0)),
-        recall_ns=tuple(cfg.get("recall_ns", [1, 5, 10])),
+        seed=cfg.get_int("seed", seed),
+        eval_every=cfg.get_int("eval_every", 0),
+        recall_ns=cfg.get_ints("recall_ns", [1, 5, 10]),
         threshold_m=float(cfg.get("threshold_m", 25.0)),
     )
-    n_seeds = int(cfg.get("n_seeds", 1))
+    n_seeds = cfg.get_int("n_seeds", 1)
     resume = cfg.get("resume")
     resolved = dict(cfg._raw)
     cfg.finish()
@@ -286,7 +305,7 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
 def cmd_eval(cfg: _Config, out_dir: Path, seed: int) -> int:
     ckpt_path = cfg.get("checkpoint", required=True)
     dataset_path = cfg.get("dataset", required=True)
-    n_values = tuple(cfg.get("n_values", [1, 5, 10]))
+    n_values = cfg.get_ints("n_values", [1, 5, 10])
     threshold = float(cfg.get("threshold_m", 25.0))
     cfg.finish()
 
@@ -316,9 +335,9 @@ def cmd_eval(cfg: _Config, out_dir: Path, seed: int) -> int:
 
 def cmd_gradcheck(cfg: _Config, seed: int) -> int:
     names = cfg.get("methods")
-    instances = int(cfg.get("instances", 20))
+    instances = cfg.get_int("instances", 20)
     tol = float(cfg.get("tol", 1e-4))
-    base = int(cfg.get("seed", seed))
+    base = cfg.get_int("seed", seed)
     cfg.finish()
     methods = ALL_METHODS if names is None else tuple(Method(n) for n in names)
 
@@ -372,12 +391,12 @@ def _bench_cell(ds, mode: str, n_q: int, n_k: int, per_place: int,
 
 
 def cmd_bench_mining(cfg: _Config, out_dir: Path, seed: int) -> int:
-    n_q_list = [int(v) for v in cfg.get("n_q", [10, 50, 100])]
-    n_k_list = [int(v) for v in cfg.get("n_k", [100, 1000, 5000])]
-    pool = int(cfg.get("pool", 64))
-    feature_dim = int(cfg.get("feature_dim", 8))
+    n_q_list = cfg.get_ints("n_q", [10, 50, 100])
+    n_k_list = cfg.get_ints("n_k", [100, 1000, 5000])
+    pool = cfg.get_int("pool", 64)
+    feature_dim = cfg.get_int("feature_dim", 8)
     slack = float(cfg.get("slack", 0.05))
-    base = int(cfg.get("seed", seed))
+    base = cfg.get_int("seed", seed)
     cfg.finish()
 
     header = ["mode", "n_q", "n_k", "pool",

@@ -321,8 +321,10 @@ def synth_dataset(
 
     def offset(radius: float) -> tuple[float, float]:
         # Uniform over a disk of the given radius.
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        r = math.sqrt(rng.uniform(0.0, 1.0)) * radius
+        # Generator.uniform(0, h) is 0 + h * random(), exact with a zero
+        # low, so drawing random() directly yields the same bits.
+        ang = 2.0 * math.pi * rng.random()
+        r = math.sqrt(rng.random()) * radius
         return r * math.cos(ang), r * math.sin(ang)
 
     next_id = 0
@@ -388,14 +390,17 @@ def save_csv(ds: GeoDataset, csv_path: str | Path) -> None:
     csv_path = Path(csv_path)
     f_dim = ds.feature_dim
     header = ["id", "role", "lat_or_x", "lon_or_y"] + [f"f{i}" for i in range(f_dim)]
+    # The bytes ``csv.writer`` would write: every field is an int, a role
+    # value or the repr of a finite float, so none holds a delimiter, a
+    # quote or a line break and none is ever quoted.  ``_samples`` and
+    # ``_matrix`` are in the CSV's row order; rows stream one at a time.
     with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for s in map(ds.sample, ds.db_ids + ds.query_ids):
-            w.writerow(
-                [s.id, s.role.value, repr(s.position.a), repr(s.position.b)]
-                + [repr(float(x)) for x in s.features]
-            )
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(
+            ",".join([str(s.id), s.role.value, repr(s.position.a), repr(s.position.b),
+                      *map(repr, row.tolist())]) + "\r\n"
+            for s, row in zip(ds._samples, ds._matrix)
+        )
     meta = {
         "mode": ds.mode.value,
         "r_pos": ds.r_pos,
@@ -407,39 +412,75 @@ def save_csv(ds: GeoDataset, csv_path: str | Path) -> None:
         fh.write("\n")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _read_meta(meta_path: Path) -> tuple[PositionMode, float, float, int]:
+    """(mode, r_pos, r_neg, feature_dim) from a sidecar; every problem
+    raises a ``ValueError`` that names the sidecar."""
+    with open(meta_path) as fh:
+        try:
+            meta = json.load(fh)
+        except ValueError as err:
+            raise ValueError(f"{meta_path}: not valid JSON: {err}") from err
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: expected a JSON object, got {type(meta).__name__}")
+    for key in ("mode", "r_pos", "r_neg", "feature_dim"):
+        if key not in meta:
+            raise ValueError(f"{meta_path}: missing key {key!r}")
+    try:
+        mode = PositionMode(meta["mode"])
+    except ValueError as err:
+        raise ValueError(f"{meta_path}: {err}") from err
+    r_pos, r_neg, f_dim = meta["r_pos"], meta["r_neg"], meta["feature_dim"]
+    if not (_is_number(r_pos) and _is_number(r_neg) and 0.0 < r_pos < r_neg):
+        raise ValueError(f"{meta_path}: need numbers 0 < r_pos < r_neg, got {r_pos!r}, {r_neg!r}")
+    if not (_is_number(f_dim) and isinstance(f_dim, int) and f_dim >= 0):
+        raise ValueError(f"{meta_path}: feature_dim must be a non-negative integer, got {f_dim!r}")
+    return mode, r_pos, r_neg, f_dim
+
+
 def load_csv(csv_path: str | Path) -> GeoDataset:
+    """Read a dataset written by ``save_csv``; a malformed CSV or sidecar
+    raises a ``ValueError`` that names the file (and the CSV line)."""
     csv_path = Path(csv_path)
     meta_path = csv_path.with_suffix(".meta.json")
     if not meta_path.exists():
         raise FileNotFoundError(f"missing metadata sidecar {meta_path}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    mode = PositionMode(meta["mode"])
+    mode, r_pos, r_neg, f_dim = _read_meta(meta_path)
     queries: list[GeoSample] = []
     database: list[GeoSample] = []
     first_line: dict[int, int] = {}
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n_feat = len(header) - 4
-        if n_feat != meta["feature_dim"]:
-            raise ValueError(
-                f"csv has {n_feat} feature columns, metadata says {meta['feature_dim']}"
-            )
-        for row in reader:
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} columns, got {len(row)}")
-                role = Role(row[1])
-                pos = Position(mode, float(row[2]), float(row[3]))
-                feats = np.array([float(x) for x in row[4:]], dtype=np.float64)
-                sample = GeoSample(int(row[0]), role, pos, feats)
-                line = first_line.setdefault(sample.id, reader.line_num)
-                if line != reader.line_num:
-                    raise ValueError(f"duplicate sample id {sample.id}, first on line {line}")
-            except ValueError as err:
-                raise ValueError(f"{csv_path}:{reader.line_num}: {err}") from err
-            (queries if role is Role.QUERY else database).append(sample)
-    return GeoDataset(
-        queries=queries, database=database, r_pos=meta["r_pos"], r_neg=meta["r_neg"]
-    )
+    try:
+        with open(csv_path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{csv_path}: empty file, expected a header row")
+            n_feat = len(header) - 4
+            if n_feat != f_dim:
+                raise ValueError(
+                    f"{csv_path}:1: csv has {n_feat} feature columns, metadata says {f_dim}"
+                )
+            for row in reader:
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} columns, got {len(row)}")
+                    role = Role(row[1])
+                    pos = Position(mode, float(row[2]), float(row[3]))
+                    feats = np.fromiter(map(float, row[4:]), np.float64, n_feat)
+                    sample = GeoSample(int(row[0]), role, pos, feats)
+                    line = first_line.setdefault(sample.id, reader.line_num)
+                    if line != reader.line_num:
+                        raise ValueError(f"duplicate sample id {sample.id}, first on line {line}")
+                except ValueError as err:
+                    raise ValueError(f"{csv_path}:{reader.line_num}: {err}") from err
+                (queries if role is Role.QUERY else database).append(sample)
+    except (csv.Error, UnicodeDecodeError) as err:
+        # Bytes that are not text, or a field past csv's size limit.
+        raise ValueError(f"{csv_path}: {err}") from err
+    try:
+        return GeoDataset(queries=queries, database=database, r_pos=r_pos, r_neg=r_neg)
+    except ValueError as err:
+        raise ValueError(f"{csv_path}: {err}") from err

@@ -25,6 +25,7 @@ stop-gradient branch constant while parameters are perturbed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,8 @@ class MethodConfig:
     eta: float = 1.0
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta cannot be negative")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be finite and non-negative, got {self.eta!r}")
         if self.method is not self.loss.method:
             raise ValueError("loss config belongs to a different method")
         if self.method is Method.TRIPLET:

@@ -87,6 +87,13 @@ class TestSynth:
         assert run("synth", "--config", cfg, "--out", str(tmp_path)) == 2
         assert "spacing" in capsys.readouterr().err
 
+    def test_fractional_count_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"n_places": 6.5})
+        out = tmp_path / "d"
+        assert run("synth", "--config", cfg, "--out", str(out)) == 2
+        assert "synth: n_places must be an integer, got 6.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"n_places": 6, "db_per_place": 2, "seed": 9})
         a, b = tmp_path / "a", tmp_path / "b"
@@ -183,6 +190,66 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert epochs == [] and not out.exists()
 
+    @pytest.mark.parametrize("over, message", [
+        ({"eta": "inf"}, "eta must be finite and non-negative, got inf"),
+        ({"eta": float("nan")}, "eta must be finite and non-negative, got nan"),
+        ({"hidden_dims": "ab"}, "train: hidden_dims must be a list of integers, got 'ab'"),
+        ({"hidden_dims": [16, 8.5]}, "train: hidden_dims[1] must be an integer, got 8.5"),
+        ({"recall_ns": [1.5]}, "train: recall_ns[0] must be an integer, got 1.5"),
+        ({"embed_dim": 4.5}, "train: embed_dim must be an integer, got 4.5"),
+        ({"epochs": 2.7}, "train: epochs must be an integer, got 2.7"),
+        ({"batch_size": True}, "train: batch_size must be an integer, got True"),
+        ({"seed": "1"}, "train: seed must be an integer, got '1'"),
+        ({"method": "triplet", "mining": {"mode": "partial_hnm", "pool_size": 2.5}},
+         "train.mining: pool_size must be an integer, got 2.5"),
+    ], ids=["eta_inf", "eta_nan", "hidden_dims_str", "hidden_dims_frac", "recall_ns_frac",
+            "embed_dim_frac", "epochs_frac", "batch_size_bool", "seed_str", "pool_size_frac"])
+    def test_non_integer_keys_fail_before_training(
+        self, tmp_path, world, capsys, monkeypatch, over, message
+    ):
+        epochs = []
+        monkeypatch.setattr(vgssl.trainer, "train_epoch",
+                            lambda *a, **k: epochs.append(a) or (0.0, {}))
+        cfg = write_config(tmp_path / "t.json", train_config(world, **over))
+        out = tmp_path / "runs"
+        assert run("train", "--config", cfg, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert epochs == [] and not out.exists()
+
+    def test_integral_float_keys_train_as_integers(self, tmp_path, world):
+        ints = write_config(tmp_path / "i.json", train_config(world, recall_ns=[1, 5]))
+        floats = write_config(tmp_path / "f.json", train_config(
+            world, epochs=2.0, embed_dim=8.0, hidden_dims=[16.0], recall_ns=[1.0, 5.0]))
+        assert run("train", "--config", ints, "--out", str(tmp_path / "a")) == 0
+        assert run("train", "--config", floats, "--out", str(tmp_path / "b")) == 0
+        for name in ("epochs.csv", "checkpoint.ckpt"):
+            run_file = Path("SimCLR-FC-1-8-0.5-seed1") / name
+            a, b = (tmp_path / side / run_file for side in "ab")
+            assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("case", ["empty_csv", "header_only", "no_mode", "r_pos_string"])
+    def test_malformed_dataset_named(self, tmp_path, world, capsys, case):
+        meta_path = world.with_suffix(".meta.json")
+        meta = json.loads(meta_path.read_text())
+        if case == "empty_csv":
+            world.write_text("")
+            where, message = world, "empty file, expected a header row"
+        elif case == "header_only":
+            world.write_text(world.read_text().splitlines()[0] + "\n")
+            where, message = world, "database must be non-empty"
+        elif case == "no_mode":
+            del meta["mode"]
+            where, message = meta_path, "missing key 'mode'"
+        else:
+            meta["r_pos"] = "x"
+            where, message = meta_path, "need numbers 0 < r_pos < r_neg, got 'x', 25.0"
+        meta_path.write_text(json.dumps(meta))
+        cfg = write_config(tmp_path / "t.json", train_config(world))
+        out = tmp_path / "runs"
+        assert run("train", "--config", cfg, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+        assert not out.exists()
+
     def test_readme_train_config_runs(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"A minimal train config:\s*```json\n(.*?)```", readme, re.S)
@@ -252,6 +319,16 @@ class TestEval:
         })
         assert run("eval", "--config", ecfg, "--out", str(tmp_path / "ev")) == 2
 
+
+    def test_fractional_n_values_rejected(self, tmp_path, world, capsys):
+        ecfg = write_config(tmp_path / "e.json", {
+            "checkpoint": str(tmp_path / "none.ckpt"), "dataset": str(world),
+            "n_values": [1, "5"],
+        })
+        out = tmp_path / "ev"
+        assert run("eval", "--config", ecfg, "--out", str(out)) == 2
+        assert "eval: n_values[1] must be an integer, got '5'" in capsys.readouterr().err
+        assert not out.exists()
 
 class TestGradcheckCommand:
     def test_empty_method_list_passes(self, tmp_path):

@@ -1,7 +1,12 @@
 """Dataset geometry: distances, radii semantics, synthesis, persistence."""
 
 
+import csv
+import json
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -537,3 +542,156 @@ class TestPersistence:
         save_csv(ds, path)
         header = path.read_text().splitlines()[0]
         assert header == "id,role,lat_or_x,lon_or_y,f0,f1,f2"
+
+    def test_first_bad_row_in_file_order_is_reported(self, tmp_path):
+        ds = synth_dataset(seed=1, n_places=2, db_per_place=2, feature_dim=3)
+        path = tmp_path / "world.csv"
+        save_csv(ds, path)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:-1])  # line 3: a short row
+        cells = lines[4].split(",")
+        lines[4] = ",".join(cells[:1] + ["dtabase"] + cells[2:])  # line 5: bad role
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}:3: expected 7 columns, got 6"
+
+    def test_save_streams_rows(self, tmp_path):
+        ds = synth_dataset(seed=0, n_places=100, db_per_place=50, query_fraction=0.0,
+                           feature_dim=32)
+        assert ds.features(ds.db_ids).shape == (5000, 32)
+        tracemalloc.start()
+        try:
+            save_csv(ds, tmp_path / "world.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The 160,000 features as Python floats and their reprs, held at
+        # once, would take about 5.5 MB; one row at a time needs far less.
+        assert peak < 2**20
+
+
+def _load_error(path) -> str:
+    with pytest.raises(ValueError) as err:
+        load_csv(path)
+    return str(err.value)
+
+
+class TestMalformedFiles:
+    """Every malformed CSV or sidecar raises a ValueError naming the file.
+    The empty CSV, the header-only CSV, a sidecar without ``mode`` and a
+    string radius are covered through ``vgssl train`` in test_cli.py."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        path = tmp_path / "world.csv"
+        save_csv(synth_dataset(seed=1, n_places=2, db_per_place=2, feature_dim=3), path)
+        return path, tmp_path / "world.meta.json"
+
+    def test_feature_width_mismatch(self, saved):
+        path, _ = saved
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(line + ",0.0" for line in lines) + "\n")
+        assert _load_error(path) == f"{path}:1: csv has 4 feature columns, metadata says 3"
+
+    def test_binary_csv(self, saved):
+        path, _ = saved
+        path.write_bytes(b"\xff\xfe\x00\x80" * 64)
+        assert _load_error(path).startswith(f"{path}: ")
+
+    def test_oversized_field(self, saved):
+        path, _ = saved
+        path.write_text(path.read_text().splitlines()[0] + "\n" + "1" * 200_000 + "\n")
+        assert _load_error(path) == f"{path}: field larger than field limit (131072)"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: {**m, "mode": "flat"}, "'flat' is not a valid PositionMode"),
+        (lambda m: {**m, "r_pos": 30.0}, "need numbers 0 < r_pos < r_neg, got 30.0, 25.0"),
+        (lambda m: {**m, "feature_dim": "3"},
+         "feature_dim must be a non-negative integer, got '3'"),
+        (lambda m: [m], "expected a JSON object, got list"),
+    ], ids=["bad_mode", "radii_order", "dim_string", "not_object"])
+    def test_bad_sidecar(self, saved, edit, message):
+        path, meta_path = saved
+        meta_path.write_text(json.dumps(edit(json.loads(meta_path.read_text()))))
+        assert _load_error(path) == f"{meta_path}: {message}"
+
+    def test_sidecar_not_json(self, saved):
+        path, meta_path = saved
+        meta_path.write_text("{mode: planar")
+        assert _load_error(path).startswith(f"{meta_path}: not valid JSON: ")
+
+
+def _reference_save_csv(ds, csv_path):
+    """The CSV rows ``save_csv`` wrote through ``csv.writer``, one Python
+    float at a time: the byte-level contract of the faster writer."""
+    header = ["id", "role", "lat_or_x", "lon_or_y"] + [f"f{i}" for i in range(ds.feature_dim)]
+    with open(csv_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for s in map(ds.sample, ds.db_ids + ds.query_ids):
+            w.writerow(
+                [s.id, s.role.value, repr(s.position.a), repr(s.position.b)]
+                + [repr(float(x)) for x in s.features]
+            )
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                1.7976931348623157e308, 1e-300, 0.1, 1 / 3, 123456789.125]
+
+
+def _world(geodetic, ids, n_db, positions, features, r_pos=10.0):
+    mode = PositionMode.GEODETIC if geodetic else PositionMode.PLANAR
+    samples = [
+        GeoSample(i, Role.DATABASE if k < n_db else Role.QUERY, Position(mode, *ab),
+                  np.array(f, dtype=np.float64))
+        for k, (i, ab, f) in enumerate(zip(ids, positions, features))
+    ]
+    return GeoDataset(queries=samples[n_db:], database=samples[:n_db],
+                      r_pos=r_pos, r_neg=2.5 * r_pos)
+
+
+@st.composite
+def csv_worlds(draw):
+    geodetic = draw(st.booleans())
+    dim = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(0, 10**12), min_size=1, max_size=8, unique=True))
+    coord = st.floats(allow_nan=False, allow_infinity=False)
+    pos = (st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)) if geodetic
+           else st.tuples(coord, coord))
+    feat = st.one_of(st.sampled_from(_EDGE_FLOATS), coord)
+    return _world(
+        geodetic, ids, draw(st.integers(1, len(ids))),
+        [draw(pos) for _ in ids],
+        [draw(st.lists(feat, min_size=dim, max_size=dim)) for _ in ids],
+        r_pos=draw(st.floats(0.1, 1e6)),
+    )
+
+
+@given(ds=csv_worlds())
+@example(ds=_world(False, [9, 2, 40], 3, [(0.0, -0.0), (1e300, -1e300), (5e-324, 0.1)],
+                   [_EDGE_FLOATS[:4], _EDGE_FLOATS[4:8], _EDGE_FLOATS[8:]]))
+@example(ds=_world(True, [7, 3, 11, 5], 2, [(90.0, -180.0), (-0.0, 180.0), (-90.0, 0.0),
+                                            (45.5, -5e-324)],
+                   [[x] for x in _EDGE_FLOATS[:4]]))
+def test_save_csv_matches_reference_writer(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, ref, again = (Path(tmp) / name for name in ("ours.csv", "ref.csv", "again.csv"))
+        save_csv(ds, ours)
+        _reference_save_csv(ds, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+        save_csv(load_csv(ours), again)
+        assert again.read_bytes() == ours.read_bytes()
+        assert (again.with_suffix(".meta.json").read_bytes()
+                == ours.with_suffix(".meta.json").read_bytes())
+
+
+@given(seed=st.integers(0, 2**64 - 1))
+def test_direct_disk_draws_match_uniform(seed):
+    # synth_dataset draws disk offsets with random(); numpy's uniform(0, h)
+    # is 0 + h * random(), so both give the same bits from the same stream.
+    direct, uniform = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(64):
+        assert 2.0 * math.pi * direct.random() == uniform.uniform(0.0, 2.0 * math.pi)
+        assert direct.random() == uniform.uniform(0.0, 1.0)
+    assert direct.random() == uniform.random()
