@@ -69,6 +69,23 @@ class _Config:
             raise ConfigError(f"{self._where}: {key} must be a list of integers, got {value!r}")
         return tuple(self._int(v, f"{key}[{i}]") for i, v in enumerate(value))
 
+    def get_float(self, key: str, default: float | None) -> float | None:
+        """A float key: a JSON number.  Bools, strings and null are errors,
+        except that null stands for a null default."""
+        value = self.get(key, default)
+        if value is None and default is None:
+            return None
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{self._where}: {key} must be a number, got {value!r}")
+        return float(value)
+
+    def get_bool(self, key: str, default: bool) -> bool:
+        """A boolean key: JSON true or false, nothing else."""
+        value = self.get(key, default)
+        if not isinstance(value, bool):
+            raise ConfigError(f"{self._where}: {key} must be true or false, got {value!r}")
+        return value
+
     def _int(self, value, name: str) -> int:
         if isinstance(value, float) and value.is_integer():
             return int(value)
@@ -114,12 +131,12 @@ def cmd_synth(cfg: _Config, out_dir: Path, seed: int) -> int:
         seed=cfg.get_int("seed", seed),
         n_places=cfg.get_int("n_places", 20),
         db_per_place=cfg.get_int("db_per_place", 8),
-        query_fraction=float(cfg.get("query_fraction", 1.0)),
+        query_fraction=cfg.get_float("query_fraction", 1.0),
         feature_dim=cfg.get_int("feature_dim", 32),
-        view_noise=float(cfg.get("view_noise", 0.5)),
-        spacing_m=float(cfg.get("spacing_m", 100.0)),
-        r_pos=float(cfg.get("r_pos", 10.0)),
-        r_neg=float(cfg.get("r_neg", 25.0)),
+        view_noise=cfg.get_float("view_noise", 0.5),
+        spacing_m=cfg.get_float("spacing_m", 100.0),
+        r_pos=cfg.get_float("r_pos", 10.0),
+        r_neg=cfg.get_float("r_neg", 25.0),
         buffer_per_place=cfg.get_int("buffer_per_place", 0),
     )
     filename = cfg.get("filename", "dataset.csv")
@@ -206,23 +223,22 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
         hidden_dims=cfg.get_ints("hidden_dims", [64, 64]),
         embed_dim=cfg.get_int("embed_dim", 64),
         proj_layers=cfg.get_int("proj_layers", 1),
-        eta=float(cfg.get("eta", 1.0)),
+        eta=cfg.get_float("eta", 1.0),
         mining=mining,
-        momentum=float(cfg.get("momentum", 0.99)),
+        momentum=cfg.get_float("momentum", 0.99),
         **loss_overrides,
     )
-    lr = cfg.get("lr")
     tcfg = TrainConfig(
         epochs=cfg.get_int("epochs", required=True),
         batch_size=cfg.get_int("batch_size", 64),
         queries_per_epoch=cfg.get_int("queries_per_epoch", 256),
-        lr=None if lr is None else float(lr),
-        weight_decay=float(cfg.get("weight_decay", 1e-6)),
-        decoupled_wd=bool(cfg.get("decoupled_wd", False)),
+        lr=cfg.get_float("lr", None),
+        weight_decay=cfg.get_float("weight_decay", 1e-6),
+        decoupled_wd=cfg.get_bool("decoupled_wd", False),
         seed=cfg.get_int("seed", seed),
         eval_every=cfg.get_int("eval_every", 0),
         recall_ns=cfg.get_ints("recall_ns", [1, 5, 10]),
-        threshold_m=float(cfg.get("threshold_m", 25.0)),
+        threshold_m=cfg.get_float("threshold_m", 25.0),
     )
     n_seeds = cfg.get_int("n_seeds", 1)
     resume = cfg.get("resume")
@@ -306,7 +322,7 @@ def cmd_eval(cfg: _Config, out_dir: Path, seed: int) -> int:
     ckpt_path = cfg.get("checkpoint", required=True)
     dataset_path = cfg.get("dataset", required=True)
     n_values = cfg.get_ints("n_values", [1, 5, 10])
-    threshold = float(cfg.get("threshold_m", 25.0))
+    threshold = cfg.get_float("threshold_m", 25.0)
     cfg.finish()
 
     state, enc_cfg, meta, _ = load_checkpoint(ckpt_path)
@@ -336,9 +352,11 @@ def cmd_eval(cfg: _Config, out_dir: Path, seed: int) -> int:
 def cmd_gradcheck(cfg: _Config, seed: int) -> int:
     names = cfg.get("methods")
     instances = cfg.get_int("instances", 20)
-    tol = float(cfg.get("tol", 1e-4))
+    tol = cfg.get_float("tol", 1e-4)
     base = cfg.get_int("seed", seed)
     cfg.finish()
+    if names is not None and not isinstance(names, list):
+        raise ConfigError(f"gradcheck: methods must be a list of method names, got {names!r}")
     methods = ALL_METHODS if names is None else tuple(Method(n) for n in names)
 
     print(f"{'method':14s} {'instances':>9s} {'worst rel err':>14s}  verdict")
@@ -395,9 +413,12 @@ def cmd_bench_mining(cfg: _Config, out_dir: Path, seed: int) -> int:
     n_k_list = cfg.get_ints("n_k", [100, 1000, 5000])
     pool = cfg.get_int("pool", 64)
     feature_dim = cfg.get_int("feature_dim", 8)
-    slack = float(cfg.get("slack", 0.05))
+    slack = cfg.get_float("slack", 0.05)
     base = cfg.get_int("seed", seed)
     cfg.finish()
+    for key, values in (("n_q", n_q_list), ("n_k", n_k_list)):
+        if any(v < 1 for v in values):
+            raise ConfigError(f"bench-mining: every {key} must be at least 1, got {list(values)}")
 
     header = ["mode", "n_q", "n_k", "pool",
               "extractions", "comparisons", "peak_cached",

@@ -449,9 +449,19 @@ def load_checkpoint(path: str | Path):
                 f"truncated checkpoint {path}: header has {len(blob)} bytes, "
                 f"its length prefix says {hlen}"
             )
-        header = json.loads(blob.decode("utf-8"))
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except ValueError as err:  # UnicodeDecodeError or JSONDecodeError
+            raise ValueError(f"malformed checkpoint {path}: header is not UTF-8 JSON: {err}") from None
+        if not isinstance(header, dict):
+            raise ValueError(f"malformed checkpoint {path}: header is not a JSON object")
         if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
+            raise ValueError(
+                f"unsupported checkpoint version {header.get('version')!r} in {path}"
+            )
+        missing = sorted({"config", "meta", "tensors"} - header.keys())
+        if missing:
+            raise ValueError(f"malformed checkpoint {path}: header lacks {missing}")
         body = fh.read()
     if header["tensors"]:
         last = header["tensors"][-1]
@@ -461,9 +471,10 @@ def load_checkpoint(path: str | Path):
                 f"truncated checkpoint {path}: tensor body has {len(body)} bytes, "
                 f"the header needs {need}"
             )
-    conf = dict(header["config"])
-    conf["hidden_dims"] = tuple(conf["hidden_dims"])
-    cfg = EncoderConfig(**conf)
+    try:
+        cfg = EncoderConfig(**header["config"])
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"malformed checkpoint {path}: encoder config: {err}") from None
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
         shape = tuple(entry["shape"])

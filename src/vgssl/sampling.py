@@ -1,20 +1,22 @@
 """Batch construction: query-positive pairs, identical-negative pairs,
 and triplets with three negative-selection modes.
 
-Pair-based methods train on two-view batches.  A batch is ``m_q``
-query-positive pairs plus ``round(eta * m_q)`` identical-negative pairs,
-where an identical pair presents the same database sample on both
-branches.  ``eta`` is the database-negative ratio; at 0 the batch is pure
-query-positive pairs.  Identical negatives are drawn from the database
-minus every sampled query's positive set, so a negative can never be a
-positive partner in the same batch.
+A batch is an int64 array of sample ids, one row per example.  Pair-based
+methods train on ``(anchor, partner)`` rows: ``m_q`` query-positive pairs
+plus ``round(eta * m_q)`` identical-negative pairs, where an identical
+pair presents the same database sample on both branches, so its row
+repeats one id.  ``eta`` is the database-negative ratio; at 0 the batch
+is pure query-positive pairs.  Identical negatives are drawn from the
+database minus every sampled query's positive set, so a negative can
+never be a positive partner in the same batch.
 
-Triplet construction mines a hard negative per query either against the
-full database (``FULL_HNM``), against a fixed random candidate pool
-(``PARTIAL_HNM``), or uniformly (``RANDOM``).  Mining normalises the
-embedded database or pool once per call and reads each query's negatives
-as ascending row arrays.  All randomness flows from one generator per
-call, so identical seeds give identical batches.
+Triplets are ``(anchor, positive, negative)`` rows, with a hard negative
+mined per query either against the full database (``FULL_HNM``), against
+a fixed random candidate pool (``PARTIAL_HNM``), or uniformly
+(``RANDOM``).  Mining normalises the embedded database or pool once per
+call and reads each query's negatives as ascending row arrays.  All
+randomness flows from one generator per call, so identical seeds give
+identical batches.
 """
 
 from __future__ import annotations
@@ -29,38 +31,12 @@ from .costmodel import CostLedger
 from .geodata import GeoDataset
 
 __all__ = [
-    "PairKind",
-    "Pair",
-    "Triplet",
     "MiningMode",
     "MiningConfig",
     "build_pairs",
     "mine_triplets",
     "hardest_negative",
 ]
-
-
-class PairKind(Enum):
-    QUERY_POSITIVE = "query_positive"
-    IDENTICAL_NEGATIVE = "identical_negative"
-
-
-@dataclass(frozen=True)
-class Pair:
-    anchor_id: int
-    partner_id: int
-    kind: PairKind
-
-    def __post_init__(self):
-        if self.kind is PairKind.IDENTICAL_NEGATIVE and self.anchor_id != self.partner_id:
-            raise ValueError("identical-negative pairs must repeat one sample")
-
-
-@dataclass(frozen=True)
-class Triplet:
-    anchor_id: int
-    positive_id: int
-    negative_id: int
 
 
 class MiningMode(Enum):
@@ -85,12 +61,13 @@ def build_pairs(
     eta: float,
     rng_seed: int,
     ledger: CostLedger | None = None,
-) -> list[Pair]:
+) -> np.ndarray:
     """Assemble one epoch batch of pairs at database-negative ratio eta.
 
-    Returns exactly ``m_q + round(eta * m_q)`` pairs in a seeded shuffle.
-    The ledger counts one anchor and one partner extraction per pair and
-    no comparisons.
+    Returns an int64 array of ``m_q + round(eta * m_q)`` ``(anchor,
+    partner)`` id rows in a seeded shuffle; an identical negative's row
+    repeats its id.  The ledger counts one anchor and one partner
+    extraction per pair and no comparisons.
     """
     if m_q < 1:
         raise ValueError("m_q must be at least 1")
@@ -104,31 +81,26 @@ def build_pairs(
             f"need {m_q} queries with at least one positive, dataset has {len(candidates)}"
         )
     chosen = rng.choice(len(candidates), size=m_q, replace=False)
-    query_ids = [candidates[i] for i in chosen]
-
-    pairs: list[Pair] = []
-    banned: set[int] = set()
-    for qid in query_ids:
-        positives = ds.positive_set(qid)
-        banned.update(positives)
-        partner = positives[int(rng.integers(len(positives)))]
-        pairs.append(Pair(qid, partner, PairKind.QUERY_POSITIVE))
-
     n_neg = int(round(eta * m_q))
+    pairs = np.empty((m_q + n_neg, 2), dtype=np.int64)
+    banned = np.zeros(len(ds.db_ids), dtype=bool)
+    for k, i in enumerate(chosen.tolist()):
+        qid = candidates[i]
+        positives = ds.positive_set(qid)
+        banned[ds.neighbour_rows(qid)[0]] = True
+        pairs[k] = qid, positives[int(rng.integers(len(positives)))]
+
     if n_neg > 0:
-        eligible = [i for i in ds.db_ids if i not in banned]
+        eligible = np.flatnonzero(~banned)
         if len(eligible) < n_neg:
             raise ValueError(
                 f"need {n_neg} identical negatives, only {len(eligible)} database "
                 "samples sit outside the sampled queries' positive sets"
             )
-        picks = rng.choice(len(eligible), size=n_neg, replace=False)
-        for i in picks:
-            nid = eligible[int(i)]
-            pairs.append(Pair(nid, nid, PairKind.IDENTICAL_NEGATIVE))
+        picks = eligible[rng.choice(len(eligible), size=n_neg, replace=False)]
+        pairs[m_q:] = np.array(ds.db_ids, dtype=np.int64)[picks, None]
 
-    order = rng.permutation(len(pairs))
-    pairs = [pairs[i] for i in order]
+    pairs = pairs[rng.permutation(len(pairs))]
 
     if ledger is not None:
         ledger.add_extractions(2 * len(pairs))
@@ -184,8 +156,8 @@ def mine_triplets(
     embed: Callable[[np.ndarray], np.ndarray],
     rng_seed: int,
     ledger: CostLedger | None = None,
-) -> list[Triplet]:
-    """Build ``m_q`` (query, positive, negative) triplets.
+) -> np.ndarray:
+    """Build an int64 array of ``m_q`` (query, positive, negative) id rows.
 
     ``embed`` maps a stacked feature matrix to embeddings and is only
     invoked for the mining modes that need it.  Positives are uniform
@@ -210,18 +182,16 @@ def mine_triplets(
         )
     chosen = rng.choice(len(candidates), size=m_q, replace=False)
     query_ids = [candidates[i] for i in chosen]
-    positive_ids = []
-    for qid in query_ids:
+    triplets = np.empty((m_q, 3), dtype=np.int64)
+    for k, qid in enumerate(query_ids):
         positives = ds.positive_set(qid)
-        positive_ids.append(positives[int(rng.integers(len(positives)))])
+        triplets[k, :2] = qid, positives[int(rng.integers(len(positives)))]
 
     db_ids = ds.db_ids
-    triplets: list[Triplet] = []
     if cfg.mode is MiningMode.RANDOM:
-        for qid, pid in zip(query_ids, positive_ids):
+        for k, qid in enumerate(query_ids):
             negs = ds.neighbour_rows(qid)[1]
-            nid = db_ids[negs[int(rng.integers(len(negs)))]]
-            triplets.append(Triplet(qid, pid, nid))
+            triplets[k, 2] = db_ids[negs[int(rng.integers(len(negs)))]]
         return triplets
 
     if cfg.mode is MiningMode.FULL_HNM:
@@ -230,13 +200,13 @@ def mine_triplets(
         if ledger is not None:
             ledger.add_extractions(m_q + len(db_ids))
             ledger.note_cached(m_q + len(db_ids))
-        for k, (qid, pid) in enumerate(zip(query_ids, positive_ids)):
+        for k, qid in enumerate(query_ids):
             negs = ds.neighbour_rows(qid)[1]
             # Rows ascend with ids, so they break ties as the ids would.
             best = _closest(_query_distances(q_emb[k], db_unit[negs]), negs)
             if ledger is not None:
                 ledger.add_comparisons(len(negs))
-            triplets.append(Triplet(qid, pid, db_ids[negs[best]]))
+            triplets[k, 2] = db_ids[negs[best]]
         return triplets
 
     # PARTIAL_HNM: one shared candidate pool per call.
@@ -252,7 +222,7 @@ def mine_triplets(
         ledger.add_extractions(m_q + cfg.pool_size + m_q)  # queries + pool + positives
         ledger.note_cached(m_q + cfg.pool_size + m_q)
     is_neg = np.zeros(len(db_ids), dtype=bool)
-    for k, (qid, pid) in enumerate(zip(query_ids, positive_ids)):
+    for k, qid in enumerate(query_ids):
         # Every pool member is distance-checked, then geometric eligibility
         # masks out anything not strictly beyond the negative radius.
         if ledger is not None:
@@ -263,10 +233,9 @@ def mine_triplets(
         is_neg[negs] = False
         if elig.size:
             dists = _query_distances(q_emb[k], pool_unit[elig])
-            nid = db_ids[pool_rows[elig[_closest(dists, pool_rows[elig])]]]
+            triplets[k, 2] = db_ids[pool_rows[elig[_closest(dists, pool_rows[elig])]]]
         else:
-            nid = db_ids[negs[int(rng.integers(len(negs)))]]
+            triplets[k, 2] = db_ids[negs[int(rng.integers(len(negs)))]]
             if ledger is not None:
                 ledger.add_extractions(1)  # the fallback negative is fetched fresh
-        triplets.append(Triplet(qid, pid, nid))
     return triplets

@@ -300,38 +300,29 @@ def train_epoch(
     parameter gradient is not finite, before the Adam step applies it.
     """
     lr = tcfg.lr if tcfg.lr is not None else default_lr(mcfg.method)
-    is_triplet = mcfg.method is Method.TRIPLET
-
-    if is_triplet:
+    if mcfg.method is Method.TRIPLET:
         m_q = _epoch_m_q(ds, tcfg, need_negatives=True)
 
         def embed(feats: np.ndarray) -> np.ndarray:
             return forward(enc_state, mcfg.encoder, feats, training=False).data
 
-        triplets = mine_triplets(ds, m_q, mcfg.mining, embed, epoch_seed, ledger)
-        anchors = [t.anchor_id for t in triplets]
-        partners = [t.positive_id for t in triplets]
-        negatives = [t.negative_id for t in triplets]
+        ids = mine_triplets(ds, m_q, mcfg.mining, embed, epoch_seed, ledger)
     else:
         m_q = _epoch_m_q(ds, tcfg, need_negatives=False)
-        pairs = build_pairs(ds, m_q, mcfg.eta, epoch_seed, ledger)
-        anchors = [p.anchor_id for p in pairs]
-        partners = [p.partner_id for p in pairs]
-        negatives = None
+        ids = build_pairs(ds, m_q, mcfg.eta, epoch_seed, ledger)
 
     total_loss = 0.0
     total_n = 0
     term_sums: dict[str, float] = {}
-    for start in range(0, len(anchors), tcfg.batch_size):
-        stop = start + tcfg.batch_size
-        batch_ids = anchors[start:stop]
-        n = len(batch_ids)
+    for start in range(0, len(ids), tcfg.batch_size):
+        batch = ids[start:start + tcfg.batch_size]
+        n = len(batch)
         if n < 2:
             continue  # batch statistics are undefined on a single pair
-        a = ds.features(batch_ids)
-        p = ds.features(partners[start:stop])
-        neg = ds.features(negatives[start:stop]) if negatives is not None else None
-        out, _ = method_batch_loss(enc_state, mcfg, a, p, negatives=neg, training=True)
+        # One feature matrix per column: anchors, partners and any negatives.
+        out, _ = method_batch_loss(
+            enc_state, mcfg, *[ds.features(c) for c in batch.T.tolist()], training=True
+        )
         out.node.backward()
         _check_finite(out.value, enc_state.params, adam, start // tcfg.batch_size)
         adam_step(
@@ -350,7 +341,7 @@ def train_epoch(
             term_sums[key] = term_sums.get(key, 0.0) + val * n
     if total_n == 0:
         raise ValueError(
-            f"epoch produced no trainable batch: {len(anchors)} items at "
+            f"epoch produced no trainable batch: {len(ids)} items at "
             f"batch_size {tcfg.batch_size}"
         )
     return total_loss / total_n, {k: v / total_n for k, v in term_sums.items()}

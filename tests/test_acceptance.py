@@ -21,7 +21,7 @@ from vgssl.losses import (
 )
 from vgssl.methods import method_config
 from vgssl.retrieval import EmbeddingIndex, knn, recall_at_n
-from vgssl.sampling import MiningConfig, MiningMode, PairKind, build_pairs, mine_triplets
+from vgssl.sampling import MiningConfig, MiningMode, build_pairs, mine_triplets
 from vgssl.trainer import TrainConfig, audit_gradient_flow, evaluate, run_single
 from vgssl.encoder import init_state
 
@@ -146,19 +146,16 @@ def test_criterion_3_sampler_contract():
         eta = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
         pairs = build_pairs(ds, m_q=m_q, eta=eta, rng_seed=int(rng.integers(2**31)))
         count_ok &= len(pairs) == m_q + round(eta * m_q)
+        identical = pairs[:, 0] == pairs[:, 1]  # an identical negative repeats its id
         banned = set()
-        for pr in pairs:
-            if pr.kind is PairKind.QUERY_POSITIVE:
-                banned.update(ds.positive_set(pr.anchor_id))
-        for pr in pairs:
-            if pr.kind is PairKind.IDENTICAL_NEGATIVE:
-                collision_free &= pr.anchor_id not in banned
+        for anchor in pairs[~identical, 0].tolist():
+            banned.update(ds.positive_set(anchor))
+        for anchor in pairs[identical, 0].tolist():
+            collision_free &= anchor not in banned
 
     a = build_pairs(ds, m_q=7, eta=1.0, rng_seed=99)
     b = build_pairs(ds, m_q=7, eta=1.0, rng_seed=99)
-    deterministic = [(p.anchor_id, p.partner_id, p.kind) for p in a] == [
-        (p.anchor_id, p.partner_id, p.kind) for p in b
-    ]
+    deterministic = np.array_equal(a, b)
     ok = count_ok and collision_free and deterministic
     report(3, "sampler contract", ok,
            f"counts={count_ok}, no-collision={collision_free}, deterministic={deterministic}")

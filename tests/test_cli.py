@@ -191,7 +191,7 @@ class TestTrain:
         assert epochs == [] and not out.exists()
 
     @pytest.mark.parametrize("over, message", [
-        ({"eta": "inf"}, "eta must be finite and non-negative, got inf"),
+        ({"eta": float("inf")}, "eta must be finite and non-negative, got inf"),
         ({"eta": float("nan")}, "eta must be finite and non-negative, got nan"),
         ({"hidden_dims": "ab"}, "train: hidden_dims must be a list of integers, got 'ab'"),
         ({"hidden_dims": [16, 8.5]}, "train: hidden_dims[1] must be an integer, got 8.5"),
@@ -202,8 +202,16 @@ class TestTrain:
         ({"seed": "1"}, "train: seed must be an integer, got '1'"),
         ({"method": "triplet", "mining": {"mode": "partial_hnm", "pool_size": 2.5}},
          "train.mining: pool_size must be an integer, got 2.5"),
+        ({"eta": "0.5"}, "train: eta must be a number, got '0.5'"),
+        ({"eta": True}, "train: eta must be a number, got True"),
+        ({"lr": "abc"}, "train: lr must be a number, got 'abc'"),
+        ({"momentum": None}, "train: momentum must be a number, got None"),
+        ({"decoupled_wd": "false"}, "train: decoupled_wd must be true or false, got 'false'"),
+        ({"decoupled_wd": 0}, "train: decoupled_wd must be true or false, got 0"),
     ], ids=["eta_inf", "eta_nan", "hidden_dims_str", "hidden_dims_frac", "recall_ns_frac",
-            "embed_dim_frac", "epochs_frac", "batch_size_bool", "seed_str", "pool_size_frac"])
+            "embed_dim_frac", "epochs_frac", "batch_size_bool", "seed_str", "pool_size_frac",
+            "eta_str", "eta_bool", "lr_str", "momentum_null", "decoupled_wd_str",
+            "decoupled_wd_int"])
     def test_non_integer_keys_fail_before_training(
         self, tmp_path, world, capsys, monkeypatch, over, message
     ):
@@ -329,6 +337,43 @@ class TestEval:
         assert run("eval", "--config", ecfg, "--out", str(out)) == 2
         assert "eval: n_values[1] must be an integer, got '5'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_malformed_checkpoint_named(self, tmp_path, world, capsys):
+        tcfg = write_config(tmp_path / "t.json", train_config(world))
+        assert run("train", "--config", tcfg, "--out", str(tmp_path / "runs")) == 0
+        ckpt = tmp_path / "runs" / "SimCLR-FC-1-8-0.5-seed1" / "checkpoint.ckpt"
+        raw = ckpt.read_bytes()
+        end = 4 + int.from_bytes(raw[:4], "little")
+        header = json.loads(raw[4:end])
+        header["config"]["width"] = 3
+        blob = json.dumps(header).encode()
+        ckpt.write_bytes(len(blob).to_bytes(4, "little") + blob + raw[end:])
+        ecfg = write_config(tmp_path / "e.json", {"checkpoint": str(ckpt), "dataset": str(world)})
+        assert run("eval", "--config", ecfg, "--out", str(tmp_path / "ev")) == 2
+        assert capsys.readouterr().err.startswith(f"error: malformed checkpoint {ckpt}: ")
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("synth", {"view_noise": "0.5"}, "synth: view_noise must be a number, got '0.5'"),
+    ("synth", {"r_pos": False}, "synth: r_pos must be a number, got False"),
+    ("eval", {"checkpoint": "c", "dataset": "d", "threshold_m": "25"},
+     "eval: threshold_m must be a number, got '25'"),
+    ("gradcheck", {"methods": [], "tol": "1e-4"}, "gradcheck: tol must be a number, got '1e-4'"),
+    ("gradcheck", {"methods": "simclr"},
+     "gradcheck: methods must be a list of method names, got 'simclr'"),
+    ("bench-mining", {"slack": True}, "bench-mining: slack must be a number, got True"),
+    ("bench-mining", {"n_q": [0]}, "bench-mining: every n_q must be at least 1, got [0]"),
+    ("bench-mining", {"n_q": [5], "n_k": [-5]},
+     "bench-mining: every n_k must be at least 1, got [-5]"),
+], ids=["synth_str", "synth_bool", "eval_str", "gradcheck_tol_str", "gradcheck_methods_str",
+        "bench_slack_bool", "bench_n_q_zero", "bench_n_k_negative"])
+def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, payload, message):
+    cfg = write_config(tmp_path / "c.json", payload)
+    out = tmp_path / "out"
+    assert run(command, "--config", cfg, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
 
 class TestGradcheckCommand:
     def test_empty_method_list_passes(self, tmp_path):

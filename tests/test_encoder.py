@@ -1,5 +1,7 @@
 """Encoder branches, batchnorm semantics, momentum target, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,30 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("case, message", [
+        ("unknown_config_field", "encoder config: "),
+        ("no_tensors", "header lacks ['tensors']"),
+        ("not_utf8", "header is not UTF-8 JSON"),
+    ])
+    def test_malformed_header_names_the_file(self, tmp_path, case, message):
+        cfg, state = self.make()
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, state, cfg)
+        raw = path.read_bytes()
+        end = 4 + int.from_bytes(raw[:4], "little")
+        header = json.loads(raw[4:end])
+        if case == "unknown_config_field":
+            header["config"]["width"] = 3
+        elif case == "no_tensors":
+            del header["tensors"]
+        blob = json.dumps(header).encode()
+        if case == "not_utf8":
+            blob = blob.replace(b"VGSSL", b"\xffGSSL")
+        path.write_bytes(len(blob).to_bytes(4, "little") + blob + raw[end:])
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"malformed checkpoint {path}: {message}")
 
     def test_truncated_body_rejected(self, tmp_path):
         cfg, state = self.make()

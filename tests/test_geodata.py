@@ -401,8 +401,8 @@ class TestLayout:
                            (MiningMode.RANDOM, 0)]:
             mcfg = MiningConfig(mode=mode, pool_size=pool)
             for seed in range(5):
-                assert (mine_triplets(self.ordered, 4, mcfg, np.tanh, seed)
-                        == mine_triplets(db_shuffled, 4, mcfg, np.tanh, seed))
+                assert np.array_equal(mine_triplets(self.ordered, 4, mcfg, np.tanh, seed),
+                                      mine_triplets(db_shuffled, 4, mcfg, np.tanh, seed))
         save_csv(self.ordered, tmp_path / "a.csv")
         save_csv(self.ds, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -10,8 +10,6 @@ from vgssl.geodata import GeoDataset, GeoSample, distance_m, synth_dataset
 from vgssl.sampling import (
     MiningConfig,
     MiningMode,
-    Pair,
-    PairKind,
     build_pairs,
     hardest_negative,
     mine_triplets,
@@ -22,21 +20,29 @@ def identity_embed(feats):
     return feats
 
 
+def identical(pairs):
+    """Rows that are identical negatives: the anchor is its own partner."""
+    return pairs[:, 0] == pairs[:, 1]
+
+
 class TestPairContract:
     def setup_method(self):
         self.ds = synth_dataset(seed=0, n_places=12, db_per_place=6, query_fraction=1.0)
 
+    def test_returns_int64_id_rows(self):
+        pairs = build_pairs(self.ds, m_q=8, eta=0.5, rng_seed=1)
+        assert pairs.dtype == np.int64 and pairs.shape == (12, 2)
+
     def test_counts(self):
         pairs = build_pairs(self.ds, m_q=8, eta=0.25, rng_seed=1)
         assert len(pairs) == 10  # 8 + round(0.25 * 8)
-        kinds = [p.kind for p in pairs]
-        assert kinds.count(PairKind.QUERY_POSITIVE) == 8
-        assert kinds.count(PairKind.IDENTICAL_NEGATIVE) == 2
+        assert np.count_nonzero(~identical(pairs)) == 8
+        assert np.count_nonzero(identical(pairs)) == 2
 
     def test_eta_zero(self):
         pairs = build_pairs(self.ds, m_q=6, eta=0.0, rng_seed=2)
         assert len(pairs) == 6
-        assert all(p.kind is PairKind.QUERY_POSITIVE for p in pairs)
+        assert not identical(pairs).any()
 
     def test_rounding_half_cases(self):
         # round() banker's rounding: round(0.5*5)=round(2.5)=2, round(0.5*7)=round(3.5)=4
@@ -45,42 +51,41 @@ class TestPairContract:
 
     def test_positive_partner_geometry(self):
         pairs = build_pairs(self.ds, m_q=10, eta=0.0, rng_seed=4)
-        for p in pairs:
-            assert p.partner_id in self.ds.positive_set(p.anchor_id)
-            a, b = self.ds.sample(p.anchor_id), self.ds.sample(p.partner_id)
+        for anchor, partner in pairs.tolist():
+            assert partner in self.ds.positive_set(anchor)
+            a, b = self.ds.sample(anchor), self.ds.sample(partner)
             assert distance_m(a.position, b.position) <= self.ds.r_pos
 
     def test_identical_negative_repeats_sample(self):
+        # Anchor equals partner exactly on the database-negative rows.
         pairs = build_pairs(self.ds, m_q=6, eta=1.0, rng_seed=5)
-        for p in pairs:
-            if p.kind is PairKind.IDENTICAL_NEGATIVE:
-                assert p.anchor_id == p.partner_id
+        queries = set(self.ds.query_ids)
+        for anchor, partner in pairs.tolist():
+            assert (anchor == partner) == (anchor not in queries)
 
     def test_no_negative_collides_with_any_positive_set(self):
         for seed in range(20):
             pairs = build_pairs(self.ds, m_q=8, eta=1.0, rng_seed=seed)
             banned = set()
-            for p in pairs:
-                if p.kind is PairKind.QUERY_POSITIVE:
-                    banned.update(self.ds.positive_set(p.anchor_id))
-            for p in pairs:
-                if p.kind is PairKind.IDENTICAL_NEGATIVE:
-                    assert p.anchor_id not in banned
+            for anchor in pairs[~identical(pairs), 0].tolist():
+                banned.update(self.ds.positive_set(anchor))
+            for anchor in pairs[identical(pairs), 0].tolist():
+                assert anchor not in banned
 
     def test_negatives_distinct(self):
         pairs = build_pairs(self.ds, m_q=6, eta=1.0, rng_seed=6)
-        negs = [p.anchor_id for p in pairs if p.kind is PairKind.IDENTICAL_NEGATIVE]
+        negs = pairs[identical(pairs), 0].tolist()
         assert len(set(negs)) == len(negs)
 
     def test_determinism(self):
         a = build_pairs(self.ds, m_q=8, eta=0.5, rng_seed=7)
         b = build_pairs(self.ds, m_q=8, eta=0.5, rng_seed=7)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_seed_sensitivity(self):
         a = build_pairs(self.ds, m_q=8, eta=0.5, rng_seed=7)
         b = build_pairs(self.ds, m_q=8, eta=0.5, rng_seed=8)
-        assert a != b
+        assert not np.array_equal(a, b)
 
     def test_too_many_queries_requested(self):
         with pytest.raises(ValueError):
@@ -89,10 +94,6 @@ class TestPairContract:
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError):
             build_pairs(self.ds, m_q=4, eta=-0.5, rng_seed=0)
-
-    def test_identical_pair_validation(self):
-        with pytest.raises(ValueError):
-            Pair(1, 2, PairKind.IDENTICAL_NEGATIVE)
 
     def test_ledger_counts_extraction_per_slot(self):
         led = CostLedger()
@@ -113,7 +114,7 @@ class TestPairContract:
             pairs = build_pairs(ds, m_q, eta, seed)
             assert len(pairs) == m_q + round(eta * m_q)
             again = build_pairs(ds, m_q, eta, seed)
-            assert pairs == again
+            assert np.array_equal(pairs, again)
 
 
 class TestHardestNegative:
@@ -146,10 +147,10 @@ class TestTriplets:
     def test_random_mode_geometry(self):
         cfg = MiningConfig(mode=MiningMode.RANDOM)
         trips = mine_triplets(self.ds, 8, cfg, identity_embed, rng_seed=0)
-        assert len(trips) == 8
-        for t in trips:
-            assert t.positive_id in self.ds.positive_set(t.anchor_id)
-            assert t.negative_id in self.ds.negative_set(t.anchor_id)
+        assert trips.dtype == np.int64 and trips.shape == (8, 3)
+        for anchor, positive, negative in trips.tolist():
+            assert positive in self.ds.positive_set(anchor)
+            assert negative in self.ds.negative_set(anchor)
 
     def test_random_mode_costs_nothing(self):
         led = CostLedger()
@@ -160,11 +161,11 @@ class TestTriplets:
     def test_full_mode_finds_hardest(self):
         cfg = MiningConfig(mode=MiningMode.FULL_HNM)
         trips = mine_triplets(self.ds, 6, cfg, identity_embed, rng_seed=1)
-        for t in trips:
-            q = self.ds.sample(t.anchor_id).features
-            negs = self.ds.negative_set(t.anchor_id)
+        for anchor, _, negative in trips.tolist():
+            q = self.ds.sample(anchor).features
+            negs = self.ds.negative_set(anchor)
             vecs = np.stack([self.ds.sample(i).features for i in negs])
-            assert t.negative_id == hardest_negative(q, negs, vecs)
+            assert negative == hardest_negative(q, negs, vecs)
 
     def test_full_mode_ledger(self):
         led = CostLedger()
@@ -182,8 +183,8 @@ class TestTriplets:
         trips = mine_triplets(self.ds, 6, cfg, identity_embed, rng_seed=2, ledger=led)
         assert led.comparisons == 6 * 20
         assert led.extractions >= 6 + 20 + 6  # fallbacks may add a few
-        for t in trips:
-            assert t.negative_id in self.ds.negative_set(t.anchor_id)
+        for anchor, _, negative in trips.tolist():
+            assert negative in self.ds.negative_set(anchor)
 
     def test_partial_pool_too_large(self):
         cfg = MiningConfig(mode=MiningMode.PARTIAL_HNM, pool_size=10_000)
@@ -198,7 +199,7 @@ class TestTriplets:
         cfg = MiningConfig(mode=MiningMode.FULL_HNM)
         a = mine_triplets(self.ds, 6, cfg, identity_embed, rng_seed=3)
         b = mine_triplets(self.ds, 6, cfg, identity_embed, rng_seed=3)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_embed_not_called_in_random_mode(self):
         calls = []
@@ -280,11 +281,11 @@ def test_full_mining_matches_per_query_oracle(case):
     ds, table, m_q, _, seed, order = case
     cfg = MiningConfig(MiningMode.FULL_HNM)
     trips, calls, led = _mine_with_spy(ds, table, m_q, cfg, seed, order)
-    assert calls == [[t.anchor_id for t in trips], list(ds.db_ids)]
-    for t in trips:
-        negs = ds.negative_set(t.anchor_id)
-        assert t.negative_id == oracle_hardest_negative(table[t.anchor_id], negs, table[negs])
-    assert led.comparisons == sum(len(ds.negative_set(t.anchor_id)) for t in trips)
+    assert calls == [trips[:, 0].tolist(), list(ds.db_ids)]
+    for anchor, _, negative in trips.tolist():
+        negs = ds.negative_set(anchor)
+        assert negative == oracle_hardest_negative(table[anchor], negs, table[negs])
+    assert led.comparisons == sum(len(ds.negative_set(a)) for a in trips[:, 0].tolist())
 
 
 @given(case=mining_cases())
@@ -292,17 +293,17 @@ def test_partial_mining_matches_per_query_oracle(case):
     ds, table, m_q, pool, seed, order = case
     cfg = MiningConfig(MiningMode.PARTIAL_HNM, pool_size=pool)
     trips, calls, led = _mine_with_spy(ds, table, m_q, cfg, seed, order)
-    assert calls[0] == [t.anchor_id for t in trips]
+    assert calls[0] == trips[:, 0].tolist()
     pool_ids = calls[1]
     fallbacks = 0
-    for t in trips:
-        negs = ds.negative_set(t.anchor_id)
+    for anchor, _, negative in trips.tolist():
+        negs = ds.negative_set(anchor)
         elig = [i for i in pool_ids if i in negs]
         if elig:
-            assert t.negative_id == oracle_hardest_negative(table[t.anchor_id], elig, table[elig])
+            assert negative == oracle_hardest_negative(table[anchor], elig, table[elig])
         else:
             fallbacks += 1
-            assert t.negative_id in negs
+            assert negative in negs
     assert led.extractions == 2 * m_q + pool + fallbacks
     assert led.comparisons == m_q * pool
 
