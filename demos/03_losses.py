@@ -4,13 +4,7 @@
 import numpy as np
 
 from vgssl.autodiff import Value
-from vgssl.losses import (
-    LossBranches,
-    LossConfig,
-    Method,
-    compute_loss,
-    l2_normalize_rows,
-)
+from vgssl.losses import LossConfig, Method, compute_loss, l2_normalize_rows
 
 rng = np.random.default_rng(3)
 N, D = 6, 8
@@ -22,23 +16,20 @@ negative = Value(rng.normal(size=(N, D)))
 for method in Method:
     cfg = LossConfig(method=method)
     if method is Method.TRIPLET:
-        br = LossBranches(query=anchor, partner=partner, negative=negative)
+        views = (anchor, partner, negative)
     elif method in (Method.BYOL, Method.SIMSIAM):
-        # self-distillation compares predicted online rows to detached targets;
-        # here the "predictor" is a plain normalize so the numbers stay readable
-        br = LossBranches(
-            query=anchor,
-            partner=partner,
-            pred_query=l2_normalize_rows(anchor),
-            pred_partner=l2_normalize_rows(partner),
-            target_query=l2_normalize_rows(anchor),
-            target_partner=l2_normalize_rows(partner),
+        # self-distillation compares predicted online rows to detached targets,
+        # in both directions; here the "predictor" is a plain normalize so the
+        # numbers stay readable
+        views = (
+            l2_normalize_rows(anchor),
+            l2_normalize_rows(partner),
+            l2_normalize_rows(partner),
+            l2_normalize_rows(anchor),
         )
-    elif method is Method.MOCOV2:
-        br = LossBranches(query=anchor, target_partner=partner)
     else:
-        br = LossBranches(query=anchor, partner=partner)
-    out = compute_loss(cfg, br)
+        views = (anchor, partner)
+    out = compute_loss(cfg, *views)
     terms = "  ".join(f"{k}={v:.4f}" for k, v in sorted(out.per_term.items()))
     print(f"{method.value:>12}: loss={out.value:8.4f}   {terms}")
 
@@ -47,14 +38,13 @@ for method in Method:
 one = rng.normal(size=(1, D))
 dup_a = Value(np.repeat(one, N, axis=0))
 dup_p = Value(np.repeat(one, N, axis=0))
-dup = compute_loss(
-    LossConfig(method=Method.SIMCLR), LossBranches(query=dup_a, partner=dup_p)
-)
+dup = compute_loss(LossConfig(method=Method.SIMCLR), dup_a, dup_p)
 
 ortho = np.eye(N, D)
 distinct = compute_loss(
     LossConfig(method=Method.SIMCLR),
-    LossBranches(query=Value(ortho.copy()), partner=Value(ortho.copy())),
+    Value(ortho.copy()),
+    Value(ortho.copy()),
 )
 print(f"\nInfoNCE, duplicated pair:  {dup.value:.4f}")
 print(f"InfoNCE, orthogonal pairs: {distinct.value:.4f}")

@@ -417,6 +417,8 @@ def cmd_bench_mining(cfg: _Config, out_dir: Path, seed: int) -> int:
     base = cfg.get_int("seed", seed)
     cfg.finish()
     for key, values in (("n_q", n_q_list), ("n_k", n_k_list)):
+        if not values:
+            raise ConfigError(f"bench-mining: {key} must list at least one value")
         if any(v < 1 for v in values):
             raise ConfigError(f"bench-mining: every {key} must be at least 1, got {list(values)}")
 

@@ -31,6 +31,7 @@ statistics.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field
@@ -430,6 +431,49 @@ def save_checkpoint(
         raise
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _checked_manifest(path, header: dict, body_len: int) -> list[tuple[str, tuple, int]]:
+    """The header's tensor list as (name, shape, offset) triples.
+
+    Checks every entry once: unique string names, shapes of non-negative
+    ints, non-negative int offsets, every tensor inside the body; and a
+    JSON-object ``meta``.  Each failure is a ``ValueError`` naming ``path``.
+    """
+    def malformed(what: str) -> ValueError:
+        return ValueError(f"malformed checkpoint {path}: {what}")
+
+    if not isinstance(header["meta"], dict):
+        raise malformed("meta is not a JSON object")
+    entries = header["tensors"]
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise malformed("tensors is not a list of JSON objects")
+    manifest = []
+    names: set[str] = set()
+    need = 0
+    for i, entry in enumerate(entries):
+        name, shape, offset = entry.get("name"), entry.get("shape"), entry.get("offset")
+        if not isinstance(name, str):
+            raise malformed(f"tensor {i} name {name!r} is not a string")
+        if name in names:
+            raise malformed(f"tensor {name!r} is listed twice")
+        names.add(name)
+        if not (isinstance(shape, list) and all(_is_count(d) for d in shape)):
+            raise malformed(f"tensor {name!r} shape {shape!r} is not a list of non-negative ints")
+        if not _is_count(offset):
+            raise malformed(f"tensor {name!r} offset {offset!r} is not a non-negative int")
+        manifest.append((name, tuple(shape), offset))
+        need = max(need, offset + 8 * math.prod(shape))
+    if body_len < need:
+        raise ValueError(
+            f"truncated checkpoint {path}: tensor body has {body_len} bytes, "
+            f"the header needs {need}"
+        )
+    return manifest
+
+
 def load_checkpoint(path: str | Path):
     """Inverse of ``save_checkpoint``.
 
@@ -463,25 +507,15 @@ def load_checkpoint(path: str | Path):
         if missing:
             raise ValueError(f"malformed checkpoint {path}: header lacks {missing}")
         body = fh.read()
-    if header["tensors"]:
-        last = header["tensors"][-1]
-        need = last["offset"] + 8 * int(np.prod(last["shape"]))
-        if len(body) < need:
-            raise ValueError(
-                f"truncated checkpoint {path}: tensor body has {len(body)} bytes, "
-                f"the header needs {need}"
-            )
+    manifest = _checked_manifest(path, header, len(body))
     try:
         cfg = EncoderConfig(**header["config"])
     except (TypeError, ValueError) as err:
         raise ValueError(f"malformed checkpoint {path}: encoder config: {err}") from None
     tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        a = np.frombuffer(body, dtype="<f8", count=size, offset=start).reshape(shape)
-        tensors[entry["name"]] = a.astype(np.float64)
+    for name, shape, start in manifest:
+        a = np.frombuffer(body, dtype="<f8", count=math.prod(shape), offset=start)
+        tensors[name] = a.reshape(shape).astype(np.float64)
     params = {
         name[len("params."):]: Value(a)
         for name, a in tensors.items()

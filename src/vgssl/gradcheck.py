@@ -145,7 +145,6 @@ def _loss_value(
         partners,
         negatives=negatives,
         frozen=frozen,
-        training=True,
     )
     return out.value, _hinge_signature(out.node)
 
@@ -170,7 +169,7 @@ def gradcheck_method(
             mcfg, state, anchors, partners, negatives = _build_instance(method, inst_seed)
             out, used = method_batch_loss(
                 state, mcfg, anchors, partners,
-                negatives=negatives, frozen=None, training=True,
+                negatives=negatives, frozen=None,
             )
         except DegenerateInputError:
             redraws += 1

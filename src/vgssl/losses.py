@@ -37,7 +37,6 @@ __all__ = [
     "Method",
     "LossConfig",
     "LossOutput",
-    "LossBranches",
     "DegenerateInputError",
     "l2_normalize_rows",
     "triplet_margin_loss",
@@ -112,24 +111,6 @@ class LossOutput:
     value: float
     node: Value
     per_term: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
-class LossBranches:
-    """Embeddings entering the loss, one row per batch pair.
-
-    ``query``/``partner`` are the two online views (or query and key);
-    ``negative`` only exists for triplets; predictor outputs and detached
-    target outputs are filled in by the methods that use them.
-    """
-
-    query: Value | None = None
-    partner: Value | None = None
-    negative: Value | None = None
-    pred_query: Value | None = None
-    pred_partner: Value | None = None
-    target_query: Value | None = None
-    target_partner: Value | None = None
 
 
 def l2_normalize_rows(x: Value) -> Value:
@@ -314,58 +295,41 @@ def vicreg_loss(
     }
 
 
-def compute_loss(cfg: LossConfig, branches: LossBranches) -> LossOutput:
-    """Dispatch to the configured objective and package the result."""
+def compute_loss(cfg: LossConfig, *views: Value) -> LossOutput:
+    """Dispatch to the configured objective and package the result.
+
+    ``views`` in order: (anchor, positive, negative) for the triplet;
+    (query, key) for the contrastive, redundancy-reduction and VICReg
+    objectives; (prediction, target) for embedding prediction, followed
+    by the reverse (prediction, target) when ``cfg.symmetric``.
+    """
     m = cfg.method
     if m is Method.TRIPLET:
-        if branches.negative is None:
-            raise ValueError("triplet loss needs a negative branch")
-        node = triplet_margin_loss(
-            branches.query,
-            branches.partner,
-            branches.negative,
-            cfg.margin,
-        )
-        return LossOutput(float(node.data), node, {"triplet": float(node.data)})
-    if m is Method.SIMCLR:
-        node = infonce_loss(
-            branches.query,
-            branches.partner,
-            cfg.tau,
-            symmetric=cfg.symmetric,
-        )
-        return LossOutput(float(node.data), node, {"contrastive": float(node.data)})
-    if m is Method.MOCOV2:
-        if branches.target_partner is None:
-            raise ValueError("momentum contrastive needs a target partner branch")
-        node = infonce_loss(
-            branches.query,
-            branches.target_partner,
-            cfg.tau,
-            symmetric=cfg.symmetric,
-        )
-        return LossOutput(float(node.data), node, {"contrastive": float(node.data)})
-    if m in (Method.BYOL, Method.SIMSIAM):
-        if branches.pred_query is None or branches.target_partner is None:
-            raise ValueError("prediction loss needs predictor and target branches")
-        node = embedding_prediction_loss(branches.pred_query, branches.target_partner)
-        if cfg.symmetric:
-            if branches.pred_partner is None or branches.target_query is None:
-                raise ValueError("symmetric prediction needs the reverse branches too")
-            rev = embedding_prediction_loss(branches.pred_partner, branches.target_query)
-            node = (node + rev) * 0.5
-        return LossOutput(float(node.data), node, {"prediction": float(node.data)})
+        arity = 3
+    elif m in (Method.BYOL, Method.SIMSIAM) and cfg.symmetric:
+        arity = 4
+    else:
+        arity = 2
+    if len(views) != arity:
+        raise ValueError(f"{m.value} loss takes {arity} views, got {len(views)}")
     if m is Method.BARLOW_TWINS:
-        node, terms = barlow_twins_loss(branches.query, branches.partner, cfg.lambda_bt)
+        node, terms = barlow_twins_loss(*views, cfg.lambda_bt)
         return LossOutput(float(node.data), node, terms)
     if m is Method.VICREG:
         node, terms = vicreg_loss(
-            branches.query,
-            branches.partner,
+            *views,
             cfg.lambda_inv,
             cfg.lambda_var,
             cfg.lambda_cov,
             cfg.std_margin,
         )
         return LossOutput(float(node.data), node, terms)
-    raise ValueError(f"unhandled method {m}")
+    if m is Method.TRIPLET:
+        term, node = "triplet", triplet_margin_loss(*views, cfg.margin)
+    elif m in (Method.SIMCLR, Method.MOCOV2):
+        term, node = "contrastive", infonce_loss(*views, cfg.tau, symmetric=cfg.symmetric)
+    else:
+        term, node = "prediction", embedding_prediction_loss(*views[:2])
+        if cfg.symmetric:
+            node = (node + embedding_prediction_loss(*views[2:])) * 0.5
+    return LossOutput(float(node.data), node, {term: float(node.data)})

@@ -18,9 +18,10 @@ var/inv/cov      0     0     0     1
 
 ``method_batch_loss`` is the single wiring point used by the trainer,
 the gradient checker, and the mechanism audit, so what is tested is
-exactly what trains.  For finite-difference checks the detached target
-arrays can be captured once and re-fed (``frozen=``), keeping the
-stop-gradient branch constant while parameters are perturbed.
+exactly what trains.  It returns the detached target arrays it used as
+a tuple; for finite-difference checks that tuple is captured once and
+re-fed (``frozen=``), keeping the stop-gradient branch constant while
+parameters are perturbed.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 from .autodiff import Value
 from .encoder import EncoderConfig, EncoderState, forward, predictor_forward
 from .losses import (
-    LossBranches,
     LossConfig,
     LossOutput,
     Method,
@@ -48,7 +48,6 @@ __all__ = [
     "MethodConfig",
     "method_config",
     "strategy_label",
-    "FrozenTargets",
     "method_batch_loss",
 ]
 
@@ -180,89 +179,50 @@ def strategy_label(mcfg: MethodConfig) -> str:
     return f"{name}-FC-{mcfg.encoder.proj_layers}-{mcfg.encoder.embed_dim}-{eta}"
 
 
-@dataclass
-class FrozenTargets:
-    """Detached target-branch outputs captured for finite differencing."""
-
-    target_partner: np.ndarray | None = None
-    target_query: np.ndarray | None = None
-
-
-def _target_or_frozen(
-    state: EncoderState,
-    cfg: EncoderConfig,
-    batch: np.ndarray,
-    frozen_arr: np.ndarray | None,
-    training: bool,
-) -> Value:
-    if frozen_arr is not None:
-        return Value(frozen_arr)
-    return forward(state, cfg, batch, branch="target", training=training)
-
-
 def method_batch_loss(
     state: EncoderState,
     mcfg: MethodConfig,
     anchors: np.ndarray,
     partners: np.ndarray,
     negatives: np.ndarray | None = None,
-    frozen: FrozenTargets | None = None,
-    training: bool = True,
-) -> tuple[LossOutput, FrozenTargets]:
+    frozen: tuple[np.ndarray, ...] | None = None,
+) -> tuple[LossOutput, tuple[np.ndarray, ...]]:
     """One training step's loss for a batch of feature rows.
 
     ``anchors``/``partners`` hold one row per pair (identical-negative
     pairs repeat the same row); ``negatives`` only exists for triplets.
-    Returns the loss plus the detached target outputs that were used, so
-    a finite-difference harness can pin them with ``frozen=``.
+    The encoder's flags pick the views: an online view is the projection,
+    passed through the predictor when there is one; with a target branch
+    the views are online(anchors), target(partners) and, for a symmetric
+    prediction loss, online(partners), target(anchors).  Returns the loss
+    plus the detached target arrays in the order they were computed, so a
+    finite-difference harness can pin them with ``frozen=``.
     """
-    m = mcfg.method
     enc = mcfg.encoder
-    used = FrozenTargets()
 
-    if m is Method.TRIPLET:
-        if negatives is None:
-            raise ValueError("triplet batches need a negatives matrix")
-        branches = LossBranches(
-            query=forward(state, enc, anchors, training=training),
-            partner=forward(state, enc, partners, training=training),
-            negative=forward(state, enc, negatives, training=training),
-        )
-        return compute_loss(mcfg.loss, branches), used
+    def online(rows) -> Value:
+        z = forward(state, enc, rows)
+        return predictor_forward(state, enc, l2_normalize_rows(z)) if enc.predictor else z
 
-    if m in (Method.SIMCLR, Method.BARLOW_TWINS, Method.VICREG):
-        branches = LossBranches(
-            query=forward(state, enc, anchors, training=training),
-            partner=forward(state, enc, partners, training=training),
-        )
-        return compute_loss(mcfg.loss, branches), used
+    if not enc.has_target_branch:
+        rows = (anchors, partners)
+        if mcfg.method is Method.TRIPLET:
+            if negatives is None:
+                raise ValueError("triplet batches need a negatives matrix")
+            rows += (negatives,)
+        return compute_loss(mcfg.loss, *[online(r) for r in rows]), ()
 
-    if m is Method.MOCOV2:
-        q = forward(state, enc, anchors, training=training)
-        k = _target_or_frozen(
-            state, enc, partners, frozen.target_partner if frozen else None, training
-        )
-        used.target_partner = k.data
-        branches = LossBranches(query=q, target_partner=k)
-        return compute_loss(mcfg.loss, branches), used
+    targets: list[np.ndarray] = []
 
-    if m in (Method.BYOL, Method.SIMSIAM):
-        z_a = forward(state, enc, anchors, training=training)
-        p_a = predictor_forward(state, enc, l2_normalize_rows(z_a), training=training)
-        t_b = _target_or_frozen(
-            state, enc, partners, frozen.target_partner if frozen else None, training
-        )
-        used.target_partner = t_b.data
-        branches = LossBranches(pred_query=p_a, target_partner=t_b)
-        if mcfg.loss.symmetric:
-            z_b = forward(state, enc, partners, training=training)
-            p_b = predictor_forward(state, enc, l2_normalize_rows(z_b), training=training)
-            t_a = _target_or_frozen(
-                state, enc, anchors, frozen.target_query if frozen else None, training
-            )
-            used.target_query = t_a.data
-            branches.pred_partner = p_b
-            branches.target_query = t_a
-        return compute_loss(mcfg.loss, branches), used
+    def target(rows) -> Value:
+        if frozen is None:
+            t = forward(state, enc, rows, branch="target")
+        else:
+            t = Value(frozen[len(targets)])
+        targets.append(t.data)
+        return t
 
-    raise ValueError(f"unhandled method {m}")
+    views = [online(anchors), target(partners)]
+    if enc.predictor and mcfg.loss.symmetric:
+        views += [online(partners), target(anchors)]
+    return compute_loss(mcfg.loss, *views), tuple(targets)

@@ -55,6 +55,28 @@ class MiningConfig:
             raise ValueError("partial mining needs pool_size >= 1")
 
 
+def _draw_queries(
+    ds: GeoDataset, m_q: int, rng_seed: int, need_negatives: bool
+) -> tuple[np.random.Generator, np.ndarray]:
+    """The call's generator, and ``m_q`` distinct eligible queries with one
+    uniform positive each as an ``(m_q, 2)`` int64 array of ``(query,
+    positive)`` ids.  Both samplers start here: the queries take one
+    ``rng.choice``, then each positive one ``rng.integers``."""
+    if m_q < 1:
+        raise ValueError("m_q must be at least 1")
+    rng = np.random.default_rng(rng_seed)
+    candidates = ds.eligible_queries(need_negatives=need_negatives)
+    if len(candidates) < m_q:
+        what = "positives and negatives" if need_negatives else "at least one positive"
+        raise ValueError(f"need {m_q} queries with {what}, dataset has {len(candidates)}")
+    chosen = rng.choice(len(candidates), size=m_q, replace=False)
+    rows = np.empty((m_q, 2), dtype=np.int64)
+    for k, i in enumerate(chosen.tolist()):
+        positives = ds.positive_set(candidates[i])
+        rows[k] = candidates[i], positives[int(rng.integers(len(positives)))]
+    return rng, rows
+
+
 def build_pairs(
     ds: GeoDataset,
     m_q: int,
@@ -69,26 +91,15 @@ def build_pairs(
     repeats its id.  The ledger counts one anchor and one partner
     extraction per pair and no comparisons.
     """
-    if m_q < 1:
-        raise ValueError("m_q must be at least 1")
     if eta < 0:
         raise ValueError(f"eta must be non-negative, got {eta}")
-    rng = np.random.default_rng(rng_seed)
-
-    candidates = ds.eligible_queries(need_negatives=False)
-    if len(candidates) < m_q:
-        raise ValueError(
-            f"need {m_q} queries with at least one positive, dataset has {len(candidates)}"
-        )
-    chosen = rng.choice(len(candidates), size=m_q, replace=False)
+    rng, queries = _draw_queries(ds, m_q, rng_seed, need_negatives=False)
     n_neg = int(round(eta * m_q))
     pairs = np.empty((m_q + n_neg, 2), dtype=np.int64)
+    pairs[:m_q] = queries
     banned = np.zeros(len(ds.db_ids), dtype=bool)
-    for k, i in enumerate(chosen.tolist()):
-        qid = candidates[i]
-        positives = ds.positive_set(qid)
+    for qid in queries[:, 0].tolist():
         banned[ds.neighbour_rows(qid)[0]] = True
-        pairs[k] = qid, positives[int(rng.integers(len(positives)))]
 
     if n_neg > 0:
         eligible = np.flatnonzero(~banned)
@@ -171,21 +182,10 @@ def mine_triplets(
     normalised once per call; each pick is the one ``hardest_negative``
     would make, bit for bit.
     """
-    if m_q < 1:
-        raise ValueError("m_q must be at least 1")
-    rng = np.random.default_rng(rng_seed)
-
-    candidates = ds.eligible_queries(need_negatives=True)
-    if len(candidates) < m_q:
-        raise ValueError(
-            f"need {m_q} queries with positives and negatives, dataset has {len(candidates)}"
-        )
-    chosen = rng.choice(len(candidates), size=m_q, replace=False)
-    query_ids = [candidates[i] for i in chosen]
+    rng, queries = _draw_queries(ds, m_q, rng_seed, need_negatives=True)
     triplets = np.empty((m_q, 3), dtype=np.int64)
-    for k, qid in enumerate(query_ids):
-        positives = ds.positive_set(qid)
-        triplets[k, :2] = qid, positives[int(rng.integers(len(positives)))]
+    triplets[:, :2] = queries
+    query_ids = queries[:, 0].tolist()
 
     db_ids = ds.db_ids
     if cfg.mode is MiningMode.RANDOM:

@@ -13,12 +13,7 @@ from vgssl.autodiff import Value
 from vgssl.costmodel import CostLedger, assert_ledger, predict_cost
 from vgssl.geodata import Position, PositionMode, distance_m, synth_dataset
 from vgssl.gradcheck import ALL_METHODS, gradcheck_method
-from vgssl.losses import (
-    LossBranches,
-    LossConfig,
-    Method,
-    compute_loss,
-)
+from vgssl.losses import LossConfig, Method, compute_loss
 from vgssl.methods import method_config
 from vgssl.retrieval import EmbeddingIndex, knn, recall_at_n
 from vgssl.sampling import MiningConfig, MiningMode, build_pairs, mine_triplets
@@ -64,7 +59,7 @@ def test_criterion_2_loss_identities():
     q = np.array([[1.0, 0.0], [0.0, 1.0]])
     out = compute_loss(
         LossConfig(method=Method.TRIPLET),
-        LossBranches(query=Value(q), partner=Value(q.copy()), negative=Value(-q)),
+        Value(q), Value(q.copy()), Value(-q),
     )
     checks["triplet_zero"] = out.value == 0.0
 
@@ -73,7 +68,7 @@ def test_criterion_2_loss_identities():
     z = rng.normal(size=(4, 6))
     same = compute_loss(
         LossConfig(method=Method.SIMSIAM, symmetric=False),
-        LossBranches(pred_query=Value(z), target_partner=Value(z.copy())),
+        Value(z), Value(z.copy()),
     )
     checks["embpred_zero"] = abs(same.value) < 1e-12
     in_range = True
@@ -82,7 +77,7 @@ def test_criterion_2_loss_identities():
         b = rng.normal(size=(4, 6))
         v = compute_loss(
             LossConfig(method=Method.SIMSIAM, symmetric=False),
-            LossBranches(pred_query=Value(a), target_partner=Value(b)),
+            Value(a), Value(b),
         ).value
         in_range &= -1e-12 <= v <= 4.0 + 1e-12
     checks["embpred_range"] = in_range
@@ -95,7 +90,7 @@ def test_criterion_2_loss_identities():
     d = h8[:, 1:6]
     bt = compute_loss(
         LossConfig(method=Method.BARLOW_TWINS),
-        LossBranches(query=Value(d), partner=Value(d.copy())),
+        Value(d), Value(d.copy()),
     )
     checks["bt_identity_zero"] = abs(bt.value) < 1e-12
 
@@ -103,7 +98,7 @@ def test_criterion_2_loss_identities():
     skew = np.column_stack([h8[:, 1], h8[:, 1], h8[:, 2]])
     bt_off = compute_loss(
         LossConfig(method=Method.BARLOW_TWINS),
-        LossBranches(query=Value(skew), partner=Value(skew.copy())),
+        Value(skew), Value(skew.copy()),
     )
     checks["bt_nonidentity_positive"] = bt_off.value > 1e-3
 
@@ -116,7 +111,7 @@ def test_criterion_2_loss_identities():
     z = cols * np.sqrt((1.0 - 1e-4) / 4.0)
     vic = compute_loss(
         LossConfig(method=Method.VICREG),
-        LossBranches(query=Value(z), partner=Value(z.copy())),
+        Value(z), Value(z.copy()),
     )
     checks["vicreg_zero"] = abs(vic.value) < 1e-6
 
@@ -124,8 +119,8 @@ def test_criterion_2_loss_identities():
     a = rng.normal(size=(5, 7))
     b = rng.normal(size=(5, 7))
     cfg = LossConfig(method=Method.SIMCLR, symmetric=True)
-    fwd = compute_loss(cfg, LossBranches(query=Value(a), partner=Value(b))).value
-    rev = compute_loss(cfg, LossBranches(query=Value(b), partner=Value(a))).value
+    fwd = compute_loss(cfg, Value(a), Value(b)).value
+    rev = compute_loss(cfg, Value(b), Value(a)).value
     checks["infonce_swap"] = abs(fwd - rev) < 1e-12
 
     ok = all(checks.values())

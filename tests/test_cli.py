@@ -344,13 +344,16 @@ class TestEval:
         ckpt = tmp_path / "runs" / "SimCLR-FC-1-8-0.5-seed1" / "checkpoint.ckpt"
         raw = ckpt.read_bytes()
         end = 4 + int.from_bytes(raw[:4], "little")
-        header = json.loads(raw[4:end])
-        header["config"]["width"] = 3
-        blob = json.dumps(header).encode()
-        ckpt.write_bytes(len(blob).to_bytes(4, "little") + blob + raw[end:])
         ecfg = write_config(tmp_path / "e.json", {"checkpoint": str(ckpt), "dataset": str(world)})
-        assert run("eval", "--config", ecfg, "--out", str(tmp_path / "ev")) == 2
-        assert capsys.readouterr().err.startswith(f"error: malformed checkpoint {ckpt}: ")
+        # An encoder config field that does not exist, and a negative offset.
+        for edit in (lambda h: h["config"].update(width=3),
+                     lambda h: h["tensors"][0].update(offset=-8)):
+            header = json.loads(raw[4:end])
+            edit(header)
+            blob = json.dumps(header).encode()
+            ckpt.write_bytes(len(blob).to_bytes(4, "little") + blob + raw[end:])
+            assert run("eval", "--config", ecfg, "--out", str(tmp_path / "ev")) == 2
+            assert capsys.readouterr().err.startswith(f"error: malformed checkpoint {ckpt}: ")
 
 
 @pytest.mark.parametrize("command, payload, message", [
@@ -365,8 +368,11 @@ class TestEval:
     ("bench-mining", {"n_q": [0]}, "bench-mining: every n_q must be at least 1, got [0]"),
     ("bench-mining", {"n_q": [5], "n_k": [-5]},
      "bench-mining: every n_k must be at least 1, got [-5]"),
+    ("bench-mining", {"n_q": []}, "bench-mining: n_q must list at least one value"),
+    ("bench-mining", {"n_q": [5], "n_k": []}, "bench-mining: n_k must list at least one value"),
 ], ids=["synth_str", "synth_bool", "eval_str", "gradcheck_tol_str", "gradcheck_methods_str",
-        "bench_slack_bool", "bench_n_q_zero", "bench_n_k_negative"])
+        "bench_slack_bool", "bench_n_q_zero", "bench_n_k_negative", "bench_n_q_empty",
+        "bench_n_k_empty"])
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path / "c.json", payload)
     out = tmp_path / "out"

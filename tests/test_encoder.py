@@ -234,6 +234,24 @@ class TestPredictor:
         assert np.any(state.params["pred.0.W"].grad != 0)
 
 
+# Checkpoint header edits by case; "not_utf8" corrupts the encoded bytes instead.
+HEADER_EDITS = {
+    "unknown_config_field": lambda h: h["config"].update(width=3),
+    "no_tensors": lambda h: h.pop("tensors"),
+    "not_utf8": lambda h: None,
+    "tensors_str": lambda h: h.update(tensors="x"),
+    "tensors_int_items": lambda h: h.update(tensors=[3]),
+    "meta_list": lambda h: h.update(meta=[]),
+    "name_int": lambda h: h["tensors"][0].update(name=3),
+    "name_repeated": lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"]),
+    "shape_str": lambda h: h["tensors"][0].update(shape="ab"),
+    "shape_negative": lambda h: h["tensors"][0].update(shape=[2, -1]),
+    "offset_missing": lambda h: h["tensors"][0].pop("offset"),
+    "offset_negative": lambda h: h["tensors"][0].update(offset=-8),
+    "offset_float": lambda h: h["tensors"][0].update(offset=8.0),
+}
+
+
 class TestCheckpoint:
     def make(self):
         cfg = EncoderConfig(
@@ -295,6 +313,16 @@ class TestCheckpoint:
         ("unknown_config_field", "encoder config: "),
         ("no_tensors", "header lacks ['tensors']"),
         ("not_utf8", "header is not UTF-8 JSON"),
+        ("tensors_str", "tensors is not a list of JSON objects"),
+        ("tensors_int_items", "tensors is not a list of JSON objects"),
+        ("meta_list", "meta is not a JSON object"),
+        ("name_int", "tensor 0 name 3 is not a string"),
+        ("name_repeated", "tensor '{first}' is listed twice"),
+        ("shape_str", "tensor '{first}' shape 'ab' is not a list of non-negative ints"),
+        ("shape_negative", "tensor '{first}' shape [2, -1] is not a list of non-negative ints"),
+        ("offset_missing", "tensor '{first}' offset None is not a non-negative int"),
+        ("offset_negative", "tensor '{first}' offset -8 is not a non-negative int"),
+        ("offset_float", "tensor '{first}' offset 8.0 is not a non-negative int"),
     ])
     def test_malformed_header_names_the_file(self, tmp_path, case, message):
         cfg, state = self.make()
@@ -303,17 +331,36 @@ class TestCheckpoint:
         raw = path.read_bytes()
         end = 4 + int.from_bytes(raw[:4], "little")
         header = json.loads(raw[4:end])
-        if case == "unknown_config_field":
-            header["config"]["width"] = 3
-        elif case == "no_tensors":
-            del header["tensors"]
+        first = header["tensors"][0]["name"]
+        HEADER_EDITS[case](header)
         blob = json.dumps(header).encode()
         if case == "not_utf8":
             blob = blob.replace(b"VGSSL", b"\xffGSSL")
         path.write_bytes(len(blob).to_bytes(4, "little") + blob + raw[end:])
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-        assert str(err.value).startswith(f"malformed checkpoint {path}: {message}")
+        expected = f"malformed checkpoint {path}: " + message.format(first=first)
+        assert str(err.value).startswith(expected)
+
+    def test_every_tensor_must_end_inside_the_body(self, tmp_path):
+        # Only the first entry points past the body; the last one fits.
+        cfg, state = self.make()
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, state, cfg)
+        raw = path.read_bytes()
+        end = 4 + int.from_bytes(raw[:4], "little")
+        body = len(raw) - end
+        header = json.loads(raw[4:end])
+        header["tensors"][0]["offset"] = body
+        blob = json.dumps(header).encode()
+        path.write_bytes(len(blob).to_bytes(4, "little") + blob + raw[end:])
+        size = int(np.prod(header["tensors"][0]["shape"]))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (
+            f"truncated checkpoint {path}: tensor body has {body} bytes, "
+            f"the header needs {body + 8 * size}"
+        )
 
     def test_truncated_body_rejected(self, tmp_path):
         cfg, state = self.make()

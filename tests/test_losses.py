@@ -6,7 +6,6 @@ import pytest
 from vgssl.autodiff import Value
 from vgssl.losses import (
     DegenerateInputError,
-    LossBranches,
     LossConfig,
     Method,
     barlow_twins_loss,
@@ -252,35 +251,33 @@ class TestLossConfig:
 class TestDispatch:
     def test_triplet_requires_negative(self):
         cfg = LossConfig(Method.TRIPLET)
-        b = LossBranches(query=V(np.eye(2)), partner=V(np.eye(2)))
-        with pytest.raises(ValueError):
-            compute_loss(cfg, b)
-
-    def test_momentum_contrastive_requires_target(self):
-        cfg = LossConfig(Method.MOCOV2)
-        b = LossBranches(query=V(np.eye(2)), partner=V(np.eye(2)))
-        with pytest.raises(ValueError):
-            compute_loss(cfg, b)
+        with pytest.raises(ValueError) as err:
+            compute_loss(cfg, V(np.eye(2)), V(np.eye(2)))
+        assert str(err.value) == "triplet loss takes 3 views, got 2"
 
     def test_prediction_requires_reverse_branches_when_symmetric(self):
         cfg = LossConfig(Method.BYOL)
-        b = LossBranches(pred_query=V(np.eye(2)), target_partner=V(np.eye(2)))
-        with pytest.raises(ValueError):
-            compute_loss(cfg, b)
+        with pytest.raises(ValueError) as err:
+            compute_loss(cfg, V(np.eye(2)), V(np.eye(2)))
+        assert str(err.value) == "byol loss takes 4 views, got 2"
+
+    def test_one_way_prediction_takes_two_views(self):
+        cfg = LossConfig(Method.SIMSIAM, symmetric=False)
+        out = compute_loss(cfg, V(np.eye(2)), V(np.eye(2)))
+        assert out.value == 0.0
+        assert set(out.per_term) == {"prediction"}
 
     def test_output_carries_value_and_terms(self):
         cfg = LossConfig(Method.VICREG)
         rng = np.random.default_rng(7)
-        b = LossBranches(query=V(rng.normal(size=(4, 3))), partner=V(rng.normal(size=(4, 3))))
-        out = compute_loss(cfg, b)
+        out = compute_loss(cfg, V(rng.normal(size=(4, 3))), V(rng.normal(size=(4, 3))))
         assert out.value == pytest.approx(out.node.item())
         assert set(out.per_term) == {"invariance", "variance", "covariance"}
         assert out.value == pytest.approx(sum(out.per_term.values()), rel=1e-9)
 
     def test_simclr_end_to_end(self):
         cfg = LossConfig(Method.SIMCLR, tau=1.0)
-        b = LossBranches(query=V(np.eye(2)), partner=V(np.eye(2)))
-        out = compute_loss(cfg, b)
+        out = compute_loss(cfg, V(np.eye(2)), V(np.eye(2)))
         assert out.value == pytest.approx(0.3132616875182228, abs=1e-12)
 
 

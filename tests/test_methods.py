@@ -150,12 +150,12 @@ class TestBatchLoss:
     def test_frozen_targets_reproduce_loss(self):
         for method in (Method.MOCOV2, Method.BYOL, Method.SIMSIAM):
             mcfg, state = self.make(method)
-            out1, used = method_batch_loss(state, mcfg, self.anchors, self.partners)
+            out1, targets = method_batch_loss(state, mcfg, self.anchors, self.partners)
             zero_grads(state.params.values())
             out2, _ = method_batch_loss(
-                state, mcfg, self.anchors, self.partners, frozen=used
+                state, mcfg, self.anchors, self.partners, frozen=targets
             )
-            assert out1.value == pytest.approx(out2.value, abs=1e-12)
+            assert out1.value == out2.value, method
 
     def test_simsiam_target_is_online_output(self):
         mcfg, state = self.make(Method.SIMSIAM)
@@ -163,14 +163,28 @@ class TestBatchLoss:
 
         _, used = method_batch_loss(state, mcfg, self.anchors, self.partners)
         online = forward(state, mcfg.encoder, self.partners, training=True).data
-        np.testing.assert_array_equal(used.target_partner, online)
+        np.testing.assert_array_equal(used[0], online)
 
     def test_methods_without_targets_report_none(self):
-        for method in (Method.SIMCLR, Method.BARLOW_TWINS, Method.VICREG):
+        for method in (Method.SIMCLR, Method.BARLOW_TWINS, Method.VICREG, Method.TRIPLET):
             mcfg, state = self.make(method)
-            _, used = method_batch_loss(state, mcfg, self.anchors, self.partners)
-            assert used.target_partner is None
-            assert used.target_query is None
+            _, targets = method_batch_loss(
+                state, mcfg, self.anchors, self.partners, negatives=self.negatives
+            )
+            assert targets == (), method
+
+    @pytest.mark.parametrize("method, overrides, count", [
+        (Method.MOCOV2, {}, 1),
+        (Method.SIMSIAM, {"symmetric": False}, 1),
+        (Method.BYOL, {}, 2),
+        (Method.SIMSIAM, {}, 2),
+    ], ids=["mocov2", "simsiam_one_way", "byol", "simsiam"])
+    def test_one_target_array_per_target_view(self, method, overrides, count):
+        mcfg, state = self.make(method, **overrides)
+        _, targets = method_batch_loss(state, mcfg, self.anchors, self.partners)
+        assert isinstance(targets, tuple)
+        assert len(targets) == count
+        assert all(t.shape == (6, 5) for t in targets)
 
     def test_identical_negative_rows_are_legal(self):
         # An identical pair repeats one row on both sides.
