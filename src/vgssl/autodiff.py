@@ -78,7 +78,7 @@ class Value:
         self._parents = parents
         self._backward: Callable[[np.ndarray], None] | None = None
         self._op = op
-        self._aux = None  # op metadata, e.g. the hinge threshold
+        self._aux = None  # op metadata: a hinge's threshold, a fused ReLU's input
         self._const = False  # off the tape; see the module docstring
         # An array of this shape that the first gradient contribution is
         # copied into, instead of a fresh array: a view into an optimizer's

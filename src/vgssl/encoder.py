@@ -16,13 +16,19 @@ constants and run the same layers: every result is then a constant, each
 intermediate is freed as soon as the next layer has consumed it, and the
 output has the bits a recorded forward would give.  No gradient reaches
 the parameters or the input through such an output.  A raw input array
-enters any forward as a constant, so no gradient is computed for it.
+enters any forward as a constant, so no gradient is computed for it, and
+no forward ever writes to it.
 
-Each affine layer and each training-mode batchnorm is one tape node whose
-backward replays the primitive chain it stands for (``h @ W + b``; batch
-mean, centring, population variance, scale and shift) with the same
-numpy operations in the same order, so its gradient, including the terms
-through the batch mean and variance, is exact and has that chain's bits.
+Each affine layer, with the ReLU that follows it where no batchnorm sits
+between them, and each training-mode batchnorm is one tape node whose
+backward replays the primitive chain it stands for (``h @ W + b`` and
+``relu``; batch mean, centring, population variance, scale and shift)
+with the same numpy operations in the same order, so its gradient,
+including the terms through the batch mean and variance, is exact and has
+that chain's bits.  Off the tape an affine layer writes one array: the
+product, into which the bias is added and the ReLU applied in place.  An
+eval-mode forward without batchnorm therefore writes one (N, width) array
+per layer, and at most two of them are alive at once.
 In training mode batchnorm normalizes by batch statistics and updates the
 running statistics; in eval mode it applies the stored running
 statistics.
@@ -174,14 +180,29 @@ def _constants(params: dict[str, Value], predictor: bool) -> dict[str, Value]:
     }
 
 
-def _affine(h: Value, W: Value, b: Value) -> Value:
-    """``h @ W + b`` as one tape node.
+def _affine(h: Value, W: Value, b: Value, relu: bool = False) -> Value:
+    """``h @ W + b``, or ``(h @ W + b).relu()`` with ``relu``, as one tape node.
 
-    Its closure runs the add node's backward and then the matmul node's,
-    with the same numpy operations, so the gradients are the chain's bits.
+    The bias is added in place into the product, with the ufunc the chain
+    runs.  Off the tape (every parent a constant) the ReLU is applied in
+    place too, so the layer writes one array.  On the tape the ReLU writes
+    a second array and the pre-activation is kept, as the chain keeps it:
+    the closure runs the maximum node's backward (``g * (pre > 0.0)``),
+    then the add node's and the matmul node's, with the same numpy
+    operations, so output and gradients are the chain's bits.  The node's
+    ``_aux`` holds the pre-activation, the hinge input that
+    ``vgssl.gradcheck`` reads to find kinks.
     """
+    pre = h.data @ W.data
+    pre += b.data
+    y = pre
+    if relu:
+        off_tape = h._const and W._const and b._const
+        y = np.maximum(pre, 0.0, out=pre if off_tape else None)
 
     def bwd(g):
+        if relu:
+            g = g * (pre > 0.0)
         if not b._const:
             b._accum(_unbroadcast(g, b.shape))
         if not h._const:
@@ -189,7 +210,10 @@ def _affine(h: Value, W: Value, b: Value) -> Value:
         if not W._const:
             W._accum(h.data.T @ g)
 
-    return _node(h.data @ W.data + b.data, (h, W, b), "affine", bwd)
+    out = _node(y, (h, W, b), "affine_relu" if relu else "affine", bwd)
+    if relu and not out._const:
+        out._aux = pre
+    return out
 
 
 def _batchnorm_train(
@@ -297,28 +321,27 @@ def forward(
     if not recording:
         x = as_value(x.data)  # a live input takes no gradient here
 
-    def affine(prefix: str, h: Value) -> Value:
-        return _affine(h, params[f"{prefix}.W"], params[f"{prefix}.b"])
+    def affine(prefix: str, h: Value, relu: bool) -> Value:
+        return _affine(h, params[f"{prefix}.W"], params[f"{prefix}.b"], relu)
 
     inp = x
     for i in range(len(cfg.hidden_dims)):
-        x = affine(f"trunk.{i}", x).relu()
+        x = affine(f"trunk.{i}", x, relu=True)
 
     if not cfg.identity_projection:
         for i in range(cfg.proj_layers):
-            x = affine(f"proj.{i}", x)
-            if i < cfg.proj_layers - 1:
-                if cfg.proj_batchnorm:
-                    x = _batchnorm(
-                        x,
-                        params[f"proj.{i}.bn.gamma"],
-                        params[f"proj.{i}.bn.beta"],
-                        running,
-                        f"proj.{i}.bn",
-                        training,
-                        update_running,
-                    )
-                x = x.relu()
+            hidden = i < cfg.proj_layers - 1
+            x = affine(f"proj.{i}", x, relu=hidden and not cfg.proj_batchnorm)
+            if hidden and cfg.proj_batchnorm:
+                x = _batchnorm(
+                    x,
+                    params[f"proj.{i}.bn.gamma"],
+                    params[f"proj.{i}.bn.beta"],
+                    running,
+                    f"proj.{i}.bn",
+                    training,
+                    update_running,
+                ).relu()
 
     # A net with no layer passes its input through; off the tape, cut it loose.
     return inp.detach() if x is inp and not recording else x

@@ -108,7 +108,10 @@ class GeoDataset:
     ``db_ids`` and ``query_ids`` are ascending tuples, and one read-only
     (N, F) matrix holds the database rows, then the query rows, in id
     order (the CSV's row order); ``features(ids)`` copies rows out of it
-    and ``positions(ids)`` reads the matching positions.
+    and ``positions(ids)`` reads the matching positions.  The whole
+    database is read where it is stored: ``db_features`` is the matrix's
+    first ``len(db_ids)`` rows, a read-only view, and ``db_positions`` is
+    a tuple of their positions, both in ``db_ids`` order.
     The first neighbourhood query runs one radius search over the whole
     database, vectorised per query with a rounding margin decided by
     ``distance_m`` (see ``_radius_search``), and stores each query's
@@ -122,6 +125,8 @@ class GeoDataset:
     r_neg: float = 25.0
     db_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
     query_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    db_features: np.ndarray = field(init=False, repr=False, compare=False)
+    db_positions: tuple[Position, ...] = field(init=False, repr=False, compare=False)
     _samples: tuple[GeoSample, ...] = field(init=False, repr=False, compare=False)
     _row: dict[int, int] = field(init=False, repr=False, compare=False)
     _matrix: np.ndarray = field(init=False, repr=False, compare=False)
@@ -152,6 +157,8 @@ class GeoDataset:
         self.db_ids, self.query_ids = ids[: len(db)], ids[len(db) :]
         self._matrix = np.stack([s.features for s in self._samples])
         self._matrix.flags.writeable = False
+        self.db_features = self._matrix[: len(db)]
+        self.db_positions = tuple(s.position for s in db)
 
     @property
     def mode(self) -> PositionMode:
@@ -212,7 +219,7 @@ class GeoDataset:
         ``r * (1 - 2**-32)`` puts the scalar distance on the same side of
         ``r``.
         """
-        db = [s.position for s in self._samples[: len(self.db_ids)]]
+        db = self.db_positions
         a = np.array([p.a for p in db])
         b = np.array([p.b for p in db])
         geodetic = self.mode is PositionMode.GEODETIC

@@ -47,8 +47,9 @@ ALL_METHODS = tuple(Method)
 FD_STEP = 1e-5
 # A perturbation of one coordinate moves a hinge input by at most a few
 # times the step, so any input within 10 steps of its threshold gets the
-# whole instance redrawn (relu is maximum(0), so this covers dead units
-# grazing zero as well as the loss hinges).
+# whole instance redrawn (a ReLU is a hinge at 0, fused into its affine
+# node or not, so this covers dead units grazing zero as well as the loss
+# hinges).
 KINK_MARGIN = 1e-4
 MAX_REDRAWS = 60
 
@@ -74,13 +75,24 @@ class GradCheckResult:
     redraws: int = 0
 
 
+def _hinges(loss_node: Value) -> list[tuple[np.ndarray, float]]:
+    """(input, threshold) of every hinge on this tape, in topo order: each
+    ``maximum`` node, and each affine node with a fused ReLU, whose
+    ``_aux`` is its pre-activation."""
+    out = []
+    for node in loss_node._topo():
+        if node._op == "maximum" and node._aux is not None:
+            out.append((node._parents[0].data, node._aux))
+        elif node._op == "affine_relu":
+            out.append((node._aux, 0.0))
+    return out
+
+
 def _kink_margin(loss_node: Value) -> float:
     """Smallest distance of any hinge input to its threshold on this tape."""
     margin = np.inf
-    for node in loss_node._topo():
-        if node._op == "maximum" and node._aux is not None:
-            gap = np.min(np.abs(node._parents[0].data - node._aux))
-            margin = min(margin, float(gap))
+    for x, threshold in _hinges(loss_node):
+        margin = min(margin, float(np.min(np.abs(x - threshold))))
     return margin
 
 
@@ -92,11 +104,7 @@ def _hinge_signature(loss_node: Value) -> np.ndarray:
     between the two sides of a central difference means the interval
     contains a kink and the quotient is meaningless there.
     """
-    parts = [
-        (node._parents[0].data > node._aux).ravel()
-        for node in loss_node._topo()
-        if node._op == "maximum" and node._aux is not None
-    ]
+    parts = [(x > threshold).ravel() for x, threshold in _hinges(loss_node)]
     if not parts:
         return np.zeros(0, dtype=bool)
     return np.concatenate(parts)

@@ -18,8 +18,9 @@ prediction objectives row-normalize them first; the decorrelation
 objectives (redundancy reduction, VICReg) do not.
 
 Objectives are composed from the autodiff primitives, except the row
-normalization, which is one tape node whose backward replays the
-primitive chain's arithmetic (so its gradients are that chain's bits).
+normalization and the redundancy-reduction diagonal, which are one tape
+node each whose backward replays the primitive chain's arithmetic (so
+its gradients are that chain's bits).
 """
 
 from __future__ import annotations
@@ -226,6 +227,21 @@ def cross_correlation_matrix(za: Value, zb: Value) -> Value:
     return (za / na).T @ (zb / nb)
 
 
+def _diagonal(c: Value, eye: np.ndarray) -> Value:
+    """``(c * eye).sum(axis=1, keepdims=True)``, the (d, 1) diagonal of a
+    square ``c``, as one tape node.
+
+    Forward and closure replay the chain with its numpy operations: the
+    sum node's backward broadcasts ``g`` over the rows, then the product
+    node's multiplies by ``eye``.
+    """
+
+    def bwd(g):
+        c._accum(np.broadcast_to(g, c.shape) * eye)
+
+    return _node((c.data * eye).sum(axis=1, keepdims=True), (c,), "diagonal", bwd)
+
+
 def barlow_twins_loss(za: Value, zb: Value, lam: float) -> tuple[Value, dict[str, float]]:
     """Identity-matching penalty on the cross-correlation matrix.
 
@@ -235,7 +251,7 @@ def barlow_twins_loss(za: Value, zb: Value, lam: float) -> tuple[Value, dict[str
     c = cross_correlation_matrix(za, zb)
     d = c.shape[0]
     eye = np.eye(d)
-    diag = (c * eye).sum(axis=1, keepdims=True)
+    diag = _diagonal(c, eye)
     on_term = ((1.0 - diag) * (1.0 - diag)).sum()
     off = c * (1.0 - eye)
     off_term = (off * off).sum()

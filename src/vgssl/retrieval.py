@@ -17,6 +17,7 @@ independent of the embeddings.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,20 +36,21 @@ __all__ = [
     "recall_at_n",
 ]
 
-def _normalize_rows(x: np.ndarray, what: str) -> np.ndarray:
+def _row_norms(x: np.ndarray, what: str) -> np.ndarray:
+    """(N, 1) row norms of ``x``; a row with zero norm raises."""
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     small = norms <= 1e-12
     if np.any(small):
         row = int(np.argmax(small))
         raise DegenerateInputError(f"{what} row {row} has zero norm")
-    return x / norms
+    return norms
 
 
 @dataclass
 class EmbeddingIndex:
     ids: np.ndarray  # (M,) int64, unique
     vectors: np.ndarray  # (M, D) float64, unit rows
-    positions: list[Position]
+    positions: Sequence[Position]
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
@@ -59,10 +61,13 @@ class EmbeddingIndex:
             raise ValueError("ids and positions disagree in length")
         if self.ids.shape[0] == 0:
             raise ValueError("index cannot be empty")
-        if len(np.unique(self.ids)) != len(self.ids):
+        ordered = np.sort(self.ids)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("index ids must be unique")
-        # Written as "not within" so a NaN norm fails the check too.
-        bad = ~(np.abs(np.linalg.norm(self.vectors, axis=1) - 1.0) <= 1e-9)
+        # Squared norms by einsum, with no (M, D) temporary.  Written as
+        # "not within" so a NaN norm fails the check too.
+        norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
+        bad = ~(np.abs(norms - 1.0) <= 1e-9)
         if np.any(bad):
             row = int(np.argmax(bad))
             raise ValueError(f"index vectors must be unit norm; row {row} is not")
@@ -77,13 +82,14 @@ class EmbeddingIndex:
 
 
 def build_index(state: EncoderState, cfg: EncoderConfig, ds: GeoDataset) -> EmbeddingIndex:
-    """Embed the whole database in eval mode, ascending id order."""
-    emb = forward(state, cfg, ds.features(ds.db_ids), branch="online", training=False).data
-    return EmbeddingIndex(
-        ids=np.array(ds.db_ids),
-        vectors=_normalize_rows(emb, "database embedding"),
-        positions=ds.positions(ds.db_ids),
-    )
+    """Embed the whole database in eval mode, ascending id order.
+
+    The forward reads ``ds.db_features`` where it is stored and returns a
+    fresh array, which is normalised in place.
+    """
+    emb = forward(state, cfg, ds.db_features, branch="online", training=False).data
+    emb /= _row_norms(emb, "database embedding")
+    return EmbeddingIndex(ids=np.array(ds.db_ids), vectors=emb, positions=ds.db_positions)
 
 
 def knn(index: EmbeddingIndex, query_vecs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,8 +104,13 @@ def knn(index: EmbeddingIndex, query_vecs: np.ndarray, k: int) -> tuple[np.ndarr
     is the k-th smallest estimate, and the candidates are the rows with s
     not above A_k + 2 eps, where eps bounds the rounding gap between s
     and the squared direct-difference distance r (see ``_knn_margin``).
-    Only the candidates get direct differences (``np.linalg.norm``), and
-    they are sorted by (distance, id).
+    Only the candidates get direct differences, and they are reranked in
+    batches: the candidates of consecutive queries, up to M of them in all,
+    get their distances from one ``np.linalg.norm`` and their order from
+    one ``lexsort`` by (query, distance, id).  A row's norm is a per-row
+    reduce, so its bits do not depend on the batch, and a batch holds no
+    more rows than one query whose every row is a candidate (a collapsed
+    embedding, say).  Usually all queries fit in one batch.
 
     The result is that of a full sort of every row's direct distance:
     the k rows with the smallest s have r within eps of A_k, so every
@@ -117,7 +128,7 @@ def knn(index: EmbeddingIndex, query_vecs: np.ndarray, k: int) -> tuple[np.ndarr
         raise ValueError(f"query matrix must be 2-d, got shape {q.shape}")
     if q.shape[1] != index.dim:
         raise ValueError(f"query dim {q.shape[1]} does not match index dim {index.dim}")
-    q = _normalize_rows(q, "query embedding")
+    q = q / _row_norms(q, "query embedding")
     v = index.vectors
     k = min(k, index.size)
     qq = np.einsum("ij,ij->i", q, q)
@@ -129,15 +140,35 @@ def knn(index: EmbeddingIndex, query_vecs: np.ndarray, k: int) -> tuple[np.ndarr
     limit = 2.0 * _knn_margin(index.dim, qq, vv.max())
     out_ids = np.empty((q.shape[0], k), dtype=np.int64)
     out_d = np.empty((q.shape[0], k), dtype=np.float64)
+    first, cands, total = 0, [], 0
     for row, est in enumerate(s):
         a_k = np.partition(est, k - 1)[k - 1]
         # Written as "not above" so a NaN bound keeps every row.
         cand = np.flatnonzero(~(est > a_k + limit[row]))
-        d = np.linalg.norm(q[row] - v[cand], axis=1)
-        order = np.lexsort((index.ids[cand], d))[:k]
-        out_ids[row] = index.ids[cand[order]]
-        out_d[row] = d[order]
+        if cands and total + cand.size > index.size:
+            out_ids[first:row], out_d[first:row] = _rerank(index, q[first:row], cands, k)
+            first, cands, total = row, [], 0
+        cands.append(cand)
+        total += cand.size
+    if cands:
+        out_ids[first:], out_d[first:] = _rerank(index, q[first:], cands, k)
     return out_ids, out_d
+
+
+def _rerank(
+    index: EmbeddingIndex, q: np.ndarray, cands: list[np.ndarray], k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, dists), each (len(q), k): the k nearest of each query's
+    candidate rows ``cands[i]``, by direct distance, then id."""
+    counts = np.array([c.size for c in cands])
+    rows = np.repeat(np.arange(len(cands)), counts)
+    cand = np.concatenate(cands)
+    d = np.linalg.norm(q[rows] - index.vectors[cand], axis=1)
+    ids = index.ids[cand]
+    order = np.lexsort((ids, d, rows))
+    # Each query's candidates are one run of ``order``; keep its first k.
+    take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return ids[take], d[take]
 
 
 def _knn_margin(dim: int, qq: np.ndarray, vv_max: float) -> np.ndarray:
@@ -237,8 +268,8 @@ def evaluate_encoder(
     threshold_m: float = 25.0,
 ) -> RecallReport:
     """Recall over every dataset query, eval-mode embeddings."""
-    index = build_index(state, cfg, ds)
     if not ds.query_ids:
         raise ValueError("dataset has no queries to evaluate")
+    index = build_index(state, cfg, ds)
     q_emb = forward(state, cfg, ds.features(ds.query_ids), training=False).data
     return recall_at_n(index, q_emb, ds.positions(ds.query_ids), n_values, threshold_m)

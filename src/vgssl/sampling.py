@@ -196,7 +196,7 @@ def mine_triplets(
 
     if cfg.mode is MiningMode.FULL_HNM:
         q_emb = embed(ds.features(query_ids))
-        db_unit = _unit_rows(embed(ds.features(db_ids)))
+        db_unit = _unit_rows(embed(ds.db_features))
         if ledger is not None:
             ledger.add_extractions(m_q + len(db_ids))
             ledger.note_cached(m_q + len(db_ids))
@@ -216,8 +216,7 @@ def mine_triplets(
         )
     pool_rows = rng.choice(len(db_ids), size=cfg.pool_size, replace=False)
     q_emb = embed(ds.features(query_ids))
-    pool_emb = embed(ds.features([db_ids[i] for i in pool_rows.tolist()]))
-    pool_unit = _unit_rows(pool_emb)
+    pool_unit = _unit_rows(embed(ds.db_features[pool_rows]))
     if ledger is not None:
         ledger.add_extractions(m_q + cfg.pool_size + m_q)  # queries + pool + positives
         ledger.note_cached(m_q + cfg.pool_size + m_q)

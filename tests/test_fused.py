@@ -3,7 +3,9 @@
 The oracles below are those chains, composed from autodiff primitives.
 Each property draws a batch, possibly with repeated rows, and a random
 upstream gradient, and compares the forward value and every input's
-gradient by their bytes.  The input ``x`` also feeds a second term of the
+gradient by their bytes.  The affine+ReLU node is also run with some
+inputs as constants, and with none live, which is the path an eval-mode
+forward takes.  The input ``x`` also feeds a second term of the
 loss, so its gradient is already populated when the fused node adds to
 it, as in a training step where a tensor has several consumers.
 """
@@ -13,13 +15,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vgssl.autodiff import Value
+from vgssl.autodiff import Value, as_value
 from vgssl.encoder import BN_EPS, _affine, _batchnorm_train
-from vgssl.losses import DegenerateInputError, l2_normalize_rows
+from vgssl.losses import DegenerateInputError, _diagonal, l2_normalize_rows
 
 
 def affine_chain(h, W, b):
     return h @ W + b
+
+
+def affine_relu_chain(h, W, b):
+    return (h @ W + b).relu()
+
+
+def diagonal_chain(c):
+    return (c * np.eye(c.shape[0])).sum(axis=1, keepdims=True)
 
 
 def batchnorm_chain(x, gamma, beta):
@@ -46,17 +56,22 @@ def batches(draw):
     return rng, rows
 
 
-def run(fn, arrays, seed):
-    """Forward ``fn`` on fresh leaves; backprop a random upstream gradient
-    plus a second term through the first input."""
-    leaves = [Value(a.copy()) for a in arrays]
-    out = fn(*leaves)
+def run(fn, arrays, seed, live=None):
+    """Forward ``fn`` on fresh leaves where ``live`` says so (all by
+    default) and on the caller's arrays as constants elsewhere; backprop a
+    random upstream gradient plus a second term through the first leaf.
+    Returns the outputs and the leaves' gradients."""
+    live = live or [True] * len(arrays)
+    inputs = [Value(a.copy()) if on else as_value(a) for a, on in zip(arrays, live)]
+    leaves = [v for v in inputs if not v._const]
+    out = fn(*inputs)
     y = out[0] if isinstance(out, tuple) else out
-    rng = np.random.default_rng(seed)
-    upstream = rng.normal(size=y.shape)
-    other = rng.normal(size=leaves[0].shape)
-    ((y * upstream).sum() + (leaves[0] * other).sum()).backward()
     extra = [np.asarray(a) for a in out[1:]] if isinstance(out, tuple) else []
+    if leaves:
+        rng = np.random.default_rng(seed)
+        upstream = rng.normal(size=y.shape)
+        other = rng.normal(size=leaves[0].shape)
+        ((y * upstream).sum() + (leaves[0] * other).sum()).backward()
     return [y.data, *extra, *(v.grad for v in leaves)]
 
 
@@ -76,6 +91,35 @@ class TestFusedNodes:
         b = rng.normal(size=width)
         seed = int(rng.integers(2**32))
         assert_same_bytes(run(_affine, [h, W, b], seed), run(affine_chain, [h, W, b], seed))
+
+    @settings(max_examples=150)
+    @given(batches(), st.integers(1, 70), st.lists(st.booleans(), min_size=3, max_size=3))
+    def test_affine_relu(self, batch, width, live):
+        rng, h = batch
+        W = rng.normal(size=(h.shape[1], width))
+        b = rng.normal(size=width)
+        # Units that are exactly 0 for every row (a zero column and bias),
+        # and a zero input row, which is exactly 0 wherever the bias is.
+        dead = rng.random(width) < 0.3
+        W[:, dead] = 0.0
+        b[dead] = 0.0
+        b[rng.random(width) < 0.2] = 0.0
+        h[rng.integers(len(h))] = 0.0
+        seed = int(rng.integers(2**32))
+        arrays = [h, W, b]
+        copies = [a.copy() for a in arrays]
+        fused = run(lambda *a: _affine(*a, relu=True), arrays, seed, live)
+        assert_same_bytes(fused, run(affine_relu_chain, arrays, seed, live))
+        assert all(a.tobytes() == c.tobytes() for a, c in zip(arrays, copies))
+
+    @settings(max_examples=150)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_diagonal(self, d, seed):
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=(d, d))
+        c[rng.random((d, d)) < 0.2] = 0.0
+        assert_same_bytes(run(lambda x: _diagonal(x, np.eye(d)), [c], seed),
+                          run(diagonal_chain, [c], seed))
 
     @settings(max_examples=150)
     @given(batches())
@@ -102,6 +146,9 @@ class TestFusedNodes:
         gamma, beta = Value(np.ones((1, 3))), Value(np.zeros((1, 3)))
         W, b = Value(rng.normal(size=(3, 2))), Value(np.zeros(2))
         assert _affine(x, W, b)._parents == (x, W, b)
+        assert _affine(x, W, b, relu=True)._parents == (x, W, b)
+        c = Value(rng.normal(size=(3, 3)))
+        assert _diagonal(c, np.eye(3))._parents == (c,)
         assert _batchnorm_train(x, gamma, beta)[0]._parents == (x, gamma, beta)
         assert l2_normalize_rows(x)._parents == (x,)
 

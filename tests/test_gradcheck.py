@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from vgssl.autodiff import Value
+from vgssl.encoder import _affine
 from vgssl.gradcheck import (
     ALL_METHODS,
     KINK_MARGIN,
     GradCheckResult,
+    _hinge_signature,
     _kink_margin,
     gradcheck_method,
     relative_error,
@@ -49,6 +51,17 @@ class TestKinkScan:
         x = Value(np.array([2.0, -2.0]))
         y = x.relu().sum()
         assert _kink_margin(y) == 2.0
+
+    def test_fused_relu_is_a_hinge(self):
+        # The fused affine+ReLU node shows its pre-activation to the scan,
+        # as the separate maximum node of the chain it replaces does.
+        # Pre-activations 2, -1 and a dead unit 3e-6 below its kink.
+        h, W = np.ones((2, 1)), np.ones((1, 3))
+        b = np.array([1.0, -2.0, -1.0 - 3e-6])
+        fused = _affine(Value(h), Value(W), Value(b), relu=True).sum()
+        chain = (Value(h) @ Value(W) + Value(b)).relu().sum()
+        assert _kink_margin(fused) == _kink_margin(chain) == pytest.approx(3e-6)
+        np.testing.assert_array_equal(_hinge_signature(fused), _hinge_signature(chain))
 
     def test_tape_without_hinges_is_unbounded(self):
         x = Value(np.array([1.0, 2.0]))

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vgssl.encoder import EncoderConfig, init_state
+from vgssl import retrieval
+from vgssl.encoder import EncoderConfig, forward, init_state, predictor_forward
 from vgssl.geodata import Position, PositionMode, synth_dataset
-from vgssl.retrieval import EmbeddingIndex, build_index, knn, recall_at_n
+from vgssl.retrieval import EmbeddingIndex, build_index, evaluate_encoder, knn, recall_at_n
 
 
 def unit_rows(a):
@@ -152,6 +153,22 @@ class TestKnn:
             tracemalloc.stop()
         # The (Q, M) distance estimates are 1.6 MB; a (Q, M, D) difference
         # tensor would be 102 MB.
+        assert peak < 8 * 2**20
+
+    def test_collapsed_index_reranks_in_bounded_batches(self):
+        # Every row is the same vector, so every row is a candidate of every
+        # query; reranking all of them at once would gather (Q * M, D).
+        n_q, m, d = 50, 4000, 64
+        rng = np.random.default_rng(7)
+        idx = EmbeddingIndex(ids=np.arange(m)[::-1], vectors=np.tile(unit_rows(
+            rng.normal(size=(1, d))), (m, 1)), positions=[planar(0, 0)] * m)
+        tracemalloc.start()
+        try:
+            ids, _ = knn(idx, rng.normal(size=(n_q, d)), 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (ids == np.arange(10)).all()
         assert peak < 8 * 2**20
 
 
@@ -325,3 +342,95 @@ class TestBuildIndex:
             tracemalloc.stop()
         assert len(ds.db_ids) >= 2000
         assert peak < 6 * activation
+
+    def test_peak_memory_is_one_activation_per_live_layer(self):
+        # Each layer writes one array (bias and ReLU in place), the
+        # database rows are read where they are stored and the embedding is
+        # normalised in place: the peak is a layer's input and output.
+        ds = synth_dataset(seed=0, n_places=250, db_per_place=8, feature_dim=32)
+        cfg = EncoderConfig(input_dim=32, hidden_dims=(64, 64), embed_dim=64)
+        state = init_state(cfg, seed=0)
+        activation = len(ds.db_ids) * max(cfg.hidden_dims + (cfg.embed_dim,)) * 8
+        tracemalloc.start()
+        try:
+            build_index(state, cfg, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * activation
+
+
+IN_PLACE_CONFIGS = {
+    "identity": dict(hidden_dims=(), embed_dim=6, identity_projection=True),
+    "identity_trunk": dict(hidden_dims=(16,), embed_dim=16, identity_projection=True),
+    "proj2": dict(proj_layers=2),
+    "proj2_bn": dict(proj_layers=2, proj_batchnorm=True, stop_grad_target=True),
+    "predictor": dict(proj_layers=2, proj_batchnorm=True, predictor=True,
+                      momentum_target=True, momentum=0.9),
+}
+
+
+class TestInPlaceWritesStayInside:
+    """The off-tape forward writes into the arrays it made, never into the
+    parameters, targets, running statistics, dataset or caller's rows."""
+
+    def snapshot(self, state, ds, queries, query_emb):
+        arrays = {f"param {k}": v.data for k, v in state.params.items()}
+        arrays.update({f"bn {k}": a for k, a in state.bn_running.items()})
+        arrays.update({f"target {k}": a for k, a in (state.target or {}).items()})
+        arrays.update({f"target bn {k}": a
+                       for k, a in (state.target_bn_running or {}).items()})
+        arrays["dataset matrix"] = ds._matrix
+        arrays["queries"] = queries
+        arrays["query embeddings"] = query_emb
+        return {k: a.tobytes() for k, a in arrays.items()}
+
+    @pytest.mark.parametrize("name", sorted(IN_PLACE_CONFIGS))
+    def test_caller_arrays_are_byte_identical(self, name):
+        ds = synth_dataset(seed=1, n_places=6, db_per_place=4, feature_dim=6)
+        kw = {"embed_dim": 16, **IN_PLACE_CONFIGS[name]}
+        cfg = EncoderConfig(input_dim=6, **kw)
+        state = init_state(cfg, seed=2)
+        rng = np.random.default_rng(3)
+        # Move biases and running statistics off their initial values.
+        for v in state.params.values():
+            v.data += rng.normal(size=v.shape) * 0.1
+        if cfg.proj_batchnorm or cfg.predictor:
+            forward(state, cfg, rng.normal(size=(8, 6)), training=True)
+        queries = ds.features(ds.query_ids)
+        z = forward(state, cfg, queries, training=False)
+        before = self.snapshot(state, ds, queries, z.data)
+
+        forward(state, cfg, ds.db_features, training=False)
+        if cfg.has_target_branch:
+            forward(state, cfg, queries, branch="target", training=False)
+        if cfg.predictor:
+            predictor_forward(state, cfg, z, training=False)
+        knn(build_index(state, cfg, ds), z.data, 3)
+        evaluate_encoder(state, cfg, ds, (1, 2), 25.0)
+
+        after = self.snapshot(state, ds, queries, z.data)
+        assert [k for k in before if before[k] != after[k]] == []
+
+    def test_database_rows_are_read_only(self):
+        ds = synth_dataset(seed=1, n_places=3, db_per_place=2, feature_dim=4)
+        assert np.shares_memory(ds.db_features, ds._matrix)
+        np.testing.assert_array_equal(ds.db_features, ds.features(ds.db_ids))
+        assert ds.db_positions == tuple(ds.positions(ds.db_ids))
+        with pytest.raises(ValueError, match="read-only"):
+            ds.db_features[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.db_features += 1.0
+
+
+class TestEvaluateEncoder:
+    def test_no_queries_raises_before_any_forward(self, monkeypatch):
+        ds = synth_dataset(seed=0, n_places=4, db_per_place=3, feature_dim=6,
+                           query_fraction=0.0)
+        cfg = EncoderConfig(input_dim=6, hidden_dims=(8,), embed_dim=4)
+        state = init_state(cfg, seed=0)
+        calls = []
+        monkeypatch.setattr(retrieval, "forward", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="dataset has no queries to evaluate"):
+            evaluate_encoder(state, cfg, ds)
+        assert calls == []
