@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .costmodel import CostLedger, assert_ledger, predict_cost
-from .encoder import load_checkpoint, save_checkpoint
+from .encoder import _is_count, load_checkpoint, save_checkpoint
 from .geodata import load_csv, save_csv, synth_dataset
 from .gradcheck import ALL_METHODS, gradcheck_all
 from .losses import LossConfig, Method
@@ -202,6 +202,31 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         w.writerows(rows)
 
 
+def _resume_point(path, mcfg) -> tuple:
+    """The encoder state, Adam state and next epoch stored in a training
+    checkpoint, checked against the train config before any epoch runs."""
+    state, enc_cfg, meta, extra = load_checkpoint(path)
+    if enc_cfg != mcfg.encoder:
+        raise ConfigError(f"checkpoint {path}: encoder config does not match the train config")
+    for key in ("epoch_next", "adam_t"):
+        if not _is_count(meta.get(key)):
+            raise ConfigError(
+                f"checkpoint {path}: meta {key} must be a non-negative int, got {meta.get(key)!r}"
+            )
+    shapes = {name: v.shape for name, v in state.params.items()}
+    moments = {}
+    for kind in ("m", "v"):
+        prefix = f"adam.{kind}."
+        moments[kind] = {k[len(prefix):]: a for k, a in extra.items() if k.startswith(prefix)}
+        if {name: a.shape for name, a in moments[kind].items()} != shapes:
+            raise ConfigError(
+                f"checkpoint {path}: the {prefix}* moments do not match the encoder's "
+                f"parameters {sorted(shapes)} in names and shapes"
+            )
+    adam = AdamState(m=moments["m"], v=moments["v"], t=meta["adam_t"])
+    return state, adam, meta["epoch_next"]
+
+
 def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
     dataset_path = cfg.get("dataset", required=True)
     if not Path(dataset_path).exists():
@@ -253,28 +278,17 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
     label = strategy_label(mcfg)
     seeds = [tcfg.seed + i for i in range(n_seeds)]
 
-    def one(run_seed: int):
-        rcfg = replace(tcfg, seed=run_seed)
-        if resume is None:
-            return run_single(mcfg, ds, rcfg, run_seed), 0
-        state, enc_cfg, meta, extra = load_checkpoint(resume)
-        if enc_cfg != mcfg.encoder:
-            raise ConfigError(
-                "checkpoint encoder config does not match the train config"
-            )
-        adam = AdamState(
-            m={k[len("adam.m."):]: v for k, v in extra.items() if k.startswith("adam.m.")},
-            v={k[len("adam.v."):]: v for k, v in extra.items() if k.startswith("adam.v.")},
-            t=int(meta["adam_t"]),
-        )
-        start = int(meta["epoch_next"])
-        return run_single(mcfg, ds, rcfg, run_seed, enc_state=state,
-                          adam=adam, start_epoch=start), start
-
-    results = [one(s) for s in seeds]
+    state, adam, start = None, None, 0
+    if resume is not None:  # a single seed, checked above
+        state, adam, start = _resume_point(resume, mcfg)
+    results = [
+        run_single(mcfg, ds, replace(tcfg, seed=s), s, enc_state=state, adam=adam,
+                   start_epoch=start)
+        for s in seeds
+    ]
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    for run_seed, (tres, start) in zip(seeds, results):
+    for run_seed, tres in zip(seeds, results):
         run_dir = out_dir / f"{label}-seed{run_seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         header, rows = _epoch_rows(tres.record)
@@ -311,7 +325,7 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
               + " ".join(f"R@{n}={r:.3f}" for n, r in zip(final.n_values, final.recalls)))
 
     if len(results) > 1:
-        print(ExperimentResult.from_runs([tres.record for tres, _ in results]).summary_line())
+        print(ExperimentResult.from_runs([tres.record for tres in results]).summary_line())
     return 0
 
 

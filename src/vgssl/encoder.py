@@ -26,12 +26,15 @@ backward replays the primitive chain it stands for (``h @ W + b`` and
 with the same numpy operations in the same order, so its gradient,
 including the terms through the batch mean and variance, is exact and has
 that chain's bits.  Off the tape an affine layer writes one array: the
-product, into which the bias is added and the ReLU applied in place.  An
-eval-mode forward without batchnorm therefore writes one (N, width) array
-per layer, and at most two of them are alive at once.
+product, into which the bias is added and the ReLU applied in place.
 In training mode batchnorm normalizes by batch statistics and updates the
 running statistics; in eval mode it applies the stored running
-statistics.
+statistics, in place in the affine's output, and then the ReLU.  An
+eval-mode forward, with batchnorm or without, therefore writes one
+(N, width) array per layer, and at most two of them are alive at once.
+
+The layer layout is written once, in ``_layers``: ``init_state``,
+``forward`` and ``predictor_forward`` all walk it.
 """
 
 from __future__ import annotations
@@ -112,62 +115,51 @@ class EncoderState:
     target_bn_running: dict[str, np.ndarray] | None = None
 
 
-def _affine_names(cfg: EncoderConfig) -> list[tuple[str, int, int]]:
-    """(prefix, fan_in, fan_out) for every affine, in forward order."""
-    out: list[tuple[str, int, int]] = []
+def _layers(cfg: EncoderConfig) -> list[tuple[str, int, int, str | None, bool]]:
+    """The network's layers, then the predictor's, in forward order.
+
+    Each is ``(prefix, fan_in, fan_out, bn, relu)``: the affine named
+    ``prefix``, then the batchnorm named ``bn`` if there is one, then a
+    ReLU if ``relu``.  Every batchnorm is followed by its ReLU.
+    """
+    layers = []
     prev = cfg.input_dim
     for i, h in enumerate(cfg.hidden_dims):
-        out.append((f"trunk.{i}", prev, h))
+        layers.append((f"trunk.{i}", prev, h, None, True))
         prev = h
     if not cfg.identity_projection:
         for i in range(cfg.proj_layers):
-            out.append((f"proj.{i}", prev, cfg.embed_dim))
+            hidden = i < cfg.proj_layers - 1
+            bn = f"proj.{i}.bn" if hidden and cfg.proj_batchnorm else None
+            layers.append((f"proj.{i}", prev, cfg.embed_dim, bn, hidden))
             prev = cfg.embed_dim
     if cfg.predictor:
-        out.append(("pred.0", cfg.embed_dim, cfg.embed_dim))
-        out.append(("pred.1", cfg.embed_dim, cfg.embed_dim))
-    return out
-
-
-def _bn_sites(cfg: EncoderConfig) -> list[tuple[str, int]]:
-    """(prefix, width) for every batchnorm, in forward order."""
-    sites: list[tuple[str, int]] = []
-    if cfg.proj_batchnorm and not cfg.identity_projection:
-        for i in range(cfg.proj_layers - 1):
-            sites.append((f"proj.{i}.bn", cfg.embed_dim))
-    if cfg.predictor:
-        sites.append(("pred.bn", cfg.embed_dim))
-    return sites
+        d = cfg.embed_dim
+        layers += [("pred.0", d, d, "pred.bn", True), ("pred.1", d, d, None, False)]
+    return layers
 
 
 def init_state(cfg: EncoderConfig, seed: int) -> EncoderState:
     """Fan-in uniform weights, zero biases, unit batchnorm, target = copy."""
     rng = np.random.default_rng(seed)
+    layers = _layers(cfg)
     params: dict[str, Value] = {}
-    for prefix, fi, fo in _affine_names(cfg):
+    for prefix, fi, fo, _, _ in layers:
         limit = 1.0 / np.sqrt(fi)
         params[f"{prefix}.W"] = Value(rng.uniform(-limit, limit, size=(fi, fo)))
         params[f"{prefix}.b"] = Value(np.zeros(fo))
     bn_running: dict[str, np.ndarray] = {}
-    for prefix, width in _bn_sites(cfg):
-        params[f"{prefix}.gamma"] = Value(np.ones((1, width)))
-        params[f"{prefix}.beta"] = Value(np.zeros((1, width)))
-        bn_running[f"{prefix}.mean"] = np.zeros((1, width))
-        bn_running[f"{prefix}.var"] = np.ones((1, width))
-    target = None
-    target_bn = None
+    for _, _, width, bn, _ in layers:
+        if bn is not None:
+            params[f"{bn}.gamma"] = Value(np.ones((1, width)))
+            params[f"{bn}.beta"] = Value(np.zeros((1, width)))
+            bn_running[f"{bn}.mean"] = np.zeros((1, width))
+            bn_running[f"{bn}.var"] = np.ones((1, width))
+    target = target_bn = None
     if cfg.momentum_target:
-        target = {
-            name: v.data.copy()
-            for name, v in params.items()
-            if not name.startswith("pred.")
-        }
-        target_bn = {
-            name: a.copy() for name, a in bn_running.items() if not name.startswith("pred.")
-        }
-    return EncoderState(
-        params=params, target=target, bn_running=bn_running, target_bn_running=target_bn
-    )
+        target = {n: v.data.copy() for n, v in params.items() if not n.startswith("pred.")}
+        target_bn = {n: a.copy() for n, a in bn_running.items() if not n.startswith("pred.")}
+    return EncoderState(params, target, bn_running, target_bn)
 
 
 def _constants(params: dict[str, Value], predictor: bool) -> dict[str, Value]:
@@ -258,29 +250,43 @@ def _batchnorm_train(
     return out, mu, var
 
 
-def _batchnorm(
-    x: Value,
-    gamma: Value,
-    beta: Value,
-    running: dict[str, np.ndarray],
-    prefix: str,
-    training: bool,
-    update_running: bool,
-) -> Value:
+def _batchnorm(x: Value, gamma: Value, beta: Value, running: dict[str, np.ndarray],
+               prefix: str, training: bool, update_running: bool) -> Value:
+    """Batchnorm then ReLU.
+
+    Training mode normalizes by batch statistics (one ``_batchnorm_train``
+    node, then a ReLU node) and, with ``update_running``, blends them into
+    the running statistics.  Eval mode applies the running statistics.  It
+    is reached only off the tape, on an affine's own fresh output, so it
+    works in that array: the ufuncs of ``(x - mean) / sqrt(var + eps) *
+    gamma + beta`` and the ReLU, in that order, give the same bits.
+    """
     if training:
         out, mu, var = _batchnorm_train(x, gamma, beta)
         if update_running:
-            running[f"{prefix}.mean"] = (
-                (1 - BN_MOMENTUM) * running[f"{prefix}.mean"] + BN_MOMENTUM * mu
-            )
-            running[f"{prefix}.var"] = (
-                (1 - BN_MOMENTUM) * running[f"{prefix}.var"] + BN_MOMENTUM * var
-            )
-        return out
-    mean = running[f"{prefix}.mean"]
-    var = running[f"{prefix}.var"]
-    xhat = (x - mean) / np.sqrt(var + BN_EPS)
-    return xhat * gamma + beta
+            for key, batch in ((f"{prefix}.mean", mu), (f"{prefix}.var", var)):
+                running[key] = (1 - BN_MOMENTUM) * running[key] + BN_MOMENTUM * batch
+        return out.relu()
+    y = x.data
+    y -= running[f"{prefix}.mean"]
+    y /= np.sqrt(running[f"{prefix}.var"] + BN_EPS)
+    y *= gamma.data
+    y += beta.data
+    np.maximum(y, 0.0, out=y)
+    return x
+
+
+def _run(cfg: EncoderConfig, predictor: bool, params: dict[str, Value], x: Value,
+         running: dict[str, np.ndarray], training: bool, update_running: bool) -> Value:
+    """Run the predictor's layers of ``_layers``, or all the others, on ``x``."""
+    for prefix, _, _, bn, relu in _layers(cfg):
+        if prefix.startswith("pred.") != predictor:
+            continue
+        x = _affine(x, params[f"{prefix}.W"], params[f"{prefix}.b"], relu and bn is None)
+        if bn is not None:
+            x = _batchnorm(x, params[f"{bn}.gamma"], params[f"{bn}.beta"],
+                           running, bn, training, update_running)
+    return x
 
 
 def forward(
@@ -305,7 +311,6 @@ def forward(
     if branch == "online":
         params = state.params if recording else _constants(state.params, False)
         running = state.bn_running
-        update_running = training
     elif branch == "target":
         if not cfg.has_target_branch:
             raise ValueError("this encoder has no target branch")
@@ -315,36 +320,15 @@ def forward(
         else:  # stop-grad: the online parameters' values, off the tape
             params = _constants(state.params, False)
             running = state.bn_running
-        update_running = False
     else:
         raise ValueError(f"unknown branch {branch!r}")
     if not recording:
         x = as_value(x.data)  # a live input takes no gradient here
 
-    def affine(prefix: str, h: Value, relu: bool) -> Value:
-        return _affine(h, params[f"{prefix}.W"], params[f"{prefix}.b"], relu)
-
-    inp = x
-    for i in range(len(cfg.hidden_dims)):
-        x = affine(f"trunk.{i}", x, relu=True)
-
-    if not cfg.identity_projection:
-        for i in range(cfg.proj_layers):
-            hidden = i < cfg.proj_layers - 1
-            x = affine(f"proj.{i}", x, relu=hidden and not cfg.proj_batchnorm)
-            if hidden and cfg.proj_batchnorm:
-                x = _batchnorm(
-                    x,
-                    params[f"proj.{i}.bn.gamma"],
-                    params[f"proj.{i}.bn.beta"],
-                    running,
-                    f"proj.{i}.bn",
-                    training,
-                    update_running,
-                ).relu()
-
+    # Only the recorded forward updates the running statistics.
+    out = _run(cfg, False, params, x, running, training, recording)
     # A net with no layer passes its input through; off the tape, cut it loose.
-    return inp.detach() if x is inp and not recording else x
+    return x.detach() if out is x and not recording else out
 
 
 def predictor_forward(
@@ -361,17 +345,7 @@ def predictor_forward(
     if not training:
         params = _constants(params, True)
         z = as_value(z.data)
-    h = _affine(z, params["pred.0.W"], params["pred.0.b"])
-    h = _batchnorm(
-        h,
-        params["pred.bn.gamma"],
-        params["pred.bn.beta"],
-        state.bn_running,
-        "pred.bn",
-        training,
-        update_running=training,
-    )
-    return _affine(h.relu(), params["pred.1.W"], params["pred.1.b"])
+    return _run(cfg, True, params, z, state.bn_running, training, training)
 
 
 def momentum_update(state: EncoderState, cfg: EncoderConfig) -> None:
@@ -388,21 +362,20 @@ def momentum_update(state: EncoderState, cfg: EncoderConfig) -> None:
 # -- checkpointing ---------------------------------------------------------
 
 
+# A checkpoint tensor is named ``<group>.<key>``: the parameters, the
+# momentum target, the running statistics, the target's running statistics
+# and the caller's extra tensors, in this order.
+_GROUPS = ("params", "target", "bn", "target_bn", "extra")
+
+
 def _tensor_map(state: EncoderState, extra_tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for name, v in state.params.items():
-        out[f"params.{name}"] = v.data
-    if state.target is not None:
-        for name, a in state.target.items():
-            out[f"target.{name}"] = a
-    for name, a in state.bn_running.items():
-        out[f"bn.{name}"] = a
-    if state.target_bn_running is not None:
-        for name, a in state.target_bn_running.items():
-            out[f"target_bn.{name}"] = a
-    for name, a in extra_tensors.items():
-        out[f"extra.{name}"] = a
-    return out
+    params = {name: v.data for name, v in state.params.items()}
+    groups = (params, state.target, state.bn_running, state.target_bn_running, extra_tensors)
+    return {
+        f"{group}.{name}": a
+        for group, tensors in zip(_GROUPS, groups)
+        for name, a in (tensors or {}).items()
+    }
 
 
 def save_checkpoint(
@@ -458,12 +431,14 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _checked_manifest(path, header: dict, body_len: int) -> list[tuple[str, tuple, int]]:
-    """The header's tensor list as (name, shape, offset) triples.
+def _checked_manifest(path, header: dict, body_len: int) -> list[tuple[str, str, tuple, int]]:
+    """The header's tensor list as (group, key, shape, offset) tuples.
 
-    Checks every entry once: unique string names, shapes of non-negative
-    ints, non-negative int offsets, every tensor inside the body; and a
-    JSON-object ``meta``.  Each failure is a ``ValueError`` naming ``path``.
+    Checks every entry once: unique string names of the form
+    ``<group>.<key>`` with a group of ``_GROUPS`` and a non-empty key,
+    shapes of non-negative ints, non-negative int offsets, every tensor
+    inside the body; and a JSON-object ``meta``.  Each failure is a
+    ``ValueError`` naming ``path``.
     """
     def malformed(what: str) -> ValueError:
         return ValueError(f"malformed checkpoint {path}: {what}")
@@ -483,11 +458,15 @@ def _checked_manifest(path, header: dict, body_len: int) -> list[tuple[str, tupl
         if name in names:
             raise malformed(f"tensor {name!r} is listed twice")
         names.add(name)
+        group, _, key = name.partition(".")
+        if group not in _GROUPS or not key:
+            raise malformed(f"tensor {name!r} is not named <group>.<key> "
+                            f"with a group in {_GROUPS}")
         if not (isinstance(shape, list) and all(_is_count(d) for d in shape)):
             raise malformed(f"tensor {name!r} shape {shape!r} is not a list of non-negative ints")
         if not _is_count(offset):
             raise malformed(f"tensor {name!r} offset {offset!r} is not a non-negative int")
-        manifest.append((name, tuple(shape), offset))
+        manifest.append((group, key, tuple(shape), offset))
         need = max(need, offset + 8 * math.prod(shape))
     if body_len < need:
         raise ValueError(
@@ -535,34 +514,14 @@ def load_checkpoint(path: str | Path):
         cfg = EncoderConfig(**header["config"])
     except (TypeError, ValueError) as err:
         raise ValueError(f"malformed checkpoint {path}: encoder config: {err}") from None
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape, start in manifest:
+    groups: dict[str, dict[str, np.ndarray]] = {group: {} for group in _GROUPS}
+    for group, key, shape, start in manifest:
         a = np.frombuffer(body, dtype="<f8", count=math.prod(shape), offset=start)
-        tensors[name] = a.reshape(shape).astype(np.float64)
-    params = {
-        name[len("params."):]: Value(a)
-        for name, a in tensors.items()
-        if name.startswith("params.")
-    }
-    target = {
-        name[len("target."):]: a.copy()
-        for name, a in tensors.items()
-        if name.startswith("target.")
-    } or None
-    bn = {
-        name[len("bn."):]: a.copy() for name, a in tensors.items() if name.startswith("bn.")
-    }
-    target_bn = {
-        name[len("target_bn."):]: a.copy()
-        for name, a in tensors.items()
-        if name.startswith("target_bn.")
-    } or None
-    extra = {
-        name[len("extra."):]: a.copy()
-        for name, a in tensors.items()
-        if name.startswith("extra.")
-    }
+        groups[group][key] = a.reshape(shape).astype(np.float64)
     state = EncoderState(
-        params=params, target=target, bn_running=bn, target_bn_running=target_bn
+        params={name: Value(a) for name, a in groups["params"].items()},
+        target=groups["target"] or None,
+        bn_running=groups["bn"],
+        target_bn_running=groups["target_bn"] or None,
     )
-    return state, cfg, header["meta"], extra
+    return state, cfg, header["meta"], groups["extra"]

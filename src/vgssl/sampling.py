@@ -93,6 +93,8 @@ def build_pairs(
     """
     if eta < 0:
         raise ValueError(f"eta must be non-negative, got {eta}")
+    if ledger is None:
+        ledger = CostLedger()
     rng, queries = _draw_queries(ds, m_q, rng_seed, need_negatives=False)
     n_neg = int(round(eta * m_q))
     pairs = np.empty((m_q + n_neg, 2), dtype=np.int64)
@@ -113,9 +115,8 @@ def build_pairs(
 
     pairs = pairs[rng.permutation(len(pairs))]
 
-    if ledger is not None:
-        ledger.add_extractions(2 * len(pairs))
-        ledger.note_cached(2 * len(pairs))
+    ledger.add_extractions(2 * len(pairs))
+    ledger.note_cached(2 * len(pairs))
     return pairs
 
 
@@ -182,6 +183,8 @@ def mine_triplets(
     normalised once per call; each pick is the one ``hardest_negative``
     would make, bit for bit.
     """
+    if ledger is None:
+        ledger = CostLedger()
     rng, queries = _draw_queries(ds, m_q, rng_seed, need_negatives=True)
     triplets = np.empty((m_q, 3), dtype=np.int64)
     triplets[:, :2] = queries
@@ -197,15 +200,13 @@ def mine_triplets(
     if cfg.mode is MiningMode.FULL_HNM:
         q_emb = embed(ds.features(query_ids))
         db_unit = _unit_rows(embed(ds.db_features))
-        if ledger is not None:
-            ledger.add_extractions(m_q + len(db_ids))
-            ledger.note_cached(m_q + len(db_ids))
+        ledger.add_extractions(m_q + len(db_ids))
+        ledger.note_cached(m_q + len(db_ids))
         for k, qid in enumerate(query_ids):
             negs = ds.neighbour_rows(qid)[1]
             # Rows ascend with ids, so they break ties as the ids would.
             best = _closest(_query_distances(q_emb[k], db_unit[negs]), negs)
-            if ledger is not None:
-                ledger.add_comparisons(len(negs))
+            ledger.add_comparisons(len(negs))
             triplets[k, 2] = db_ids[negs[best]]
         return triplets
 
@@ -217,15 +218,13 @@ def mine_triplets(
     pool_rows = rng.choice(len(db_ids), size=cfg.pool_size, replace=False)
     q_emb = embed(ds.features(query_ids))
     pool_unit = _unit_rows(embed(ds.db_features[pool_rows]))
-    if ledger is not None:
-        ledger.add_extractions(m_q + cfg.pool_size + m_q)  # queries + pool + positives
-        ledger.note_cached(m_q + cfg.pool_size + m_q)
+    ledger.add_extractions(m_q + cfg.pool_size + m_q)  # queries + pool + positives
+    ledger.note_cached(m_q + cfg.pool_size + m_q)
     is_neg = np.zeros(len(db_ids), dtype=bool)
     for k, qid in enumerate(query_ids):
         # Every pool member is distance-checked, then geometric eligibility
         # masks out anything not strictly beyond the negative radius.
-        if ledger is not None:
-            ledger.add_comparisons(cfg.pool_size)
+        ledger.add_comparisons(cfg.pool_size)
         negs = ds.neighbour_rows(qid)[1]
         is_neg[negs] = True
         elig = np.flatnonzero(is_neg[pool_rows])
@@ -235,6 +234,5 @@ def mine_triplets(
             triplets[k, 2] = db_ids[pool_rows[elig[_closest(dists, pool_rows[elig])]]]
         else:
             triplets[k, 2] = db_ids[negs[int(rng.integers(len(negs)))]]
-            if ledger is not None:
-                ledger.add_extractions(1)  # the fallback negative is fetched fresh
+            ledger.add_extractions(1)  # the fallback negative is fetched fresh
     return triplets

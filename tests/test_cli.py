@@ -8,7 +8,7 @@ import pytest
 
 import vgssl.trainer
 from vgssl.cli import main
-from vgssl.encoder import load_checkpoint
+from vgssl.encoder import load_checkpoint, save_checkpoint
 from vgssl.geodata import load_csv, save_csv, synth_dataset
 from vgssl.losses import Method
 from vgssl.methods import method_config
@@ -295,6 +295,76 @@ class TestTrain:
         assert printed[-1] == expected
 
 
+def _drop_moment(extra, kind):
+    del extra[min(k for k in extra if k.startswith(f"adam.{kind}."))]
+
+
+class TestResumeGuard:
+    """A resume checkpoint that cannot continue training fails before any
+    epoch runs, naming the checkpoint, and writes no run directory."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path, world):
+        cfg = write_config(tmp_path / "t.json", train_config(world, epochs=1))
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "first")) == 0
+        return load_checkpoint(tmp_path / "first" / "SimCLR-FC-1-8-0.5-seed1" / "checkpoint.ckpt")
+
+    def resume(self, tmp_path, world, capsys, monkeypatch, ckpt):
+        epochs = []
+        monkeypatch.setattr(vgssl.trainer, "train_epoch",
+                            lambda *a, **k: epochs.append(a) or (0.0, {}))
+        cfg = write_config(tmp_path / "r.json", train_config(world, resume=str(ckpt)))
+        out = tmp_path / "runs"
+        assert run("train", "--config", cfg, "--out", str(out)) == 2
+        assert epochs == [] and not out.exists()
+        return capsys.readouterr().err
+
+    def test_checkpoint_without_training_meta(self, tmp_path, world, capsys, monkeypatch, saved):
+        state, enc_cfg, _, _ = saved
+        ckpt = tmp_path / "bare.ckpt"
+        save_checkpoint(ckpt, state, enc_cfg)
+        err = self.resume(tmp_path, world, capsys, monkeypatch, ckpt)
+        assert err == (f"error: checkpoint {ckpt}: meta epoch_next must be a "
+                       "non-negative int, got None\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("epoch_next", -1), ("epoch_next", 1.0), ("adam_t", "3"), ("adam_t", True),
+    ])
+    def test_counters_must_be_non_negative_ints(
+        self, tmp_path, world, capsys, monkeypatch, saved, key, value
+    ):
+        state, enc_cfg, meta, extra = saved
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, state, enc_cfg, meta={**meta, key: value}, extra_tensors=extra)
+        err = self.resume(tmp_path, world, capsys, monkeypatch, ckpt)
+        assert err == (f"error: checkpoint {ckpt}: meta {key} must be a "
+                       f"non-negative int, got {value!r}\n")
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("m", lambda extra: _drop_moment(extra, "m")),
+        ("v", lambda extra: _drop_moment(extra, "v")),
+        ("m", lambda extra: extra.update({"adam.m.junk.W": np.zeros((2, 2))})),
+        ("v", lambda extra: extra.update({"adam.v.proj.0.b": np.zeros(3)})),
+    ], ids=["m_missing", "v_missing", "m_unknown", "v_shape"])
+    def test_moments_must_name_the_parameters(
+        self, tmp_path, world, capsys, monkeypatch, saved, kind, edit
+    ):
+        state, enc_cfg, meta, extra = saved
+        edit(extra)
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, state, enc_cfg, meta=meta, extra_tensors=extra)
+        err = self.resume(tmp_path, world, capsys, monkeypatch, ckpt)
+        assert err == (f"error: checkpoint {ckpt}: the adam.{kind}.* moments do not match "
+                       f"the encoder's parameters {sorted(state.params)} in names and shapes\n")
+
+    def test_unchanged_checkpoint_resumes(self, tmp_path, world, saved):
+        state, enc_cfg, meta, extra = saved
+        ckpt = tmp_path / "same.ckpt"
+        save_checkpoint(ckpt, state, enc_cfg, meta=meta, extra_tensors=extra)
+        cfg = write_config(tmp_path / "r.json", train_config(world, resume=str(ckpt)))
+        assert run("train", "--config", cfg, "--out", str(tmp_path / "runs")) == 0
+
+
 class TestEval:
     def test_recall_csv(self, tmp_path, world):
         tcfg = write_config(tmp_path / "t.json", train_config(world))
@@ -345,9 +415,11 @@ class TestEval:
         raw = ckpt.read_bytes()
         end = 4 + int.from_bytes(raw[:4], "little")
         ecfg = write_config(tmp_path / "e.json", {"checkpoint": str(ckpt), "dataset": str(world)})
-        # An encoder config field that does not exist, and a negative offset.
+        # An encoder config field that does not exist, a negative offset and
+        # a tensor outside every checkpoint group.
         for edit in (lambda h: h["config"].update(width=3),
-                     lambda h: h["tensors"][0].update(offset=-8)):
+                     lambda h: h["tensors"][0].update(offset=-8),
+                     lambda h: h["tensors"][0].update(name="junk.x")):
             header = json.loads(raw[4:end])
             edit(header)
             blob = json.dumps(header).encode()

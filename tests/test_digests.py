@@ -3,7 +3,9 @@
 Runs ``vgssl synth``, ``train``, ``eval`` and ``bench-mining`` on small
 fixed configs and compares each output file's digest with
 ``tests/digests.json``.  A change that keeps behaviour keeps every digest;
-one that changes an output bit fails here, naming the output.
+one that changes an output bit fails here, naming the output.  The
+results of ``gradcheck_method`` for seeds 0-1 of every method are pinned
+the same way, as one digest over their reprs.
 
 The bits depend on numpy and its BLAS, so both are stored next to the
 digests and a different environment fails with a message that names the
@@ -23,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from vgssl.cli import main
+from vgssl.gradcheck import ALL_METHODS, gradcheck_method
 
 PINNED = Path(__file__).with_name("digests.json")
 
@@ -40,6 +43,8 @@ MINING = {"full": {"mode": "full_hnm"},
           "random": {"mode": "random"}}
 
 BENCH = {"n_q": [5, 10], "n_k": [50, 100], "pool": 16, "seed": 3}
+
+GRADCHECK_SEEDS = (0, 1)
 
 
 def environment() -> dict[str, str]:
@@ -91,13 +96,30 @@ def current_digests(tmp: Path) -> dict[str, str]:
     return digests
 
 
-def test_outputs_match_pinned_digests(tmp_path):
+def gradcheck_digest() -> str:
+    """One digest over ``max_rel_err``, ``redraws`` and the sorted
+    per-coordinate errors of every method's checks, as reprs."""
+    h = hashlib.sha256()
+    for method in ALL_METHODS:
+        for seed in GRADCHECK_SEEDS:
+            r = gradcheck_method(method, seed=seed)
+            h.update(f"{method.value} {seed} {r.max_rel_err!r} {r.redraws!r}\n".encode())
+            for name, err in sorted(r.per_coord.items()):
+                h.update(f"{name} {err!r}\n".encode())
+    return h.hexdigest()
+
+
+def _pinned() -> dict:
     pinned = json.loads(PINNED.read_text())
     env = environment()
     differs = [f"{k} is {env[k]!r} here, pinned under {pinned[k]!r}"
                for k in env if env[k] != pinned[k]]
     assert not differs, "digests were pinned in another environment: " + "; ".join(differs)
+    return pinned
 
+
+def test_outputs_match_pinned_digests(tmp_path):
+    pinned = _pinned()
     got = current_digests(tmp_path)
     want = pinned["digests"]
     changed = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
@@ -109,8 +131,15 @@ def test_outputs_match_pinned_digests(tmp_path):
     )
 
 
+def test_gradcheck_matches_pinned_digest():
+    assert gradcheck_digest() == _pinned()["gradcheck_method"], (
+        f"gradcheck_method results differ from {PINNED.name}"
+    )
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
-        payload = {**environment(), "digests": current_digests(Path(tmp))}
+        payload = {**environment(), "digests": current_digests(Path(tmp)),
+                   "gradcheck_method": gradcheck_digest()}
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

@@ -249,6 +249,8 @@ HEADER_EDITS = {
     "offset_missing": lambda h: h["tensors"][0].pop("offset"),
     "offset_negative": lambda h: h["tensors"][0].update(offset=-8),
     "offset_float": lambda h: h["tensors"][0].update(offset=8.0),
+    "name_no_group": lambda h: h["tensors"][0].update(name="junk.x"),
+    "name_no_key": lambda h: h["tensors"][0].update(name="params"),
 }
 
 
@@ -323,6 +325,10 @@ class TestCheckpoint:
         ("offset_missing", "tensor '{first}' offset None is not a non-negative int"),
         ("offset_negative", "tensor '{first}' offset -8 is not a non-negative int"),
         ("offset_float", "tensor '{first}' offset 8.0 is not a non-negative int"),
+        ("name_no_group", "tensor 'junk.x' is not named <group>.<key> with a group in "
+                          "('params', 'target', 'bn', 'target_bn', 'extra')"),
+        ("name_no_key", "tensor 'params' is not named <group>.<key> with a group in "
+                        "('params', 'target', 'bn', 'target_bn', 'extra')"),
     ])
     def test_malformed_header_names_the_file(self, tmp_path, case, message):
         cfg, state = self.make()

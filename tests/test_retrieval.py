@@ -343,12 +343,15 @@ class TestBuildIndex:
         assert len(ds.db_ids) >= 2000
         assert peak < 6 * activation
 
-    def test_peak_memory_is_one_activation_per_live_layer(self):
-        # Each layer writes one array (bias and ReLU in place), the
-        # database rows are read where they are stored and the embedding is
-        # normalised in place: the peak is a layer's input and output.
+    @pytest.mark.parametrize("head", [{}, dict(proj_layers=2, proj_batchnorm=True)],
+                             ids=["plain", "proj2_bn"])
+    def test_peak_memory_is_one_activation_per_live_layer(self, head):
+        # Each layer writes one array (bias, eval batchnorm and ReLU in
+        # place), the database rows are read where they are stored and the
+        # embedding is normalised in place: the peak is a layer's input and
+        # output.
         ds = synth_dataset(seed=0, n_places=250, db_per_place=8, feature_dim=32)
-        cfg = EncoderConfig(input_dim=32, hidden_dims=(64, 64), embed_dim=64)
+        cfg = EncoderConfig(input_dim=32, hidden_dims=(64, 64), embed_dim=64, **head)
         state = init_state(cfg, seed=0)
         activation = len(ds.db_ids) * max(cfg.hidden_dims + (cfg.embed_dim,)) * 8
         tracemalloc.start()
