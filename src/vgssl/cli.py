@@ -79,6 +79,13 @@ class _Config:
             raise ConfigError(f"{self._where}: {key} must be a number, got {value!r}")
         return float(value)
 
+    def get_str(self, key: str, default: str | None = None, required: bool = False) -> str | None:
+        """A path key: a JSON string; null stands for a null default."""
+        value = self.get(key, default, required)
+        if isinstance(value, str) or (value is None and default is None and not required):
+            return value
+        raise ConfigError(f"{self._where}: {key} must be a string, got {value!r}")
+
     def get_bool(self, key: str, default: bool) -> bool:
         """A boolean key: JSON true or false, nothing else."""
         value = self.get(key, default)
@@ -139,12 +146,12 @@ def cmd_synth(cfg: _Config, out_dir: Path, seed: int) -> int:
         r_neg=cfg.get_float("r_neg", 25.0),
         buffer_per_place=cfg.get_int("buffer_per_place", 0),
     )
-    filename = cfg.get("filename", "dataset.csv")
+    filename = cfg.get_str("filename", "dataset.csv")
     cfg.finish()
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / filename
     save_csv(ds, path)
-    print(f"wrote {path} ({len(ds.database)} database, {len(ds.queries)} queries, "
+    print(f"wrote {path} ({len(ds.db_ids)} database, {len(ds.query_ids)} queries, "
           f"dim {ds.feature_dim})")
     return 0
 
@@ -228,7 +235,7 @@ def _resume_point(path, mcfg) -> tuple:
 
 
 def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
-    dataset_path = cfg.get("dataset", required=True)
+    dataset_path = cfg.get_str("dataset", required=True)
     if not Path(dataset_path).exists():
         raise ConfigError(f"dataset not found: {dataset_path}")
     ds = load_csv(dataset_path)
@@ -266,7 +273,7 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
         threshold_m=cfg.get_float("threshold_m", 25.0),
     )
     n_seeds = cfg.get_int("n_seeds", 1)
-    resume = cfg.get("resume")
+    resume = cfg.get_str("resume")
     resolved = dict(cfg._raw)
     cfg.finish()
 
@@ -333,8 +340,8 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
 
 
 def cmd_eval(cfg: _Config, out_dir: Path, seed: int) -> int:
-    ckpt_path = cfg.get("checkpoint", required=True)
-    dataset_path = cfg.get("dataset", required=True)
+    ckpt_path = cfg.get_str("checkpoint", required=True)
+    dataset_path = cfg.get_str("dataset", required=True)
     n_values = cfg.get_ints("n_values", [1, 5, 10])
     threshold = cfg.get_float("threshold_m", 25.0)
     cfg.finish()
@@ -371,6 +378,12 @@ def cmd_gradcheck(cfg: _Config, seed: int) -> int:
     cfg.finish()
     if names is not None and not isinstance(names, list):
         raise ConfigError(f"gradcheck: methods must be a list of method names, got {names!r}")
+    if names == []:
+        raise ConfigError("gradcheck: methods must list at least one method")
+    if instances < 1:
+        raise ConfigError(f"gradcheck: instances must be at least 1, got {instances}")
+    if not 0.0 < tol < float("inf"):
+        raise ConfigError(f"gradcheck: tol must be a finite number above 0, got {tol!r}")
     methods = ALL_METHODS if names is None else tuple(Method(n) for n in names)
 
     print(f"{'method':14s} {'instances':>9s} {'worst rel err':>14s}  verdict")
@@ -430,6 +443,8 @@ def cmd_bench_mining(cfg: _Config, out_dir: Path, seed: int) -> int:
     slack = cfg.get_float("slack", 0.05)
     base = cfg.get_int("seed", seed)
     cfg.finish()
+    if not 0.0 < slack < float("inf"):
+        raise ConfigError(f"bench-mining: slack must be a finite number above 0, got {slack!r}")
     for key, values in (("n_q", n_q_list), ("n_k", n_k_list)):
         if not values:
             raise ConfigError(f"bench-mining: {key} must list at least one value")

@@ -2,9 +2,10 @@
 
 Samples carry a position (planar meters or geodetic degrees), a role
 (query or database), and a fixed-width feature vector standing in for
-image content.  A dataset bundles both roles with the two radii that
-define positives (within ``r_pos`` meters) and negatives (beyond
-``r_neg`` meters); the annulus between them is deliberately neither.
+image content.  A dataset stores both roles as id-ordered columns, with
+the two radii that define positives (within ``r_pos`` meters) and
+negatives (beyond ``r_neg`` meters); the annulus between them is
+deliberately neither.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -95,23 +96,29 @@ class GeoSample:
         f = np.asarray(self.features, dtype=np.float64)
         if f.ndim != 1:
             raise ValueError(f"features must be 1-d, got shape {f.shape}")
-        if not np.isfinite(f).all():
-            raise ValueError(f"sample {self.id} has non-finite features")
-        object.__setattr__(self, "features", f)
+        object.__setattr__(self, "features", _finite(self.id, f))
 
 
-@dataclass
+def _finite(sample_id: int, features: np.ndarray) -> np.ndarray:
+    """``features``, after checking that every value is finite."""
+    if not np.isfinite(features).all():
+        raise ValueError(f"sample {sample_id} has non-finite features")
+    return features
+
+
 class GeoDataset:
-    """Query and database samples plus the positive/negative radii.
+    """Query and database samples, stored as columns, plus the
+    positive/negative radii.
 
-    Samples and radii are fixed after construction, which sorts once:
-    ``db_ids`` and ``query_ids`` are ascending tuples, and one read-only
-    (N, F) matrix holds the database rows, then the query rows, in id
-    order (the CSV's row order); ``features(ids)`` copies rows out of it
-    and ``positions(ids)`` reads the matching positions.  The whole
-    database is read where it is stored: ``db_features`` is the matrix's
-    first ``len(db_ids)`` rows, a read-only view, and ``db_positions`` is
-    a tuple of their positions, both in ``db_ids`` order.
+    Every column is in the CSV's row order, database rows then query rows,
+    each by ascending id: the tuples ``db_ids`` and ``query_ids``, one
+    ``Position`` per row and one read-only (N, F) matrix, and nothing else,
+    so no result depends on the order of the lists a dataset was built
+    from.  ``features(ids)`` copies matrix rows, ``positions(ids)`` reads
+    positions, and ``db_features`` (a view) and ``db_positions`` read the
+    whole database where it is stored.  ``sample(id)``, ``queries`` and
+    ``database`` build ``GeoSample`` objects on demand over read-only rows.
+
     The first neighbourhood query runs one radius search over the whole
     database, vectorised per query with a rounding margin decided by
     ``distance_m`` (see ``_radius_search``), and stores each query's
@@ -119,54 +126,42 @@ class GeoDataset:
     every later query reads them.  Construction never pays for it.
     """
 
-    queries: list[GeoSample]
-    database: list[GeoSample]
-    r_pos: float = 10.0
-    r_neg: float = 25.0
-    db_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    query_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    db_features: np.ndarray = field(init=False, repr=False, compare=False)
-    db_positions: tuple[Position, ...] = field(init=False, repr=False, compare=False)
-    _samples: tuple[GeoSample, ...] = field(init=False, repr=False, compare=False)
-    _row: dict[int, int] = field(init=False, repr=False, compare=False)
-    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    _neighbours: dict[int, tuple[np.ndarray, np.ndarray]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # Query ids eligible without, then with, the need for a negative.
-    _eligible: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(self, queries: list[GeoSample], database: list[GeoSample],
+                 r_pos: float = 10.0, r_neg: float = 25.0):
+        rows = [(False, s.id, s.position, s.features) for s in database]
+        self._fill(rows + [(True, s.id, s.position, s.features) for s in queries], r_pos, r_neg)
 
-    def __post_init__(self):
-        if not (0.0 < self.r_pos < self.r_neg):
-            raise ValueError(f"need 0 < r_pos < r_neg, got {self.r_pos}, {self.r_neg}")
-        if not self.database:
+    def _fill(self, rows, r_pos: float, r_neg: float) -> GeoDataset:
+        """Sets the columns from ``(is_query, id, position, features)`` rows
+        in any order; returns the dataset."""
+        if not (0.0 < r_pos < r_neg):
+            raise ValueError(f"need 0 < r_pos < r_neg, got {r_pos}, {r_neg}")
+        rows = sorted(rows, key=lambda r: r[:2])
+        n_db = sum(not r[0] for r in rows)
+        if not n_db:
             raise ValueError("database must be non-empty")
-        db = sorted(self.database, key=lambda s: s.id)
-        self._samples = tuple(db + sorted(self.queries, key=lambda s: s.id))
-        if len({s.position.mode for s in self._samples}) != 1:
+        _, ids, positions, feats = zip(*rows)
+        if len({p.mode for p in positions}) != 1:
             raise ValueError("all samples must share one position mode")
-        dims = {s.features.shape[0] for s in self._samples}
+        dims = {f.shape[0] for f in feats}
         if len(dims) != 1:
             raise ValueError(f"inconsistent feature widths {sorted(dims)}")
-        self._row = {s.id: row for row, s in enumerate(self._samples)}
-        if len(self._row) != len(self._samples):
+        self._row = {i: row for row, i in enumerate(ids)}
+        if len(self._row) != len(ids):
             raise ValueError("sample ids must be unique across roles")
-        ids = tuple(s.id for s in self._samples)
-        self.db_ids, self.query_ids = ids[: len(db)], ids[len(db) :]
-        self._matrix = np.stack([s.features for s in self._samples])
+        self.r_pos, self.r_neg = r_pos, r_neg
+        self.db_ids, self.query_ids = ids[:n_db], ids[n_db:]
+        self._positions = positions
+        self.db_positions = positions[:n_db]
+        self._matrix = np.stack(feats)
         self._matrix.flags.writeable = False
-        self.db_features = self._matrix[: len(db)]
-        self.db_positions = tuple(s.position for s in db)
-
-    @property
-    def mode(self) -> PositionMode:
-        return self.database[0].position.mode
-
-    @property
-    def feature_dim(self) -> int:
-        return self.database[0].features.shape[0]
+        self.db_features = self._matrix[:n_db]
+        self.mode: PositionMode = positions[0].mode
+        self.feature_dim: int = self._matrix.shape[1]
+        self._neighbours: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
+        # Query ids eligible without, then with, the need for a negative.
+        self._eligible: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        return self
 
     def _rows(self, ids) -> list[int]:
         try:
@@ -174,8 +169,26 @@ class GeoDataset:
         except KeyError as err:
             raise KeyError(f"no sample with id {err.args[0]}") from None
 
+    def _sample(self, sample_id: int, row: int) -> GeoSample:
+        # The columns were checked once; skipping GeoSample's checks skips most of its cost.
+        sample = object.__new__(GeoSample)
+        role = Role.DATABASE if row < len(self.db_ids) else Role.QUERY
+        sample.__dict__.update(id=sample_id, role=role, position=self._positions[row],
+                               features=self._matrix[row])
+        return sample
+
     def sample(self, sample_id: int) -> GeoSample:
-        return self._samples[self._rows([sample_id])[0]]
+        return self._sample(sample_id, self._rows([sample_id])[0])
+
+    @property
+    def database(self) -> list[GeoSample]:
+        """The database samples in id order, as a fresh list."""
+        return [self._sample(i, row) for row, i in enumerate(self.db_ids)]
+
+    @property
+    def queries(self) -> list[GeoSample]:
+        """The query samples in id order, as a fresh list."""
+        return [self._sample(i, row) for row, i in enumerate(self.query_ids, len(self.db_ids))]
 
     def features(self, ids) -> np.ndarray:
         """Feature rows of ``ids``, any roles, in the given order; a copy."""
@@ -183,7 +196,7 @@ class GeoDataset:
 
     def positions(self, ids) -> list[Position]:
         """Positions of ``ids``, any roles, in the given order."""
-        return [self._samples[row].position for row in self._rows(ids)]
+        return [self._positions[row] for row in self._rows(ids)]
 
     def _radius_search(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Each query's (positive rows, negative rows) into ``db_ids``.
@@ -229,8 +242,7 @@ class GeoDataset:
         r_pos, r_neg = self.r_pos, self.r_neg
         tol_pos, tol_neg = _RADIUS_MARGIN * r_pos, _RADIUS_MARGIN * r_neg
         out = {}
-        for q in self.queries:
-            p = q.position
+        for qid, p in zip(self.query_ids, self._positions[len(db):]):
             if geodetic:
                 lat, lon = p.a * _RADIANS, p.b * _RADIANS
                 h = (np.sin((a - lat) / 2) ** 2
@@ -248,7 +260,7 @@ class GeoDataset:
             rows = pos.nonzero()[0], neg.nonzero()[0]
             for r in rows:
                 r.flags.writeable = False
-            out[q.id] = rows
+            out[qid] = rows
         return out
 
     def neighbour_rows(self, query_id: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,12 +283,12 @@ class GeoDataset:
         return [self.db_ids[i] for i in self.neighbour_rows(query_id)[1].tolist()]
 
     def eligible_queries(self, need_negatives: bool) -> list[int]:
-        """Query ids, in ``queries`` order, with a positive and, if
-        ``need_negatives``, a negative."""
+        """Query ids, ascending, with a positive and, if ``need_negatives``,
+        a negative."""
         if self._eligible is None:
-            rows = [self.neighbour_rows(q.id) for q in self.queries]
+            rows = [self.neighbour_rows(q) for q in self.query_ids]
             self._eligible = tuple(
-                tuple(q.id for q, (pos, neg) in zip(self.queries, rows)
+                tuple(q for q, (pos, neg) in zip(self.query_ids, rows)
                       if pos.size and (neg.size or not need))
                 for need in (False, True)
             )
@@ -334,58 +346,34 @@ def synth_dataset(
         r = math.sqrt(rng.random()) * radius
         return r * math.cos(ang), r * math.sin(ang)
 
-    next_id = 0
-    database: list[GeoSample] = []
-    place_center_pos: list[Position] = []
+    rows = []  # (is_query, id, position, features), as GeoDataset._fill takes them
+
+    def add(is_query: bool, x: float, y: float, feats: np.ndarray) -> None:
+        # Ids count up from 0 in draw order.
+        pos = Position(PositionMode.PLANAR, x, y)
+        rows.append((is_query, len(rows), pos, _finite(len(rows), feats)))
+
     for p in range(n_places):
         cx, cy = centers[p]
-        place_center_pos.append(Position(PositionMode.PLANAR, cx, cy))
         for _ in range(db_per_place):
             dx, dy = offset(r_pos / 2.0)
-            feats = latents[p] + rng.normal(size=feature_dim) * view_noise
-            database.append(
-                GeoSample(
-                    next_id,
-                    Role.DATABASE,
-                    Position(PositionMode.PLANAR, cx + dx, cy + dy),
-                    feats,
-                )
-            )
-            next_id += 1
+            add(False, cx + dx, cy + dy, latents[p] + rng.normal(size=feature_dim) * view_noise)
         for _ in range(buffer_per_place):
             # Annulus strictly between the radii: near the place but neither
             # positive nor negative for its query.
             ang = rng.uniform(0.0, 2.0 * math.pi)
             r = rng.uniform(r_pos + 1.0, r_neg - 1.0)
             feats = latents[p] + rng.normal(size=feature_dim) * view_noise
-            database.append(
-                GeoSample(
-                    next_id,
-                    Role.DATABASE,
-                    Position(PositionMode.PLANAR, cx + r * math.cos(ang), cy + r * math.sin(ang)),
-                    feats,
-                )
-            )
-            next_id += 1
+            add(False, cx + r * math.cos(ang), cy + r * math.sin(ang), feats)
 
     n_queries = int(round(query_fraction * n_places))
     query_places = sorted(rng.choice(n_places, size=n_queries, replace=False).tolist())
-    queries: list[GeoSample] = []
     for p in query_places:
         cx, cy = centers[p]
         dx, dy = offset(r_pos / 2.0)
-        feats = latents[p] + rng.normal(size=feature_dim) * view_noise
-        queries.append(
-            GeoSample(
-                next_id,
-                Role.QUERY,
-                Position(PositionMode.PLANAR, cx + dx, cy + dy),
-                feats,
-            )
-        )
-        next_id += 1
+        add(True, cx + dx, cy + dy, latents[p] + rng.normal(size=feature_dim) * view_noise)
 
-    return GeoDataset(queries=queries, database=database, r_pos=r_pos, r_neg=r_neg)
+    return GeoDataset.__new__(GeoDataset)._fill(rows, r_pos, r_neg)
 
 
 def save_csv(ds: GeoDataset, csv_path: str | Path) -> None:
@@ -399,14 +387,14 @@ def save_csv(ds: GeoDataset, csv_path: str | Path) -> None:
     header = ["id", "role", "lat_or_x", "lon_or_y"] + [f"f{i}" for i in range(f_dim)]
     # The bytes ``csv.writer`` would write: every field is an int, a role
     # value or the repr of a finite float, so none holds a delimiter, a
-    # quote or a line break and none is ever quoted.  ``_samples`` and
-    # ``_matrix`` are in the CSV's row order; rows stream one at a time.
+    # quote or a line break and none is ever quoted.  The dataset's columns
+    # are in the CSV's row order; rows stream one at a time.
+    roles = [Role.DATABASE.value] * len(ds.db_ids) + [Role.QUERY.value] * len(ds.query_ids)
     with open(csv_path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(
-            ",".join([str(s.id), s.role.value, repr(s.position.a), repr(s.position.b),
-                      *map(repr, row.tolist())]) + "\r\n"
-            for s, row in zip(ds._samples, ds._matrix)
+            ",".join([str(i), role, repr(p.a), repr(p.b), *map(repr, row.tolist())]) + "\r\n"
+            for i, role, p, row in zip(ds.db_ids + ds.query_ids, roles, ds._positions, ds._matrix)
         )
     meta = {
         "mode": ds.mode.value,
@@ -456,8 +444,7 @@ def load_csv(csv_path: str | Path) -> GeoDataset:
     if not meta_path.exists():
         raise FileNotFoundError(f"missing metadata sidecar {meta_path}")
     mode, r_pos, r_neg, f_dim = _read_meta(meta_path)
-    queries: list[GeoSample] = []
-    database: list[GeoSample] = []
+    rows = []  # (is_query, id, position, features), as GeoDataset._fill takes them
     first_line: dict[int, int] = {}
     try:
         with open(csv_path, newline="") as fh:
@@ -477,17 +464,17 @@ def load_csv(csv_path: str | Path) -> GeoDataset:
                     role = Role(row[1])
                     pos = Position(mode, float(row[2]), float(row[3]))
                     feats = np.fromiter(map(float, row[4:]), np.float64, n_feat)
-                    sample = GeoSample(int(row[0]), role, pos, feats)
-                    line = first_line.setdefault(sample.id, reader.line_num)
+                    _finite(sid := int(row[0]), feats)
+                    line = first_line.setdefault(sid, reader.line_num)
                     if line != reader.line_num:
-                        raise ValueError(f"duplicate sample id {sample.id}, first on line {line}")
+                        raise ValueError(f"duplicate sample id {sid}, first on line {line}")
                 except ValueError as err:
                     raise ValueError(f"{csv_path}:{reader.line_num}: {err}") from err
-                (queries if role is Role.QUERY else database).append(sample)
+                rows.append((role is Role.QUERY, sid, pos, feats))
     except (csv.Error, UnicodeDecodeError) as err:
         # Bytes that are not text, or a field past csv's size limit.
         raise ValueError(f"{csv_path}: {err}") from err
     try:
-        return GeoDataset(queries=queries, database=database, r_pos=r_pos, r_neg=r_neg)
+        return GeoDataset.__new__(GeoDataset)._fill(rows, r_pos, r_neg)
     except ValueError as err:
         raise ValueError(f"{csv_path}: {err}") from err

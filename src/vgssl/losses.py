@@ -160,9 +160,7 @@ def _logsumexp_rows(logits: Value) -> Value:
 
 
 def _contrastive_one_way(logits: Value) -> Value:
-    n = logits.shape[0]
-    eye = np.eye(n)
-    pos = (logits * eye).sum(axis=1, keepdims=True)
+    pos = _diagonal(logits, np.eye(logits.shape[0]))
     return (_logsumexp_rows(logits) - pos).mean()
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -208,10 +209,13 @@ class TestTrain:
         ({"momentum": None}, "train: momentum must be a number, got None"),
         ({"decoupled_wd": "false"}, "train: decoupled_wd must be true or false, got 'false'"),
         ({"decoupled_wd": 0}, "train: decoupled_wd must be true or false, got 0"),
+        # File descriptor 0 is stdin, not a checkpoint.
+        ({"resume": 0}, "train: resume must be a string, got 0"),
+        ({"resume": ["a.ckpt"]}, "train: resume must be a string, got ['a.ckpt']"),
     ], ids=["eta_inf", "eta_nan", "hidden_dims_str", "hidden_dims_frac", "recall_ns_frac",
             "embed_dim_frac", "epochs_frac", "batch_size_bool", "seed_str", "pool_size_frac",
             "eta_str", "eta_bool", "lr_str", "momentum_null", "decoupled_wd_str",
-            "decoupled_wd_int"])
+            "decoupled_wd_int", "resume_int", "resume_list"])
     def test_non_integer_keys_fail_before_training(
         self, tmp_path, world, capsys, monkeypatch, over, message
     ):
@@ -442,9 +446,25 @@ class TestEval:
      "bench-mining: every n_k must be at least 1, got [-5]"),
     ("bench-mining", {"n_q": []}, "bench-mining: n_q must list at least one value"),
     ("bench-mining", {"n_q": [5], "n_k": []}, "bench-mining: n_k must list at least one value"),
+    ("synth", {"filename": 5}, "synth: filename must be a string, got 5"),
+    ("train", {"dataset": 5, "method": "simclr", "epochs": 1},
+     "train: dataset must be a string, got 5"),
+    ("eval", {"checkpoint": 7, "dataset": "d"}, "eval: checkpoint must be a string, got 7"),
+    ("eval", {"checkpoint": "c", "dataset": None}, "eval: dataset must be a string, got None"),
+    ("gradcheck", {"instances": 0}, "gradcheck: instances must be at least 1, got 0"),
+    ("gradcheck", {"instances": -2}, "gradcheck: instances must be at least 1, got -2"),
+    ("gradcheck", {"tol": math.inf},
+     "gradcheck: tol must be a finite number above 0, got inf"),
+    ("gradcheck", {"tol": 0}, "gradcheck: tol must be a finite number above 0, got 0.0"),
+    ("bench-mining", {"slack": math.inf},
+     "bench-mining: slack must be a finite number above 0, got inf"),
+    ("bench-mining", {"slack": -0.05},
+     "bench-mining: slack must be a finite number above 0, got -0.05"),
 ], ids=["synth_str", "synth_bool", "eval_str", "gradcheck_tol_str", "gradcheck_methods_str",
         "bench_slack_bool", "bench_n_q_zero", "bench_n_k_negative", "bench_n_q_empty",
-        "bench_n_k_empty"])
+        "bench_n_k_empty", "synth_filename_int", "train_dataset_int", "eval_checkpoint_int",
+        "eval_dataset_null", "gradcheck_instances_zero", "gradcheck_instances_negative",
+        "gradcheck_tol_inf", "gradcheck_tol_zero", "bench_slack_inf", "bench_slack_negative"])
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path / "c.json", payload)
     out = tmp_path / "out"
@@ -454,9 +474,12 @@ def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, payload, me
 
 
 class TestGradcheckCommand:
-    def test_empty_method_list_passes(self, tmp_path):
+    def test_empty_method_list_rejected(self, tmp_path, capsys):
+        # An empty table would pass with no check run.
         cfg = write_config(tmp_path / "g.json", {"methods": []})
-        assert run("gradcheck", "--config", cfg) == 0
+        assert run("gradcheck", "--config", cfg) == 2
+        assert capsys.readouterr().err == (
+            "error: gradcheck: methods must list at least one method\n")
 
     def test_single_method_passes(self, tmp_path):
         cfg = write_config(tmp_path / "g.json", {"methods": ["simclr"], "instances": 2})

@@ -26,7 +26,7 @@ from vgssl.geodata import (
     synth_dataset,
 )
 from vgssl.retrieval import build_index
-from vgssl.sampling import MiningConfig, MiningMode, mine_triplets
+from vgssl.sampling import MiningConfig, MiningMode, build_pairs, mine_triplets
 
 
 def planar(x, y):
@@ -110,7 +110,7 @@ class TestNeighborhoods:
 
 def _hand_world():
     # Query 10 has no positives, query 11 no negatives, query 12 both; listed
-    # out of id order so eligible_queries must keep list order.
+    # out of id order, which eligible_queries ignores: it answers in id order.
     db = [db_sample(0, 0, 0), db_sample(1, 5, 0), db_sample(2, 20, 0)]
     queries = [q_sample(12, -10, 0), q_sample(10, 60, 0), q_sample(11, 3, 0)]
     return GeoDataset(queries=queries, database=db)
@@ -167,7 +167,7 @@ def test_neighbourhoods_match_scalar_oracle(make):
 def test_hand_world_eligibility():
     ds = _hand_world()
     assert ds.positive_set(10) == [] and ds.negative_set(11) == []
-    assert ds.eligible_queries(need_negatives=False) == [12, 11]
+    assert ds.eligible_queries(need_negatives=False) == [11, 12]
     assert ds.eligible_queries(need_negatives=True) == [12]
 
 
@@ -335,6 +335,11 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="sample 7 has non-finite features"):
             db_sample(7, 0, 0, np.array([0.0, bad, 1.0]))
 
+    @pytest.mark.parametrize("noise", [np.nan, np.inf])
+    def test_non_finite_synth_features_rejected(self, noise):
+        with pytest.raises(ValueError, match="^sample 0 has non-finite features$"):
+            synth_dataset(seed=0, n_places=3, db_per_place=2, view_noise=noise)
+
 
 class TestLayout:
     def setup_method(self):
@@ -387,25 +392,56 @@ class TestLayout:
         assert str(err.value) == "'no sample with id 9999'"
 
     def test_shuffled_lists_match_sorted_lists(self, tmp_path):
-        """Index, mined triplets and CSV do not depend on the list order."""
+        """Index, mined triplets, pairs, eligible queries and CSV do not
+        depend on the list order."""
         cfg = EncoderConfig(input_dim=4, hidden_dims=(8,), embed_dim=8)
         state = init_state(cfg, seed=0)
         a, b = build_index(state, cfg, self.ordered), build_index(state, cfg, self.ds)
         np.testing.assert_array_equal(a.ids, b.ids)
         assert a.vectors.tobytes() == b.vectors.tobytes()
         assert a.positions == b.positions
-        # Queries are drawn in list order (see eligible_queries), so only
-        # the database is shuffled for mining.
-        db_shuffled = GeoDataset(queries=self.ordered.queries, database=self.ds.database)
         for mode, pool in [(MiningMode.FULL_HNM, 0), (MiningMode.PARTIAL_HNM, 5),
                            (MiningMode.RANDOM, 0)]:
             mcfg = MiningConfig(mode=mode, pool_size=pool)
             for seed in range(5):
                 assert np.array_equal(mine_triplets(self.ordered, 4, mcfg, np.tanh, seed),
-                                      mine_triplets(db_shuffled, 4, mcfg, np.tanh, seed))
+                                      mine_triplets(self.ds, 4, mcfg, np.tanh, seed))
+        for eta in (0.0, 1.0):
+            assert np.array_equal(build_pairs(self.ordered, 4, eta, rng_seed=3),
+                                  build_pairs(self.ds, 4, eta, rng_seed=3))
+        for need in (False, True):
+            assert self.ds.eligible_queries(need) == self.ordered.eligible_queries(need)
         save_csv(self.ordered, tmp_path / "a.csv")
         save_csv(self.ds, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+    def test_samples_are_read_only_views_of_the_matrix(self):
+        for i in (self.ds.db_ids[3], self.ds.query_ids[1]):
+            f = self.ds.sample(i).features
+            assert not f.flags.writeable
+            np.testing.assert_array_equal(f, self.ds.features([i])[0])
+            with pytest.raises(ValueError):
+                f[0] = 1.0
+        assert all(not s.features.flags.writeable
+                   for s in self.ds.database + self.ds.queries)
+
+    def test_sample_lists_are_fresh(self, tmp_path):
+        """Mutating the lists ``queries`` and ``database`` return changes
+        neither the eligible queries nor the saved CSV."""
+        ds = self.ds
+        save_csv(ds, tmp_path / "before.csv")
+        eligible = [ds.eligible_queries(need) for need in (False, True)]
+        for samples in (ds.queries, ds.database):
+            assert [s.id for s in samples] == sorted(s.id for s in samples)
+        ds.queries.reverse()
+        ds.database.reverse()
+        ds.queries.clear()
+        ds.database.pop()
+        assert [ds.eligible_queries(need) for need in (False, True)] == eligible
+        assert [s.id for s in ds.queries] == list(ds.query_ids)
+        save_csv(ds, tmp_path / "after.csv")
+        assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
 
 
 class TestSynthDataset:
@@ -569,6 +605,22 @@ class TestPersistence:
         # The 160,000 features as Python floats and their reprs, held at
         # once, would take about 5.5 MB; one row at a time needs far less.
         assert peak < 2**20
+
+
+    def test_loaded_world_keeps_one_copy_of_its_features(self, tmp_path):
+        """A loaded 5100 x 32 world retains its matrix once: the rest is
+        ids, positions and the id-to-row map, well under 1.5x the matrix."""
+        path = tmp_path / "world.csv"
+        save_csv(synth_dataset(seed=0, n_places=100, db_per_place=50, feature_dim=32), path)
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = (len(ds.db_ids) + len(ds.query_ids)) * ds.feature_dim * 8
+        assert matrix_bytes == 5100 * 32 * 8
+        assert retained < 2.5 * matrix_bytes
 
 
 def _load_error(path) -> str:
