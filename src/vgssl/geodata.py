@@ -87,23 +87,12 @@ def distance_m(p: Position, q: Position) -> float:
 
 @dataclass(frozen=True)
 class GeoSample:
+    """One sample as a dataset returns it; the dataset checked its values."""
+
     id: int
     role: Role
     position: Position
     features: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.features, dtype=np.float64)
-        if f.ndim != 1:
-            raise ValueError(f"features must be 1-d, got shape {f.shape}")
-        object.__setattr__(self, "features", _finite(self.id, f))
-
-
-def _finite(sample_id: int, features: np.ndarray) -> np.ndarray:
-    """``features``, after checking that every value is finite."""
-    if not np.isfinite(features).all():
-        raise ValueError(f"sample {sample_id} has non-finite features")
-    return features
 
 
 class GeoDataset:
@@ -113,7 +102,7 @@ class GeoDataset:
     Every column is in the CSV's row order, database rows then query rows,
     each by ascending id: the tuples ``db_ids`` and ``query_ids``, one
     ``Position`` per row and one read-only (N, F) matrix, and nothing else,
-    so no result depends on the order of the lists a dataset was built
+    so no result depends on the order of the rows a dataset was built
     from.  ``features(ids)`` copies matrix rows, ``positions(ids)`` reads
     positions, and ``db_features`` (a view) and ``db_positions`` read the
     whole database where it is stored.  ``sample(id)``, ``queries`` and
@@ -126,14 +115,10 @@ class GeoDataset:
     every later query reads them.  Construction never pays for it.
     """
 
-    def __init__(self, queries: list[GeoSample], database: list[GeoSample],
-                 r_pos: float = 10.0, r_neg: float = 25.0):
-        rows = [(False, s.id, s.position, s.features) for s in database]
-        self._fill(rows + [(True, s.id, s.position, s.features) for s in queries], r_pos, r_neg)
-
-    def _fill(self, rows, r_pos: float, r_neg: float) -> GeoDataset:
-        """Sets the columns from ``(is_query, id, position, features)`` rows
-        in any order; returns the dataset."""
+    def __init__(self, rows, r_pos: float = 10.0, r_neg: float = 25.0):
+        """Columns from ``(is_query, id, position, features)`` rows in any
+        order.  The features are checked once, together: each row 1-d, one
+        width, every value finite."""
         if not (0.0 < r_pos < r_neg):
             raise ValueError(f"need 0 < r_pos < r_neg, got {r_pos}, {r_neg}")
         rows = sorted(rows, key=lambda r: r[:2])
@@ -143,9 +128,16 @@ class GeoDataset:
         _, ids, positions, feats = zip(*rows)
         if len({p.mode for p in positions}) != 1:
             raise ValueError("all samples must share one position mode")
-        dims = {f.shape[0] for f in feats}
-        if len(dims) != 1:
-            raise ValueError(f"inconsistent feature widths {sorted(dims)}")
+        shapes = {np.shape(f) for f in feats}
+        not_1d = sorted(s for s in shapes if len(s) != 1)
+        if not_1d:
+            raise ValueError(f"features must be 1-d, got shape {not_1d[0]}")
+        if len(shapes) != 1:
+            raise ValueError(f"inconsistent feature widths {sorted(s[0] for s in shapes)}")
+        self._matrix = np.array(feats, dtype=np.float64)
+        finite = np.isfinite(self._matrix).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"sample {ids[finite.argmin()]} has non-finite features")
         self._row = {i: row for row, i in enumerate(ids)}
         if len(self._row) != len(ids):
             raise ValueError("sample ids must be unique across roles")
@@ -153,7 +145,6 @@ class GeoDataset:
         self.db_ids, self.query_ids = ids[:n_db], ids[n_db:]
         self._positions = positions
         self.db_positions = positions[:n_db]
-        self._matrix = np.stack(feats)
         self._matrix.flags.writeable = False
         self.db_features = self._matrix[:n_db]
         self.mode: PositionMode = positions[0].mode
@@ -161,7 +152,6 @@ class GeoDataset:
         self._neighbours: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
         # Query ids eligible without, then with, the need for a negative.
         self._eligible: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-        return self
 
     def _rows(self, ids) -> list[int]:
         try:
@@ -170,12 +160,8 @@ class GeoDataset:
             raise KeyError(f"no sample with id {err.args[0]}") from None
 
     def _sample(self, sample_id: int, row: int) -> GeoSample:
-        # The columns were checked once; skipping GeoSample's checks skips most of its cost.
-        sample = object.__new__(GeoSample)
         role = Role.DATABASE if row < len(self.db_ids) else Role.QUERY
-        sample.__dict__.update(id=sample_id, role=role, position=self._positions[row],
-                               features=self._matrix[row])
-        return sample
+        return GeoSample(sample_id, role, self._positions[row], self._matrix[row])
 
     def sample(self, sample_id: int) -> GeoSample:
         return self._sample(sample_id, self._rows([sample_id])[0])
@@ -346,12 +332,11 @@ def synth_dataset(
         r = math.sqrt(rng.random()) * radius
         return r * math.cos(ang), r * math.sin(ang)
 
-    rows = []  # (is_query, id, position, features), as GeoDataset._fill takes them
+    rows = []  # (is_query, id, position, features), as GeoDataset takes them
 
     def add(is_query: bool, x: float, y: float, feats: np.ndarray) -> None:
         # Ids count up from 0 in draw order.
-        pos = Position(PositionMode.PLANAR, x, y)
-        rows.append((is_query, len(rows), pos, _finite(len(rows), feats)))
+        rows.append((is_query, len(rows), Position(PositionMode.PLANAR, x, y), feats))
 
     for p in range(n_places):
         cx, cy = centers[p]
@@ -373,7 +358,7 @@ def synth_dataset(
         dx, dy = offset(r_pos / 2.0)
         add(True, cx + dx, cy + dy, latents[p] + rng.normal(size=feature_dim) * view_noise)
 
-    return GeoDataset.__new__(GeoDataset)._fill(rows, r_pos, r_neg)
+    return GeoDataset(rows, r_pos, r_neg)
 
 
 def save_csv(ds: GeoDataset, csv_path: str | Path) -> None:
@@ -444,7 +429,7 @@ def load_csv(csv_path: str | Path) -> GeoDataset:
     if not meta_path.exists():
         raise FileNotFoundError(f"missing metadata sidecar {meta_path}")
     mode, r_pos, r_neg, f_dim = _read_meta(meta_path)
-    rows = []  # (is_query, id, position, features), as GeoDataset._fill takes them
+    rows = []  # (is_query, id, position, features), as GeoDataset takes them
     first_line: dict[int, int] = {}
     try:
         with open(csv_path, newline="") as fh:
@@ -464,7 +449,10 @@ def load_csv(csv_path: str | Path) -> GeoDataset:
                     role = Role(row[1])
                     pos = Position(mode, float(row[2]), float(row[3]))
                     feats = np.fromiter(map(float, row[4:]), np.float64, n_feat)
-                    _finite(sid := int(row[0]), feats)
+                    sid = int(row[0])
+                    # Checked here too, so that the message names the line.
+                    if not np.isfinite(feats).all():
+                        raise ValueError(f"sample {sid} has non-finite features")
                     line = first_line.setdefault(sid, reader.line_num)
                     if line != reader.line_num:
                         raise ValueError(f"duplicate sample id {sid}, first on line {line}")
@@ -475,6 +463,6 @@ def load_csv(csv_path: str | Path) -> GeoDataset:
         # Bytes that are not text, or a field past csv's size limit.
         raise ValueError(f"{csv_path}: {err}") from err
     try:
-        return GeoDataset.__new__(GeoDataset)._fill(rows, r_pos, r_neg)
+        return GeoDataset(rows, r_pos, r_neg)
     except ValueError as err:
         raise ValueError(f"{csv_path}: {err}") from err

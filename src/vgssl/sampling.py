@@ -204,8 +204,11 @@ def mine_triplets(
         ledger.note_cached(m_q + len(db_ids))
         for k, qid in enumerate(query_ids):
             negs = ds.neighbour_rows(qid)[1]
-            # Rows ascend with ids, so they break ties as the ids would.
-            best = _closest(_query_distances(q_emb[k], db_unit[negs]), negs)
+            # Each row's distance is its own reduce, so distances to the
+            # whole database, then taken at ``negs``, carry the bits of
+            # distances to the gathered rows.  Rows ascend with ids, so
+            # they break ties as the ids would.
+            best = _closest(_query_distances(q_emb[k], db_unit)[negs], negs)
             ledger.add_comparisons(len(negs))
             triplets[k, 2] = db_ids[negs[best]]
         return triplets

@@ -1,4 +1,4 @@
-"""Optimization loop, multi-seed experiments, and the mechanism audit.
+"""Optimization loop and multi-seed experiments.
 
 One epoch is: draw the epoch's pairs (or mined triplets) from a
 per-epoch seed, walk them in batches, backprop the method loss, take an
@@ -25,7 +25,7 @@ from .costmodel import CostLedger
 from .encoder import forward, init_state, momentum_update
 from .geodata import GeoDataset
 from .losses import Method
-from .methods import MethodConfig, method_batch_loss, method_config, strategy_label
+from .methods import MethodConfig, method_batch_loss, strategy_label
 from .retrieval import RecallReport, check_recall_settings, evaluate_encoder
 from .sampling import build_pairs, mine_triplets
 
@@ -43,7 +43,6 @@ __all__ = [
     "evaluate",
     "run_single",
     "run_experiment",
-    "audit_gradient_flow",
 ]
 
 ADAM_BETA1 = 0.9
@@ -454,139 +453,3 @@ def run_experiment(
         for seed in range(tcfg.seed, tcfg.seed + n_seeds)
     ]
     return ExperimentResult.from_runs(runs)
-
-
-# -- mechanism audit ---------------------------------------------------------
-
-
-def audit_gradient_flow(method: Method, seed: int = 0) -> dict[str, bool]:
-    """Verify each mechanism flag by direct inspection of gradient flow.
-
-    Builds the method at its canonical small configuration, runs one
-    batch, backprops, and checks what the flags promise:
-
-    * momentum encoder: a target copy exists, is EMA-moved, and holds
-      plain arrays that can never accumulate gradient;
-    * stop gradient: the loss target side is a detached constant; for
-      the stop-grad (non-EMA) variant it is bit-identical to the online
-      forward, for the EMA variant it lags behind it;
-    * predictor: prediction-head parameters exist and receive gradient;
-    * projector batchnorm: scale/shift parameters exist and receive
-      gradient;
-    * with no momentum encoder and no stop gradient, both views stay
-      tape-connected and both inputs receive gradient.
-
-    Returns the individual check results plus an ``ok`` aggregate.
-    """
-    if method is Method.TRIPLET:
-        raise ValueError("the mechanism table covers the pair methods only")
-    from .losses import DegenerateInputError
-    from .methods import TABLE_FLAGS  # local alias for readability
-
-    flags = TABLE_FLAGS[method]
-    needs_two_proj = flags.projector_batchnorm or method in (Method.BYOL, Method.SIMSIAM)
-    mcfg = method_config(
-        method,
-        input_dim=6,
-        hidden_dims=(8,),
-        embed_dim=8,
-        proj_layers=2 if needs_two_proj else 1,
-        eta=0.0,
-    )
-
-    # A random init can kill a whole row through batchnorm + ReLU at these
-    # widths, which the losses rightly reject; that says nothing about the
-    # mechanism flags, so resample the instance and try again.
-    last_err: Exception | None = None
-    for attempt in range(20):
-        enc_state = init_state(mcfg.encoder, seed + attempt)
-        rng = np.random.default_rng(seed + attempt)
-        anchors = Value(rng.normal(size=(6, 6)))
-        partners = Value(rng.normal(size=(6, 6)))
-
-        # Let the target lag the online parameters so EMA copies are
-        # distinguishable from stopped online outputs.
-        if mcfg.encoder.momentum_target:
-            for p in enc_state.params.values():
-                p.data += 0.05
-            momentum_update(enc_state, mcfg.encoder)
-
-        try:
-            out, used = method_batch_loss(enc_state, mcfg, anchors, partners)
-            out.node.backward()
-            break
-        except DegenerateInputError as err:
-            last_err = err
-    else:
-        raise RuntimeError(f"audit could not find a usable instance: {last_err}")
-
-    checks: dict[str, bool] = {}
-    grads = {n: p.grad for n, p in enc_state.params.items()}
-
-    def nonzero(name: str) -> bool:
-        g = grads.get(name)
-        return g is not None and bool(np.any(g != 0))
-
-    # ME: target copy present, held as raw arrays, moved by EMA.
-    if flags.momentum_encoder:
-        checks["target_exists"] = enc_state.target is not None
-        checks["target_not_trainable"] = all(
-            isinstance(a, np.ndarray) for a in enc_state.target.values()
-        )
-        before = {n: a.copy() for n, a in enc_state.target.items()}
-        momentum_update(enc_state, mcfg.encoder)
-        m = mcfg.encoder.momentum
-        moved_right = all(
-            np.allclose(
-                enc_state.target[n],
-                m * before[n] + (1 - m) * enc_state.params[n].data,
-            )
-            for n in before
-        )
-        checks["target_ema_moves"] = moved_right
-    else:
-        checks["no_target_copy"] = enc_state.target is None or not mcfg.encoder.momentum_target
-
-    # SG: the loss target side is a detached constant of the right provenance.
-    target_used = bool(used)
-    if flags.stop_gradient or flags.momentum_encoder:
-        checks["target_side_detached"] = target_used
-        online_view = forward(
-            enc_state, mcfg.encoder, partners.data, branch="online", training=True
-        ).data
-        if flags.momentum_encoder:
-            checks["target_is_lagged_copy"] = not np.allclose(used[0], online_view)
-        else:
-            checks["target_is_stopped_online"] = np.array_equal(used[0], online_view)
-    else:
-        checks["no_detached_branch"] = not target_used
-        checks["both_views_tape_connected"] = (
-            anchors.grad is not None
-            and partners.grad is not None
-            and bool(np.any(anchors.grad != 0))
-            and bool(np.any(partners.grad != 0))
-        )
-
-    # Online branch always learns.
-    checks["online_receives_gradient"] = nonzero("trunk.0.W")
-
-    # PR: prediction head present and learning, or absent.
-    if flags.predictor:
-        checks["predictor_params_learn"] = nonzero("pred.0.W") and nonzero("pred.1.W")
-    else:
-        checks["no_predictor_params"] = not any(
-            n.startswith("pred.") for n in enc_state.params
-        )
-
-    # BN: projector scale/shift present and learning, or absent.
-    if flags.projector_batchnorm:
-        checks["projector_bn_learns"] = nonzero("proj.0.bn.gamma") and nonzero(
-            "proj.0.bn.beta"
-        )
-    else:
-        checks["no_projector_bn"] = not any(
-            ".bn.gamma" in n and n.startswith("proj.") for n in enc_state.params
-        )
-
-    checks["ok"] = all(checks.values())
-    return checks

@@ -12,12 +12,12 @@ import numpy as np
 from vgssl.autodiff import Value
 from vgssl.costmodel import CostLedger, assert_ledger, predict_cost
 from vgssl.geodata import Position, PositionMode, distance_m, synth_dataset
-from vgssl.gradcheck import ALL_METHODS, gradcheck_method
+from vgssl.gradcheck import ALL_METHODS, audit_gradient_flow, gradcheck_method
 from vgssl.losses import LossConfig, Method, compute_loss
 from vgssl.methods import method_config
 from vgssl.retrieval import EmbeddingIndex, knn, recall_at_n
 from vgssl.sampling import MiningConfig, MiningMode, build_pairs, mine_triplets
-from vgssl.trainer import TrainConfig, audit_gradient_flow, evaluate, run_single
+from vgssl.trainer import TrainConfig, evaluate, run_single
 from vgssl.encoder import init_state
 
 

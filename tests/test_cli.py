@@ -313,11 +313,11 @@ class TestResumeGuard:
         assert run("train", "--config", cfg, "--out", str(tmp_path / "first")) == 0
         return load_checkpoint(tmp_path / "first" / "SimCLR-FC-1-8-0.5-seed1" / "checkpoint.ckpt")
 
-    def resume(self, tmp_path, world, capsys, monkeypatch, ckpt):
+    def resume(self, tmp_path, world, capsys, monkeypatch, ckpt, **over):
         epochs = []
         monkeypatch.setattr(vgssl.trainer, "train_epoch",
                             lambda *a, **k: epochs.append(a) or (0.0, {}))
-        cfg = write_config(tmp_path / "r.json", train_config(world, resume=str(ckpt)))
+        cfg = write_config(tmp_path / "r.json", train_config(world, resume=str(ckpt), **over))
         out = tmp_path / "runs"
         assert run("train", "--config", cfg, "--out", str(out)) == 2
         assert epochs == [] and not out.exists()
@@ -360,6 +360,17 @@ class TestResumeGuard:
         err = self.resume(tmp_path, world, capsys, monkeypatch, ckpt)
         assert err == (f"error: checkpoint {ckpt}: the adam.{kind}.* moments do not match "
                        f"the encoder's parameters {sorted(state.params)} in names and shapes\n")
+
+    def test_encoder_config_must_match(self, tmp_path, world, capsys, monkeypatch, saved):
+        ckpt = tmp_path / "first" / "SimCLR-FC-1-8-0.5-seed1" / "checkpoint.ckpt"
+        err = self.resume(tmp_path, world, capsys, monkeypatch, ckpt, embed_dim=16)
+        assert err == (f"error: checkpoint {ckpt}: encoder config does not match "
+                       "the train config\n")
+
+    def test_resume_takes_a_single_seed(self, tmp_path, world, capsys, monkeypatch, saved):
+        ckpt = tmp_path / "first" / "SimCLR-FC-1-8-0.5-seed1" / "checkpoint.ckpt"
+        err = self.resume(tmp_path, world, capsys, monkeypatch, ckpt, n_seeds=2)
+        assert err == "error: resume applies to a single seed; set n_seeds to 1\n"
 
     def test_unchanged_checkpoint_resumes(self, tmp_path, world, saved):
         state, enc_cfg, meta, extra = saved
@@ -486,6 +497,16 @@ class TestGradcheckCommand:
         assert run("gradcheck", "--config", cfg) == 0
 
 
+    def test_failed_method_exits_1(self, tmp_path, capsys):
+        # No difference quotient meets a tolerance of 1e-300.
+        cfg = write_config(tmp_path / "g.json",
+                           {"methods": ["simclr"], "instances": 1, "tol": 1e-300})
+        assert run("gradcheck", "--config", cfg) == 1
+        out = capsys.readouterr()
+        assert out.err == "gradcheck failed for: simclr\n"
+        assert out.out.splitlines()[1].split()[-1] == "FAIL"
+
+
 class TestBenchMining:
     def test_grid_rows_and_invariants(self, tmp_path):
         cfg = write_config(tmp_path / "b.json", {
@@ -510,3 +531,14 @@ class TestBenchMining:
     def test_indivisible_grid_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "b.json", {"n_q": [30], "n_k": [100]})
         assert run("bench-mining", "--config", cfg, "--out", str(tmp_path)) == 2
+
+    def test_row_outside_slack_exits_1(self, tmp_path, capsys):
+        # Partial mining with a one-row pool falls back to a fresh negative
+        # once here, one extraction more than the closed form predicts.
+        cfg = write_config(tmp_path / "b.json", {"n_q": [5], "n_k": [10], "pool": 1, "seed": 3})
+        out = tmp_path / "bench"
+        assert run("bench-mining", "--config", cfg, "--out", str(out)) == 1
+        assert capsys.readouterr().err == "1 rows outside 5% slack\n"
+        with open(out / "bench.csv") as fh:
+            failing = [r["mode"] for r in csv.DictReader(fh) if r["pass"] == "false"]
+        assert failing == ["partial_hnm"]

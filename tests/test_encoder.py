@@ -299,6 +299,14 @@ class TestCheckpoint:
         save_checkpoint(p2, state, cfg, meta={"epoch": 1})
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_header_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "enc.ckpt"
+        blob = b"[1, 2]"
+        path.write_bytes(len(blob).to_bytes(4, "little") + blob)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"malformed checkpoint {path}: header is not a JSON object"
+
     def test_version_check(self, tmp_path):
         cfg, state = self.make()
         path = tmp_path / "enc.ckpt"

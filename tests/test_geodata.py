@@ -33,12 +33,18 @@ def planar(x, y):
     return Position(PositionMode.PLANAR, x, y)
 
 
-def db_sample(sid, x, y, feats=None):
-    return GeoSample(sid, Role.DATABASE, planar(x, y), feats if feats is not None else np.zeros(3))
+def db_row(sid, x, y, feats=None):
+    return False, sid, planar(x, y), feats if feats is not None else np.zeros(3)
 
 
-def q_sample(sid, x, y, feats=None):
-    return GeoSample(sid, Role.QUERY, planar(x, y), feats if feats is not None else np.zeros(3))
+def q_row(sid, x, y, feats=None):
+    return True, sid, planar(x, y), feats if feats is not None else np.zeros(3)
+
+
+def rows_of(ds):
+    """``ds`` as the ``(is_query, id, position, features)`` rows it takes."""
+    return [(s.role is Role.QUERY, s.id, s.position, s.features)
+            for s in ds.database + ds.queries]
 
 
 class TestDistance:
@@ -75,14 +81,14 @@ class TestDistance:
 class TestNeighborhoods:
     def make_ds(self):
         # Query at origin; db at 5 m, exactly 10 m, 20 m, exactly 25 m, 30 m.
-        db = [
-            db_sample(0, 5, 0),
-            db_sample(1, 10, 0),
-            db_sample(2, 20, 0),
-            db_sample(3, 25, 0),
-            db_sample(4, 30, 0),
-        ]
-        return GeoDataset(queries=[q_sample(100, 0, 0)], database=db)
+        return GeoDataset([
+            q_row(100, 0, 0),
+            db_row(0, 5, 0),
+            db_row(1, 10, 0),
+            db_row(2, 20, 0),
+            db_row(3, 25, 0),
+            db_row(4, 30, 0),
+        ])
 
     def test_positive_boundary_inclusive(self):
         # <= 10 m is positive, so the sample at exactly 10 m is included.
@@ -111,9 +117,8 @@ class TestNeighborhoods:
 def _hand_world():
     # Query 10 has no positives, query 11 no negatives, query 12 both; listed
     # out of id order, which eligible_queries ignores: it answers in id order.
-    db = [db_sample(0, 0, 0), db_sample(1, 5, 0), db_sample(2, 20, 0)]
-    queries = [q_sample(12, -10, 0), q_sample(10, 60, 0), q_sample(11, 3, 0)]
-    return GeoDataset(queries=queries, database=db)
+    return GeoDataset([db_row(0, 0, 0), q_row(12, -10, 0), db_row(1, 5, 0),
+                       q_row(10, 60, 0), db_row(2, 20, 0), q_row(11, 3, 0)])
 
 
 def _geodetic_world():
@@ -122,19 +127,16 @@ def _geodetic_world():
     rng = np.random.default_rng(0)
     deg = 180.0 / (np.pi * 6_371_000.0)  # degrees of latitude per meter
     centres = [(10.0, 180.0), (-45.0, -180.0), (89.9996, 0.0), (90.0, 90.0)]
-    samples = []
+    rows = []
     for lat0, lon0 in centres:
-        for role in [Role.DATABASE] * 12 + [Role.QUERY] * 3:
+        for is_query in [False] * 12 + [True] * 3:
             dlat, dlon = rng.uniform(-30.0, 30.0, size=2) * deg
             lat = float(np.clip(lat0 + dlat, -90.0, 90.0))
             coslat = max(np.cos(np.radians(lat)), 1e-3)
             lon = (lon0 + dlon / coslat + 180.0) % 360.0 - 180.0
             pos = Position(PositionMode.GEODETIC, lat, float(lon))
-            samples.append(GeoSample(len(samples), role, pos, np.zeros(2)))
-    return GeoDataset(
-        queries=[s for s in samples if s.role is Role.QUERY],
-        database=[s for s in samples if s.role is Role.DATABASE],
-    )
+            rows.append((is_query, len(rows), pos, np.zeros(2)))
+    return GeoDataset(rows)
 
 
 @pytest.mark.parametrize("make", [
@@ -271,11 +273,9 @@ def radius_worlds(draw, geodetic):
 def _world_from(spec):
     geodetic, r_pos, r_neg, queries, db = spec
     mode = PositionMode.GEODETIC if geodetic else PositionMode.PLANAR
-    db_s = [GeoSample(i, Role.DATABASE, Position(mode, *ab), np.zeros(1))
-            for i, ab in enumerate(db)]
-    q_s = [GeoSample(len(db) + i, Role.QUERY, Position(mode, *ab), np.zeros(1))
-           for i, ab in enumerate(queries)]
-    return GeoDataset(queries=q_s, database=db_s, r_pos=r_pos, r_neg=r_neg)
+    rows = [(i >= len(db), i, Position(mode, *ab), np.zeros(1))
+            for i, ab in enumerate(db + queries)]
+    return GeoDataset(rows, r_pos=r_pos, r_neg=r_neg)
 
 
 def _check_against_scalar(spec):
@@ -311,50 +311,71 @@ def test_geodetic_radius_membership_matches_scalar(spec):
 
 
 class TestDatasetValidation:
+    """``GeoDataset(rows)`` is the only constructor, so it makes every check
+    on the rows, each with its own message."""
+
+    def rejects(self, rows, message, **radii):
+        with pytest.raises(ValueError) as err:
+            GeoDataset(rows, **radii)
+        assert str(err.value) == message
+
     def test_radius_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            GeoDataset(queries=[], database=[db_sample(0, 0, 0)], r_pos=25, r_neg=10)
+        self.rejects([db_row(0, 0, 0)], "need 0 < r_pos < r_neg, got 25, 10", r_pos=25, r_neg=10)
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            GeoDataset(queries=[q_sample(0, 0, 0)], database=[db_sample(0, 1, 1)])
+        self.rejects([q_row(0, 0, 0), db_row(0, 1, 1)], "sample ids must be unique across roles")
 
     def test_mixed_feature_widths_rejected(self):
-        with pytest.raises(ValueError):
-            GeoDataset(
-                queries=[],
-                database=[db_sample(0, 0, 0, np.zeros(3)), db_sample(1, 1, 1, np.zeros(4))],
-            )
+        self.rejects([db_row(0, 0, 0, np.zeros(3)), db_row(1, 1, 1, np.zeros(4))],
+                     "inconsistent feature widths [3, 4]")
+
+    @pytest.mark.parametrize("feats, shape", [
+        (np.zeros((1, 3)), (1, 3)), (np.float64(1.0), ()), (np.zeros((3, 1)), (3, 1)),
+    ], ids=["row_matrix", "scalar", "column"])
+    def test_features_must_be_1d(self, feats, shape):
+        self.rejects([db_row(0, 0, 0), db_row(1, 1, 1, feats)],
+                     f"features must be 1-d, got shape {shape}")
 
     def test_empty_database_rejected(self):
-        with pytest.raises(ValueError):
-            GeoDataset(queries=[], database=[])
+        self.rejects([], "database must be non-empty")
+        self.rejects([q_row(0, 0, 0)], "database must be non-empty")
+
+    def test_mixed_position_modes_rejected(self):
+        geodetic = (False, 1, Position(PositionMode.GEODETIC, 0.0, 0.0), np.zeros(3))
+        self.rejects([db_row(0, 0, 0), geodetic], "all samples must share one position mode")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
-        with pytest.raises(ValueError, match="sample 7 has non-finite features"):
-            db_sample(7, 0, 0, np.array([0.0, bad, 1.0]))
+        self.rejects([db_row(3, 0, 0), q_row(7, 0, 0, np.array([0.0, bad, 1.0]))],
+                     "sample 7 has non-finite features")
+
+    def test_first_non_finite_row_in_column_order_is_named(self):
+        # Database rows come before query rows, each by ascending id.
+        nan = np.array([np.nan, 0.0, 0.0])
+        self.rejects([q_row(1, 0, 0, nan), db_row(9, 0, 0, nan), db_row(5, 0, 0, nan)],
+                     "sample 5 has non-finite features")
 
     @pytest.mark.parametrize("noise", [np.nan, np.inf])
     def test_non_finite_synth_features_rejected(self, noise):
         with pytest.raises(ValueError, match="^sample 0 has non-finite features$"):
             synth_dataset(seed=0, n_places=3, db_per_place=2, view_noise=noise)
 
+    def test_features_of_any_number_type_are_stored_as_float64(self):
+        ds = GeoDataset([db_row(0, 0, 0, [1, 2]), q_row(1, 0, 0, np.array([3, 4], np.int32))])
+        assert ds.db_features.dtype == np.float64
+        np.testing.assert_array_equal(ds.features([0, 1]), [[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestLayout:
     def setup_method(self):
-        # ``ds`` is built from shuffled lists, ``ordered`` from the same
-        # samples in id order.
+        # ``ds`` is built from shuffled rows, both roles mixed, ``ordered``
+        # from the same rows in column order.
         base = synth_dataset(seed=2, n_places=6, db_per_place=3, feature_dim=4,
                              buffer_per_place=1)
-        queries = sorted(base.queries, key=lambda s: s.id)
-        database = sorted(base.database, key=lambda s: s.id)
+        rows = rows_of(base)
         rng = np.random.default_rng(0)
-        self.ds = GeoDataset(
-            queries=[queries[i] for i in rng.permutation(len(queries))],
-            database=[database[i] for i in rng.permutation(len(database))],
-        )
-        self.ordered = GeoDataset(queries=queries, database=database)
+        self.ds = GeoDataset([rows[i] for i in rng.permutation(len(rows))])
+        self.ordered = GeoDataset(rows)
 
     def test_ids_ascending_tuples(self):
         ds = self.ds
@@ -393,7 +414,7 @@ class TestLayout:
 
     def test_shuffled_lists_match_sorted_lists(self, tmp_path):
         """Index, mined triplets, pairs, eligible queries and CSV do not
-        depend on the list order."""
+        depend on the row order."""
         cfg = EncoderConfig(input_dim=4, hidden_dims=(8,), embed_dim=8)
         state = init_state(cfg, seed=0)
         a, b = build_index(state, cfg, self.ordered), build_index(state, cfg, self.ds)
@@ -425,6 +446,14 @@ class TestLayout:
                 f[0] = 1.0
         assert all(not s.features.flags.writeable
                    for s in self.ds.database + self.ds.queries)
+
+    def test_samples_are_plain_records(self):
+        # GeoSample checks nothing: the dataset checked its rows once.
+        assert np.isnan(GeoSample(1, Role.QUERY, planar(0, 0), np.array([np.nan])).features[0])
+        for i, role in ((self.ds.db_ids[0], Role.DATABASE), (self.ds.query_ids[0], Role.QUERY)):
+            s = self.ds.sample(i)
+            assert type(s) is GeoSample and (s.id, s.role) == (i, role)
+            assert s.position == self.ds.positions([i])[0]
 
     def test_sample_lists_are_fresh(self, tmp_path):
         """Mutating the lists ``queries`` and ``database`` return changes
@@ -694,13 +723,9 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e3
 
 def _world(geodetic, ids, n_db, positions, features, r_pos=10.0):
     mode = PositionMode.GEODETIC if geodetic else PositionMode.PLANAR
-    samples = [
-        GeoSample(i, Role.DATABASE if k < n_db else Role.QUERY, Position(mode, *ab),
-                  np.array(f, dtype=np.float64))
-        for k, (i, ab, f) in enumerate(zip(ids, positions, features))
-    ]
-    return GeoDataset(queries=samples[n_db:], database=samples[:n_db],
-                      r_pos=r_pos, r_neg=2.5 * r_pos)
+    rows = [(k >= n_db, i, Position(mode, *ab), f)
+            for k, (i, ab, f) in enumerate(zip(ids, positions, features))]
+    return GeoDataset(rows, r_pos=r_pos, r_neg=2.5 * r_pos)
 
 
 @st.composite

@@ -115,3 +115,30 @@ class TestHarness:
         r = gradcheck_method(Method.BYOL, seed=10)
         assert r.redraws >= 1
         assert r.passed, f"max_rel={r.max_rel_err:.3e}"
+
+
+# Instances where the plain central difference at FD_STEP misses tol by its
+# h² truncation term alone (relative errors 1.4e-4 to 1.2e-3).
+TRUNCATION_SEEDS = ([(Method.SIMCLR, s) for s in (160, 181, 183, 223, 280, 313, 344)]
+                    + [(Method.MOCOV2, s) for s in (160, 181, 183, 223, 280)])
+
+
+class TestTruncation:
+    @pytest.mark.parametrize("method, seed", TRUNCATION_SEEDS,
+                             ids=lambda x: getattr(x, "value", x))
+    def test_truncation_seeds_pass(self, method, seed):
+        r = gradcheck_method(method, seed=seed)
+        assert r.passed, f"{method.value} seed {seed}: {r.max_rel_err:.3e}"
+
+    @pytest.mark.parametrize("method, seed", TRUNCATION_SEEDS[::4],
+                             ids=lambda x: getattr(x, "value", x))
+    def test_extrapolated_quotients_agree_to_rounding(self, method, seed):
+        # A tol no plain quotient meets extrapolates every coordinate.
+        r = gradcheck_method(method, seed=seed, tol=1e-300)
+        assert not r.passed and r.max_rel_err < 1e-6
+
+    @pytest.mark.parametrize("method, seed", TRUNCATION_SEEDS[::4],
+                             ids=lambda x: getattr(x, "value", x))
+    def test_corrupted_gradient_is_still_caught(self, method, seed):
+        r = gradcheck_method(method, seed=seed, corrupt=True)
+        assert not r.passed and r.max_rel_err > 1e-2

@@ -5,6 +5,7 @@ import pytest
 
 from vgssl.autodiff import zero_grads
 from vgssl.encoder import EncoderConfig, init_state
+from vgssl.gradcheck import audit_gradient_flow
 from vgssl.losses import LossConfig, Method
 from vgssl.methods import (
     TABLE_FLAGS,
@@ -14,7 +15,6 @@ from vgssl.methods import (
     strategy_label,
 )
 from vgssl.sampling import MiningConfig, MiningMode
-from vgssl.trainer import audit_gradient_flow
 
 PAIR_METHODS = [
     Method.SIMCLR,

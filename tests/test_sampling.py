@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vgssl.costmodel import CostLedger
-from vgssl.geodata import GeoDataset, GeoSample, distance_m, synth_dataset
+from vgssl.geodata import GeoDataset, Role, distance_m, synth_dataset
 from vgssl.sampling import (
     MiningConfig,
     MiningMode,
@@ -90,6 +90,15 @@ class TestPairContract:
     def test_too_many_queries_requested(self):
         with pytest.raises(ValueError):
             build_pairs(self.ds, m_q=100, eta=0.0, rng_seed=0)
+
+    def test_too_few_identical_negatives(self):
+        # Two places of two: one sampled query bans its own place's two rows,
+        # which leaves two rows for round(5 * 1) identical negatives.
+        ds = synth_dataset(seed=0, n_places=2, db_per_place=2)
+        with pytest.raises(ValueError) as err:
+            build_pairs(ds, m_q=1, eta=5.0, rng_seed=0)
+        assert str(err.value) == ("need 5 identical negatives, only 2 database samples sit "
+                                  "outside the sampled queries' positive sets")
 
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError):
@@ -248,12 +257,8 @@ def mining_cases(draw):
                           db_per_place=int(rng.integers(1, 5)), query_fraction=1.0,
                           feature_dim=1, buffer_per_place=int(rng.integers(0, 3)))
     # Each sample's single feature is its id; embedding looks the id up.
-    ds = GeoDataset(
-        queries=[GeoSample(s.id, s.role, s.position, np.array([float(s.id)]))
-                 for s in world.queries],
-        database=[GeoSample(s.id, s.role, s.position, np.array([float(s.id)]))
-                  for s in world.database],
-    )
+    ds = GeoDataset([(s.role is Role.QUERY, s.id, s.position, [float(s.id)])
+                     for s in world.database + world.queries])
     dim = draw(st.sampled_from([1, 2, 3, 4, 16, 40]))
     table = _embedding_table(rng, len(world.database) + len(world.queries), dim,
                              exact=draw(st.booleans()))

@@ -10,6 +10,8 @@ import pytest
 import vgssl.geodata
 import vgssl.trainer
 from vgssl.autodiff import Value, zero_grads
+from vgssl.costmodel import CostLedger
+from vgssl.encoder import init_state
 from vgssl.geodata import GeoDataset, synth_dataset
 from vgssl.losses import Method
 from vgssl.methods import method_config
@@ -25,6 +27,7 @@ from vgssl.trainer import (
     evaluate,
     run_experiment,
     run_single,
+    train_epoch,
 )
 
 
@@ -273,8 +276,6 @@ class TestRunSingle:
         tcfg = TrainConfig(epochs=1, batch_size=8, queries_per_epoch=8, lr=1e-3, seed=0)
         res = run_single(mcfg, ds, tcfg, seed=0)
         # After training, target must differ from both init and online.
-        from vgssl.encoder import init_state
-
         fresh = init_state(mcfg.encoder, 0)
         moved = any(
             not np.array_equal(res.state.target[n], fresh.target[n])
@@ -388,6 +389,18 @@ class TestNonFinite:
             match=r"^epoch 1: non-finite gradient of \S+ at batch 1 \(loss [-0-9.e]+\)$",
         ):
             self.run_with(monkeypatch, lambda out: replace(out, node=out.node * np.nan))
+
+
+def test_epoch_without_a_trainable_batch_is_an_error():
+    # One query and no identical negatives make a single pair, and a batch
+    # of one is dropped, so the epoch would take no step at all.
+    ds = small_world()
+    mcfg = method_config(Method.SIMCLR, input_dim=8, hidden_dims=(12,), embed_dim=8, eta=0.0)
+    tcfg = TrainConfig(epochs=1, batch_size=4, queries_per_epoch=1, lr=1e-3, seed=0)
+    state = init_state(mcfg.encoder, seed=0)
+    with pytest.raises(ValueError) as err:
+        train_epoch(state, adam_init(state.params), mcfg, ds, tcfg, 0, CostLedger())
+    assert str(err.value) == "epoch produced no trainable batch: 1 items at batch_size 4"
 
 
 class TestEvaluate:
