@@ -95,6 +95,17 @@ class GeoSample:
     features: np.ndarray
 
 
+def _numeric(values) -> bool:
+    """Whether a 1-d feature row holds only ints and floats: a numpy array
+    of an integer or float dtype, or a sequence of such scalars."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "iuf"
+    return all(
+        isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+        for x in values
+    )
+
+
 class GeoDataset:
     """Query and database samples, stored as columns, plus the
     positive/negative radii.
@@ -117,11 +128,16 @@ class GeoDataset:
 
     def __init__(self, rows, r_pos: float = 10.0, r_neg: float = 25.0):
         """Columns from ``(is_query, id, position, features)`` rows in any
-        order.  The features are checked once, together: each row 1-d, one
-        width, every value finite."""
+        order.  Every id must be an integer, and not a bool.  The features
+        are checked once, together: each row 1-d, one width, every value
+        an int or a float (not a bool or a string) and finite."""
         if not (0.0 < r_pos < r_neg):
             raise ValueError(f"need 0 < r_pos < r_neg, got {r_pos}, {r_neg}")
-        rows = sorted(rows, key=lambda r: r[:2])
+        rows = list(rows)
+        for _, sid, _, _ in rows:
+            if isinstance(sid, bool) or not isinstance(sid, (int, np.integer)):
+                raise ValueError(f"sample id {sid!r} is not an integer")
+        rows.sort(key=lambda r: r[:2])
         n_db = sum(not r[0] for r in rows)
         if not n_db:
             raise ValueError("database must be non-empty")
@@ -134,6 +150,9 @@ class GeoDataset:
             raise ValueError(f"features must be 1-d, got shape {not_1d[0]}")
         if len(shapes) != 1:
             raise ValueError(f"inconsistent feature widths {sorted(s[0] for s in shapes)}")
+        for sid, f in zip(ids, feats):
+            if not _numeric(f):
+                raise ValueError(f"sample {sid} has non-numeric features")
         self._matrix = np.array(feats, dtype=np.float64)
         finite = np.isfinite(self._matrix).all(axis=1)
         if not finite.all():

@@ -2,16 +2,17 @@
 
 The index is exact: every query is compared against every database
 vector (L2 on the unit sphere), with ties broken toward the smaller
-database id so results are reproducible bit for bit.  ``knn`` ranks all
-rows with one matrix product, using ||q||^2 + ||v||^2 - 2 q.v as exact
-brute-force search in FAISS does (Johnson et al., arXiv 1702.08734), and
-recomputes direct differences only for the rows that rounding could
-place in the top k, so its order and distances are those of a full sort
-of direct-difference distances.  Recall@N asks whether any of the N
-nearest database samples lies within a threshold distance of the
-query's true position; it is monotone in N by construction and reaches
-its ceiling at N = database size, where it measures pure geography,
-independent of the embeddings.
+database id so results are reproducible bit for bit.  ``knn`` scores all
+rows with one matrix product of dot products, as exact brute-force search
+in FAISS does (Johnson et al., arXiv 1702.08734), keeps per query only the
+rows that rounding and the spread of database norms could place in the
+top k, and recomputes direct differences for those alone, so its order
+and distances are those of a full sort of direct-difference distances.
+Recall@N asks whether any of the N nearest database samples lies within
+a threshold distance of the query's true position; each query's ranks
+are scanned only up to its first hit.  Recall is monotone in N by
+construction and reaches its ceiling at N = database size, where it
+measures pure geography, independent of the embeddings.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ __all__ = [
     "recall_at_n",
 ]
 
+# Candidate selection works on this many (query, row) dot products at a
+# time: one ``np.partition``, one mask and one ``flatnonzero`` per block of
+# ``_KNN_BLOCK // M`` queries (at least one).
+_KNN_BLOCK = 1 << 16
+
+
 def _row_norms(x: np.ndarray, what: str) -> np.ndarray:
     """(N, 1) row norms of ``x``; a row with zero norm raises."""
     norms = np.linalg.norm(x, axis=1, keepdims=True)
@@ -54,7 +61,11 @@ class EmbeddingIndex:
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        # A read-only view, so the rows the checks below pass, and whose
+        # squared-norm range sizes ``knn``'s margin, are not rewritten
+        # through the index.
+        self.vectors = np.asarray(self.vectors, dtype=np.float64).view()
+        self.vectors.flags.writeable = False
         if self.vectors.ndim != 2 or self.vectors.shape[0] != self.ids.shape[0]:
             raise ValueError("ids and vectors disagree in length")
         if len(self.positions) != self.ids.shape[0]:
@@ -66,11 +77,13 @@ class EmbeddingIndex:
             raise ValueError("index ids must be unique")
         # Squared norms by einsum, with no (M, D) temporary.  Written as
         # "not within" so a NaN norm fails the check too.
-        norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
-        bad = ~(np.abs(norms - 1.0) <= 1e-9)
+        sq_norms = np.einsum("ij,ij->i", self.vectors, self.vectors)
+        bad = ~(np.abs(np.sqrt(sq_norms) - 1.0) <= 1e-9)
         if np.any(bad):
             row = int(np.argmax(bad))
             raise ValueError(f"index vectors must be unit norm; row {row} is not")
+        # Their range sizes ``knn``'s filter margin (see ``_knn_margin``).
+        self.sq_norm_range = (float(sq_norms.min()), float(sq_norms.max()))
 
     @property
     def size(self) -> int:
@@ -98,28 +111,28 @@ def knn(index: EmbeddingIndex, query_vecs: np.ndarray, k: int) -> tuple[np.ndarr
     Returns (ids, dists), each (Q, k'), where k' = min(k, index size).
     Queries are row-normalized here; distances are L2 on the sphere.
 
-    Filter, then rerank.  One matrix product gives every (query, row)
-    squared-distance estimate s = ||q||^2 + ||v||^2 - 2 q.v, built in
-    place, so the working set is that one (Q, M) matrix.  Per query, A_k
-    is the k-th smallest estimate, and the candidates are the rows with s
-    not above A_k + 2 eps, where eps bounds the rounding gap between s
-    and the squared direct-difference distance r (see ``_knn_margin``).
-    Only the candidates get direct differences, and they are reranked in
-    batches: the candidates of consecutive queries, up to M of them in all,
-    get their distances from one ``np.linalg.norm`` and their order from
-    one ``lexsort`` by (query, distance, id).  A row's norm is a per-row
-    reduce, so its bits do not depend on the batch, and a batch holds no
-    more rows than one query whose every row is a candidate (a collapsed
-    embedding, say).  Usually all queries fit in one batch.
+    Filter, then rerank.  One matrix product gives every (query, row) dot
+    product g = q.v, so the working set is that one (Q, M) matrix.  Per
+    query, G_k is the k-th largest g, and the candidates are the rows with
+    g not below G_k - limit, where ``_knn_margin`` bounds how far below
+    G_k a row of the exact top k can score.  Selection runs a block of
+    ``_KNN_BLOCK // M`` queries at a time: one ``np.partition`` for their
+    G_k, one mask and one ``flatnonzero``.  Only the candidates get direct
+    differences, and they are reranked in batches: the candidates of
+    consecutive queries, up to M of them in all, get their distances from
+    one ``np.linalg.norm`` and their order from one ``lexsort`` by (query,
+    distance, id).  A row's norm is a per-row reduce, so its bits do not
+    depend on the batch, and a batch holds no more rows than one query
+    whose every row is a candidate (a collapsed embedding, say).  Usually
+    all queries fit in one batch.
 
-    The result is that of a full sort of every row's direct distance:
-    the k rows with the smallest s have r within eps of A_k, so every
-    row of the exact top k, being no farther, has r <= A_k + eps (eps
-    also covers rows whose distances round to a tie) and hence
-    s <= A_k + 2 eps, which makes it a candidate.  Exact duplicates tie on distance and keep the
+    The result is that of a full sort of every row's direct distance,
+    because every row of the exact top k is a candidate (see
+    ``_knn_margin``).  Exact duplicates tie on distance and keep the
     smaller id first; near-zero distances come from the direct
-    differences, never from the cancelling estimate; an all-NaN query
-    has NaN estimates, so every row stays a candidate and sorts by id.
+    differences, never from a cancelling estimate; an all-NaN query has
+    NaN dot products, and the filter is written as "not below" so every
+    row stays a candidate and sorts by id.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -129,74 +142,88 @@ def knn(index: EmbeddingIndex, query_vecs: np.ndarray, k: int) -> tuple[np.ndarr
     if q.shape[1] != index.dim:
         raise ValueError(f"query dim {q.shape[1]} does not match index dim {index.dim}")
     q = q / _row_norms(q, "query embedding")
-    v = index.vectors
-    k = min(k, index.size)
-    qq = np.einsum("ij,ij->i", q, q)
-    vv = np.einsum("ij,ij->i", v, v)
-    s = q @ v.T
-    s *= -2.0
-    s += qq[:, None]
-    s += vv[None, :]
-    limit = 2.0 * _knn_margin(index.dim, qq, vv.max())
+    m = index.size
+    k = min(k, m)
+    g = q @ index.vectors.T
+    limit = _knn_margin(index.dim, *index.sq_norm_range)
     out_ids = np.empty((q.shape[0], k), dtype=np.int64)
     out_d = np.empty((q.shape[0], k), dtype=np.float64)
-    first, cands, total = 0, [], 0
-    for row, est in enumerate(s):
-        a_k = np.partition(est, k - 1)[k - 1]
-        # Written as "not above" so a NaN bound keeps every row.
-        cand = np.flatnonzero(~(est > a_k + limit[row]))
-        if cands and total + cand.size > index.size:
-            out_ids[first:row], out_d[first:row] = _rerank(index, q[first:row], cands, k)
-            first, cands, total = row, [], 0
-        cands.append(cand)
-        total += cand.size
-    if cands:
-        out_ids[first:], out_d[first:] = _rerank(index, q[first:], cands, k)
+    # Candidates as flat indices query * M + row, gathered since query
+    # ``first`` and not yet reranked; ``total`` counts them.
+    first, parts, total = 0, [], 0
+    step = max(1, _KNN_BLOCK // m)
+    for start in range(0, q.shape[0], step):
+        block = g[start:start + step]
+        g_k = np.partition(block, m - k, axis=1)[:, m - k]
+        flat = np.flatnonzero(~(block < (g_k - limit)[:, None])) + start * m
+        # Query start + i's candidates are flat[bounds[i]:bounds[i + 1]].
+        stops = np.arange(start, start + len(block) + 1) * m
+        bounds = np.searchsorted(flat, stops).tolist()
+        cut = 0
+        for row, lo, hi in zip(range(start, start + len(block)), bounds, bounds[1:]):
+            if total and total + hi - lo > m:
+                parts.append(flat[cut:lo])
+                cut = lo
+                out_ids[first:row], out_d[first:row] = _rerank(index, q, parts, first, row, k)
+                first, parts, total = row, [], 0
+            total += hi - lo
+        parts.append(flat[cut:])
+    if parts:
+        out_ids[first:], out_d[first:] = _rerank(index, q, parts, first, q.shape[0], k)
     return out_ids, out_d
 
 
 def _rerank(
-    index: EmbeddingIndex, q: np.ndarray, cands: list[np.ndarray], k: int
+    index: EmbeddingIndex, q: np.ndarray, parts: list[np.ndarray], first: int, stop: int, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, dists), each (len(q), k): the k nearest of each query's
-    candidate rows ``cands[i]``, by direct distance, then id."""
-    counts = np.array([c.size for c in cands])
-    rows = np.repeat(np.arange(len(cands)), counts)
-    cand = np.concatenate(cands)
+    """(ids, dists), each (stop - first, k): the k nearest candidates of
+    queries ``first:stop``, by direct distance, then id.  ``parts`` hold
+    their candidates as ascending flat indices query * M + row."""
+    rows, cand = np.divmod(np.concatenate(parts), index.size)
     d = np.linalg.norm(q[rows] - index.vectors[cand], axis=1)
     ids = index.ids[cand]
     order = np.lexsort((ids, d, rows))
     # Each query's candidates are one run of ``order``; keep its first k.
-    take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    take = order[np.searchsorted(rows, np.arange(first, stop))[:, None] + np.arange(k)]
     return ids[take], d[take]
 
 
-def _knn_margin(dim: int, qq: np.ndarray, vv_max: float) -> np.ndarray:
-    """Per-query bound eps on |s - r| for every database row.
+def _knn_margin(dim: int, vv_min: float, vv_max: float) -> float:
+    """How far below G_k, in dot-product units, a row of the exact top k
+    can score; ``knn`` keeps every row with g not below G_k - this.
 
-    With u = 2**-53, gamma_n = n u / (1 - n u), D = ``dim`` and the
-    exact squared norms standing in for the computed ``qq`` and ``vv``:
+    Write u = 2**-53, gamma_n = n u / (1 - n u) and D = ``dim``.  For one
+    query q and row v_i, g_i is the computed and g*_i the exact dot
+    product, Q = |q|^2 and n_i = |v_i|^2 exactly, d_i the exact distance,
+    and S = Q + max n_i.  The normalized query has Q <= 1 + 2 gamma_{D+2}.
+    The identity d_i^2 = Q + n_i - 2 g*_i is exact.
 
-    - r, the direct distance squared, sums D non-negative terms each
-      rounded twice, so |r - d^2| <= gamma_{D+2} d^2, and
-      d^2 <= 2 (qq + vv).
-    - s: the norms carry gamma_D qq and gamma_D vv; the dot product
-      carries gamma_D sum|q_i v_i| <= gamma_D (qq + vv) / 2 whatever
-      the summation order, so BLAS blocking, FMA and thread count do
-      not matter; the two additions each add at most u times a value
-      of at most 2 (qq + vv).  So |s - d^2| <= (2 gamma_D + 4u)(qq + vv).
-    - Rows whose correctly rounded square roots are equal differ in r
-      by at most about 4u r <= 8u (qq + vv), and such rows tie on
-      distance, so the bound must cover them too.
+    - Matrix product: |g_i - g*_i| <= gamma_D sum|q_j v_ij| <= gamma_D S / 2
+      whatever the summation order, so BLAS blocking, FMA and thread
+      count do not matter.
+    - Direct distances: the computed square r_i sums D non-negative terms
+      each rounded twice, so |r_i - d_i^2| <= gamma_{D+2} d_i^2, and
+      d_i^2 <= 2 S.  Rows whose correctly rounded square roots are equal
+      tie on distance, and their r differ by at most about 4u r.
+    - Take row i of the exact top k.  Some row j among the k of largest
+      g has a rounded distance not below i's, so
+      d_i^2 <= d_j^2 + (2 gamma_{D+2} + 4u) 2 S, and g_j >= G_k.  The two
+      identities and the product bound then give
+      g_i >= G_k - (n_j - n_i) / 2 - gamma_D S - (2 gamma_{D+2} + 4u) S.
+    - Norm spread: n_j - n_i is at most the computed
+      ``vv_max - vv_min`` plus gamma_D (vv_max + vv_min), the einsum's
+      rounding, which adds at most gamma_D S to the half.
+    - Computing G_k - limit rounds once, by at most u (|G_k| + limit),
+      and |G_k| <= S / 2.
 
-    To first order the sum is (4D + 16) u (qq + vv).  This returns
-    twice that, with vv at its largest over the database; the factor
-    two covers the second-order terms, the gap between computed and
-    exact norms and the rounding of A_k + 2 eps.  Rows are unit norm,
-    so underflow's absolute errors (below D * 2**-1074) do not count.
+    To first order the sum is (vv_max - vv_min) / 2 + (4D + 9) u S.  This
+    returns the spread term plus twice the rest, with S taken as
+    1 + vv_max; the factor two covers the second-order terms and the
+    query norm's excess over 1.  Rows are unit norm to 1e-9, so
+    underflow's absolute errors (below D * 2**-1074) do not count.
     """
     u = np.finfo(np.float64).eps / 2
-    return 8 * (dim + 4) * u * (qq + vv_max)
+    return (vv_max - vv_min) / 2 + 2 * (4 * dim + 9) * u * (1.0 + vv_max)
 
 
 @dataclass(frozen=True)
@@ -242,16 +269,21 @@ def recall_at_n(
     ids, _ = knn(index, query_vecs, k=max(n_values))
     by_id = np.argsort(index.ids)
     rows = by_id[np.searchsorted(index.ids, ids, sorter=by_id)]
-    hits = np.zeros(ids.shape, dtype=bool)
-    for qi, qpos in enumerate(query_positions):
-        for rank, row in enumerate(rows[qi]):
-            d = distance_m(qpos, index.positions[row])
-            hits[qi, rank] = d <= threshold_m
-    any_hit = np.cumsum(hits, axis=1) > 0
+    # A query hits at N when its first hit ranks below N, so its scan
+    # stops there; a query with no hit ranks it at k.
+    first_hit = []
+    for qpos, ranked in zip(query_positions, rows.tolist()):
+        for rank, row in enumerate(ranked):
+            if distance_m(qpos, index.positions[row]) <= threshold_m:
+                break
+        else:
+            rank = len(ranked)
+        first_hit.append(rank)
+    first_hit = np.array(first_hit)
     recalls = []
     for n in n_values:
         col = min(n, ids.shape[1]) - 1
-        recalls.append(float(np.mean(any_hit[:, col])))
+        recalls.append(float(np.mean(first_hit <= col)))
     return RecallReport(
         n_values=tuple(int(n) for n in n_values),
         recalls=tuple(recalls),
@@ -267,7 +299,9 @@ def evaluate_encoder(
     n_values: tuple[int, ...] = (1, 5, 10),
     threshold_m: float = 25.0,
 ) -> RecallReport:
-    """Recall over every dataset query, eval-mode embeddings."""
+    """Recall over every dataset query, eval-mode embeddings.  Bad recall
+    settings or a dataset without queries raise before any forward."""
+    check_recall_settings(n_values, threshold_m)
     if not ds.query_ids:
         raise ValueError("dataset has no queries to evaluate")
     index = build_index(state, cfg, ds)

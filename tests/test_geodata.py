@@ -360,6 +360,35 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="^sample 0 has non-finite features$"):
             synth_dataset(seed=0, n_places=3, db_per_place=2, view_noise=noise)
 
+    @pytest.mark.parametrize("sid", [1.5, True, np.True_, "3", None])
+    def test_non_integer_ids_rejected(self, sid):
+        self.rejects([db_row(0, 0, 0), db_row(sid, 1, 1)], f"sample id {sid!r} is not an integer")
+
+    @pytest.mark.parametrize("feats", [
+        ["1", "2"], [True, False], [1.0, True], [np.True_, 0.0], np.array([True, False]),
+        np.array(["1", "2"]), np.array([1.0, 2.0], dtype=object), [1.0, None],
+    ], ids=["str", "bool", "float_and_bool", "numpy_bool", "bool_array", "str_array",
+            "object_array", "none"])
+    def test_non_numeric_features_rejected(self, feats):
+        self.rejects([db_row(3, 0, 0, [0.0, 0.0]), q_row(7, 0, 0, feats)],
+                     "sample 7 has non-numeric features")
+
+    def test_every_accepted_dataset_survives_a_csv_round_trip(self, tmp_path):
+        # Float ids and string or bool features were once accepted, and
+        # save_csv then wrote a world that load_csv rejected.
+        p = planar(0, 0)
+        self.rejects([(False, 1.5, p, ["1", "2"]), (False, 2.5, p, [True, False])],
+                     "sample id 1.5 is not an integer")
+        self.rejects([(False, 1, p, ["1", "2"]), (False, 2, p, [True, False])],
+                     "sample 1 has non-numeric features")
+        ds = GeoDataset([(False, np.int64(1), p, [1, 2.5]),
+                         (False, 2, p, np.array([3, 4], np.int32))])
+        path = tmp_path / "world.csv"
+        save_csv(ds, path)
+        back = load_csv(path)
+        assert back.db_ids == (1, 2)
+        np.testing.assert_array_equal(back.db_features, ds.db_features)
+
     def test_features_of_any_number_type_are_stored_as_float64(self):
         ds = GeoDataset([db_row(0, 0, 0, [1, 2]), q_row(1, 0, 0, np.array([3, 4], np.int32))])
         assert ds.db_features.dtype == np.float64

@@ -10,7 +10,9 @@ from hypothesis.extra import numpy as hnp
 
 from vgssl import retrieval
 from vgssl.encoder import EncoderConfig, forward, init_state, predictor_forward
+from vgssl import geodata
 from vgssl.geodata import Position, PositionMode, synth_dataset
+from vgssl.methods import Method, method_config
 from vgssl.retrieval import EmbeddingIndex, build_index, evaluate_encoder, knn, recall_at_n
 
 
@@ -57,6 +59,15 @@ class TestIndexValidation:
         vecs[1, 2] = bad
         with pytest.raises(ValueError, match="row 1 is not"):
             EmbeddingIndex(ids=np.arange(3), vectors=vecs, positions=[planar(0, 0)] * 3)
+
+
+    def test_rows_are_read_only_through_the_index(self):
+        # knn sizes its filter margin from the squared norms checked here.
+        vecs = np.eye(3)
+        idx = EmbeddingIndex(ids=np.arange(3), vectors=vecs, positions=[planar(0, 0)] * 3)
+        with pytest.raises(ValueError, match="read-only"):
+            idx.vectors[0] *= 1 + 0.999e-9
+        assert vecs.flags.writeable
 
 
 class TestKnn:
@@ -170,6 +181,60 @@ class TestKnn:
             tracemalloc.stop()
         assert (ids == np.arange(10)).all()
         assert peak < 8 * 2**20
+
+    def test_nearer_row_with_the_smaller_dot_product_is_kept(self):
+        # Row 0 is longer by 0.999e-9 and has the larger dot product with
+        # the query; row 1 is shorter by 0.5e-9 and is nearer.  Their dot
+        # products differ by 1.5e-9, far beyond rounding, so only the norm
+        # spread term of the margin keeps row 1 a candidate.
+        vecs = np.array([[1 + 0.999e-9, 0.0], [1 - 0.5e-9, 0.0], [0.0, 1.0]])
+        idx = EmbeddingIndex(ids=np.arange(3), vectors=vecs, positions=[planar(0, 0)] * 3)
+        ids, dists = knn(idx, np.array([[1.0, 0.0]]), 1)
+        assert ids.tolist() == [[1]]
+        assert dists[0, 0] == np.linalg.norm(vecs[1] - [1.0, 0.0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 64, 512])
+    def test_rows_at_the_norm_tolerance_match_full_sort(self, d):
+        # Copies of a few directions with norms anywhere in the index's
+        # 1e-9 tolerance, so rows tie or nearly tie on distance while their
+        # dot products differ by up to 2e-9.
+        rng = np.random.default_rng(d)
+        base = unit_rows(rng.normal(size=(4, d)))
+        m = 60
+        scale = 1 + rng.choice([-0.999e-9, -0.5e-9, 0.0, 0.5e-9, 0.999e-9], size=m)
+        vecs = base[rng.integers(0, len(base), size=m)] * scale[:, None]
+        vecs[::7] = unit_rows(rng.normal(size=(len(vecs[::7]), d)))
+        idx = EmbeddingIndex(ids=rng.permutation(m) * 3, vectors=vecs,
+                             positions=[planar(0, 0)] * m)
+        q = np.concatenate([base, base * (1 + 1e-9), rng.normal(size=(3, d))])
+        for k in (1, 2, 3, 8, 20, m):
+            ids, dists = knn(idx, q, k)
+            ref_ids, ref_dists = full_sort_knn(idx, q, k)
+            np.testing.assert_array_equal(ids, ref_ids)
+            assert dists.tobytes() == ref_dists.tobytes()
+
+    def test_eval_large_world_reranks_about_k_rows_per_query(self, monkeypatch):
+        # A 5000-row database with a seed-initialised encoder, as in the
+        # eval_large benchmark: the filter should pass little beyond each
+        # query's top k to the direct-difference rerank.
+        ds = synth_dataset(seed=0, n_places=100, db_per_place=50, feature_dim=32)
+        cfg = method_config(Method.SIMCLR, input_dim=32, embed_dim=64, proj_layers=1,
+                            eta=1.0).encoder
+        state = init_state(cfg, seed=0)
+        idx = build_index(state, cfg, ds)
+        q = forward(state, cfg, ds.features(ds.query_ids), training=False).data
+        rerank, batches = retrieval._rerank, []
+
+        def counted(index, q, parts, first, stop, k):
+            batches.append((sum(p.size for p in parts), stop - first))
+            return rerank(index, q, parts, first, stop, k)
+
+        monkeypatch.setattr(retrieval, "_rerank", counted)
+        k = 10
+        knn(idx, q, k)
+        candidates, queries = map(sum, zip(*batches))
+        assert queries == len(ds.query_ids) == 100
+        assert candidates <= 2 * k * queries
 
 
 def full_sort_knn(idx, q, k):
@@ -300,6 +365,41 @@ class TestRecall:
         )
         rep = recall_at_n(idx, np.array([[1.0, 0.0]]), [planar(0, 0)], n_values=(1,))
         assert rep.recalls == (1.0,)  # exactly 25 m counts as success
+
+    def test_first_hit_scan_matches_full_scan(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        idx = make_index(rng, m=40, spread=1000.0)
+        n_q, n_values, threshold = 40, (1, 3, 10), 150.0
+        # Each query's embedding is next to one database row; the first ten
+        # also stand where that row stands.
+        near = rng.integers(0, idx.size, size=n_q)
+        q = unit_rows(idx.vectors[near] + 0.01 * rng.normal(size=(n_q, 4)))
+        qpos = [idx.positions[r] for r in near[:10]] + [
+            planar(float(x), float(y)) for x, y in rng.uniform(0, 1000, size=(n_q - 10, 2))
+        ]
+        # Full-scan oracle: every retrieved row's distance, then the
+        # cumulative "any hit" per rank.
+        ids, _ = knn(idx, q, max(n_values))
+        pos = dict(zip(idx.ids.tolist(), idx.positions))
+        hits = np.array([[geodata.distance_m(qp, pos[i]) <= threshold for i in row]
+                         for qp, row in zip(qpos, ids.tolist())])
+        any_hit = np.cumsum(hits, axis=1) > 0
+        first_hit = np.where(hits.any(axis=1), hits.argmax(axis=1), hits.shape[1])
+        # The scene has first hits at rank 0, at later ranks and nowhere.
+        assert {0, hits.shape[1]} < set(first_hit.tolist())
+
+        calls = []
+
+        def counted(p, r):
+            calls.append(p)
+            return geodata.distance_m(p, r)
+
+        monkeypatch.setattr(retrieval, "distance_m", counted)
+        rep = recall_at_n(idx, q, qpos, n_values, threshold)
+        assert rep.recalls == tuple(float(np.mean(any_hit[:, n - 1])) for n in n_values)
+        # Each query is scanned up to and including its first hit.
+        expected = [p for p, f in zip(qpos, first_hit.tolist()) for _ in range(min(f + 1, 10))]
+        assert calls == expected
 
 
 class TestBuildIndex:
@@ -436,4 +536,17 @@ class TestEvaluateEncoder:
         monkeypatch.setattr(retrieval, "forward", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match="dataset has no queries to evaluate"):
             evaluate_encoder(state, cfg, ds)
+        assert calls == []
+
+    @pytest.mark.parametrize("n_values, threshold_m", [((), 25.0), ((10, 1), 25.0),
+                                                       ((1,), -5.0)])
+    def test_bad_recall_settings_raise_before_any_forward(self, monkeypatch, n_values,
+                                                          threshold_m):
+        ds = synth_dataset(seed=0, n_places=4, db_per_place=3, feature_dim=6)
+        cfg = EncoderConfig(input_dim=6, hidden_dims=(8,), embed_dim=4)
+        state = init_state(cfg, seed=0)
+        calls = []
+        monkeypatch.setattr(retrieval, "forward", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="must be"):
+            evaluate_encoder(state, cfg, ds, n_values, threshold_m)
         assert calls == []
