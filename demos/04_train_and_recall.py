@@ -26,7 +26,7 @@ before = evaluate(init_state(mcfg.encoder, seed=0), mcfg, ds)
 print("untrained:", "  ".join(f"R@{n}={r:.3f}" for n, r in zip(before.n_values, before.recalls)))
 
 tcfg = TrainConfig(epochs=60, batch_size=64, queries_per_epoch=10, lr=1e-3, seed=0, eval_every=20)
-res = run_single(mcfg, ds, tcfg, seed=0)
+res = run_single(mcfg, ds, tcfg)
 
 for ep in res.record.epochs:
     if ep.recall is not None:

@@ -39,7 +39,7 @@ for eta in (0.0, 1.0):
     ds = synth_dataset(seed=0, n_places=30, db_per_place=8, feature_dim=32, view_noise=1.75)
     mcfg = method_config(Method.SIMSIAM, input_dim=32, embed_dim=64, proj_layers=2, eta=eta)
     tcfg = TrainConfig(epochs=800, batch_size=16, queries_per_epoch=10, lr=3e-3, seed=0)
-    res = run_single(mcfg, ds, tcfg, seed=0)
+    res = run_single(mcfg, ds, tcfg)
     pred_id, spread = diagnostics(res.state, mcfg, ds)
     print(f"eta={eta:.0f}: cos(pred(z), z) = {pred_id:.4f}   spread = {spread:.4f}")
 

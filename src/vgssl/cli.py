@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import functools
+import inspect
 import json
 import sys
-from dataclasses import replace
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +27,17 @@ from .losses import LossConfig, Method
 from .methods import method_config, strategy_label
 from .retrieval import evaluate_encoder
 from .sampling import MiningConfig, MiningMode, build_pairs, mine_triplets
-from .trainer import AdamState, ExperimentResult, TrainConfig, run_single
+from .trainer import AdamState, ExperimentResult, TrainConfig, run_experiment
 
 __all__ = ["main"]
 
 
 class ConfigError(ValueError):
     pass
+
+
+# The default of a key that a config must set.
+_REQUIRED = inspect.Parameter.empty
 
 
 class _Config:
@@ -49,18 +54,18 @@ class _Config:
         self._where = where
         self._used: set[str] = set()
 
-    def get(self, key: str, default=None, required: bool = False):
+    def get(self, key: str, default=_REQUIRED):
         self._used.add(key)
-        if key not in self._raw:
-            if required:
-                raise ConfigError(f"{self._where}: missing required key {key!r}")
-            return default
-        return self._raw[key]
+        if key in self._raw:
+            return self._raw[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"{self._where}: missing required key {key!r}")
+        return default
 
-    def get_int(self, key: str, default=None, required: bool = False) -> int:
+    def get_int(self, key: str, default=_REQUIRED) -> int:
         """An integer key: a JSON integer or an integral float; bools,
         strings and fractions are errors, never truncated."""
-        return self._int(self.get(key, default, required), key)
+        return self._int(self.get(key, default), key)
 
     def get_ints(self, key: str, default) -> tuple[int, ...]:
         """A list of integers, each item checked as by ``get_int``."""
@@ -79,19 +84,20 @@ class _Config:
             raise ConfigError(f"{self._where}: {key} must be a number, got {value!r}")
         return float(value)
 
-    def get_str(self, key: str, default: str | None = None, required: bool = False) -> str | None:
+    def get_str(self, key: str, default=_REQUIRED) -> str | None:
         """A path key: a JSON string; null stands for a null default."""
-        value = self.get(key, default, required)
-        if isinstance(value, str) or (value is None and default is None and not required):
+        value = self.get(key, default)
+        if isinstance(value, str) or (value is None and default is None):
             return value
         raise ConfigError(f"{self._where}: {key} must be a string, got {value!r}")
 
-    def get_bool(self, key: str, default: bool) -> bool:
-        """A boolean key: JSON true or false, nothing else."""
+    def get_bool(self, key: str, default: bool | None) -> bool | None:
+        """A boolean key: JSON true or false; null stands for a null default."""
         value = self.get(key, default)
-        if not isinstance(value, bool):
-            raise ConfigError(f"{self._where}: {key} must be true or false, got {value!r}")
-        return value
+        if isinstance(value, bool) or (value is None and default is None):
+            return value
+        allowed = "true, false or null" if default is None else "true or false"
+        raise ConfigError(f"{self._where}: {key} must be {allowed}, got {value!r}")
 
     def _int(self, value, name: str) -> int:
         if isinstance(value, float) and value.is_integer():
@@ -99,6 +105,21 @@ class _Config:
         if isinstance(value, int) and not isinstance(value, bool):
             return value
         raise ConfigError(f"{self._where}: {name} must be an integer, got {value!r}")
+
+    def args_for(self, owner, skip: tuple[str, ...] = (), **fallbacks) -> dict:
+        """Keyword arguments for ``owner`` from the keys that name its
+        parameters, each read by the getter its annotation picks.  ``skip``
+        names the parameters the command supplies.  A key the config leaves
+        out takes its ``fallbacks`` value, else ``owner``'s default, else is
+        an error."""
+        args = {}
+        for name, hint, default in _parameters(owner):
+            if name in skip:
+                continue
+            default = fallbacks.get(name, default)
+            if name in self._raw or name in fallbacks or default is _REQUIRED:
+                args[name] = _GETTERS[hint](self, name, default)
+        return args
 
     def sub(self, key: str) -> "_Config":
         self._used.add(key)
@@ -108,6 +129,25 @@ class _Config:
         unknown = sorted(set(self._raw) - self._used)
         if unknown:
             raise ConfigError(f"{self._where}: unknown keys {unknown}")
+
+
+_GETTERS = {
+    int: _Config.get_int,
+    float: _Config.get_float,
+    bool: _Config.get_bool,
+    tuple[int, ...]: _Config.get_ints,
+    float | None: _Config.get_float,
+    bool | None: _Config.get_bool,
+}
+
+
+@functools.cache
+def _parameters(owner) -> tuple[tuple[str, object, object], ...]:
+    """Name, annotation and default of each named parameter of ``owner``."""
+    hints = typing.get_type_hints(owner)
+    return tuple((p.name, hints.get(p.name), p.default)
+                 for p in inspect.signature(owner).parameters.values()
+                 if p.kind is p.POSITIONAL_OR_KEYWORD)
 
 
 def _load_config(path: str | None, command: str) -> _Config:
@@ -134,18 +174,7 @@ def _fmt(x) -> str:
 
 
 def cmd_synth(cfg: _Config, out_dir: Path, seed: int) -> int:
-    ds = synth_dataset(
-        seed=cfg.get_int("seed", seed),
-        n_places=cfg.get_int("n_places", 20),
-        db_per_place=cfg.get_int("db_per_place", 8),
-        query_fraction=cfg.get_float("query_fraction", 1.0),
-        feature_dim=cfg.get_int("feature_dim", 32),
-        view_noise=cfg.get_float("view_noise", 0.5),
-        spacing_m=cfg.get_float("spacing_m", 100.0),
-        r_pos=cfg.get_float("r_pos", 10.0),
-        r_neg=cfg.get_float("r_neg", 25.0),
-        buffer_per_place=cfg.get_int("buffer_per_place", 0),
-    )
+    ds = synth_dataset(**cfg.args_for(synth_dataset, seed=seed))
     filename = cfg.get_str("filename", "dataset.csv")
     cfg.finish()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -160,23 +189,21 @@ def cmd_synth(cfg: _Config, out_dir: Path, seed: int) -> int:
 
 
 def _method_from_config(cfg: _Config):
-    name = cfg.get("method", required=True)
+    name = cfg.get("method")
     try:
-        method = Method(name)
+        return Method(name)
     except ValueError:
         valid = ", ".join(m.value for m in Method)
         raise ConfigError(f"unknown method {name!r}; expected one of: {valid}") from None
-    return method
 
 
 def _mining_from_config(sub: _Config) -> MiningConfig | None:
     if not sub._raw:
-        sub.finish()
         return None
-    mode = MiningMode(sub.get("mode", required=True))
-    pool = sub.get_int("pool_size", 0)
+    mode = MiningMode(sub.get("mode"))
+    args = sub.args_for(MiningConfig, skip=("mode",))
     sub.finish()
-    return MiningConfig(mode=mode, pool_size=pool)
+    return MiningConfig(mode=mode, **args)
 
 
 def _epoch_rows(record) -> tuple[list[str], list[list[str]]]:
@@ -235,7 +262,7 @@ def _resume_point(path, mcfg) -> tuple:
 
 
 def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
-    dataset_path = cfg.get_str("dataset", required=True)
+    dataset_path = cfg.get_str("dataset")
     if not Path(dataset_path).exists():
         raise ConfigError(f"dataset not found: {dataset_path}")
     ds = load_csv(dataset_path)
@@ -243,59 +270,24 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
     method = _method_from_config(cfg)
     mining = _mining_from_config(cfg.sub("mining"))
     loss_cfg = cfg.sub("loss")
-    known = {f.name for f in dataclasses.fields(LossConfig)} - {"method"}
-    bad = sorted(set(loss_cfg._raw) - known)
-    if bad:
-        raise ConfigError(f"loss: unknown keys {bad}; valid: {sorted(known)}")
-    loss_overrides = {k: loss_cfg.get(k) for k in list(loss_cfg._raw)}
+    loss = loss_cfg.args_for(LossConfig, skip=("method",))
     loss_cfg.finish()
     mcfg = method_config(
-        method,
-        input_dim=ds.feature_dim,
-        hidden_dims=cfg.get_ints("hidden_dims", [64, 64]),
-        embed_dim=cfg.get_int("embed_dim", 64),
-        proj_layers=cfg.get_int("proj_layers", 1),
-        eta=cfg.get_float("eta", 1.0),
-        mining=mining,
-        momentum=cfg.get_float("momentum", 0.99),
-        **loss_overrides,
+        method, ds.feature_dim, mining=mining, **loss,
+        **cfg.args_for(method_config, skip=("method", "input_dim", "mining")),
     )
-    tcfg = TrainConfig(
-        epochs=cfg.get_int("epochs", required=True),
-        batch_size=cfg.get_int("batch_size", 64),
-        queries_per_epoch=cfg.get_int("queries_per_epoch", 256),
-        lr=cfg.get_float("lr", None),
-        weight_decay=cfg.get_float("weight_decay", 1e-6),
-        decoupled_wd=cfg.get_bool("decoupled_wd", False),
-        seed=cfg.get_int("seed", seed),
-        eval_every=cfg.get_int("eval_every", 0),
-        recall_ns=cfg.get_ints("recall_ns", [1, 5, 10]),
-        threshold_m=cfg.get_float("threshold_m", 25.0),
-    )
+    tcfg = TrainConfig(**cfg.args_for(TrainConfig, seed=seed))
     n_seeds = cfg.get_int("n_seeds", 1)
-    resume = cfg.get_str("resume")
-    resolved = dict(cfg._raw)
+    resume = cfg.get_str("resume", None)
     cfg.finish()
 
-    if n_seeds < 1:
-        raise ConfigError(f"n_seeds must be at least 1, got {n_seeds}")
-    if resume is not None and n_seeds != 1:
-        raise ConfigError("resume applies to a single seed; set n_seeds to 1")
-
     label = strategy_label(mcfg)
-    seeds = [tcfg.seed + i for i in range(n_seeds)]
-
-    state, adam, start = None, None, 0
-    if resume is not None:  # a single seed, checked above
-        state, adam, start = _resume_point(resume, mcfg)
-    results = [
-        run_single(mcfg, ds, replace(tcfg, seed=s), s, enc_state=state, adam=adam,
-                   start_epoch=start)
-        for s in seeds
-    ]
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for run_seed, tres in zip(seeds, results):
+    seeds = list(range(tcfg.seed, tcfg.seed + n_seeds))
+    point = None if resume is None else _resume_point(resume, mcfg)
+    records = []
+    for tres in run_experiment(mcfg, ds, tcfg, n_seeds, point):
+        records.append(tres.record)
+        run_seed = tres.record.seed
         run_dir = out_dir / f"{label}-seed{run_seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         header, rows = _epoch_rows(tres.record)
@@ -322,8 +314,8 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
             "label": label,
             "seed": run_seed,
             "seeds": seeds,
-            "config": resolved,
-            "start_epoch": start,
+            "config": cfg._raw,
+            "start_epoch": tres.record.epochs[0].epoch,
             "outputs": ["epochs.csv", "checkpoint.ckpt"],
             "wall_seconds": tres.record.wall_seconds,
         })
@@ -331,8 +323,8 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
         print(f"{label} seed {run_seed}: loss={tres.record.final_loss:.4f} "
               + " ".join(f"R@{n}={r:.3f}" for n, r in zip(final.n_values, final.recalls)))
 
-    if len(results) > 1:
-        print(ExperimentResult.from_runs([tres.record for tres in results]).summary_line())
+    if len(records) > 1:
+        print(ExperimentResult.from_runs(records).summary_line())
     return 0
 
 
@@ -340,10 +332,9 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
 
 
 def cmd_eval(cfg: _Config, out_dir: Path, seed: int) -> int:
-    ckpt_path = cfg.get_str("checkpoint", required=True)
-    dataset_path = cfg.get_str("dataset", required=True)
-    n_values = cfg.get_ints("n_values", [1, 5, 10])
-    threshold = cfg.get_float("threshold_m", 25.0)
+    ckpt_path = cfg.get_str("checkpoint")
+    dataset_path = cfg.get_str("dataset")
+    recall = cfg.args_for(evaluate_encoder, skip=("state", "cfg", "ds"))
     cfg.finish()
 
     state, enc_cfg, meta, _ = load_checkpoint(ckpt_path)
@@ -353,7 +344,7 @@ def cmd_eval(cfg: _Config, out_dir: Path, seed: int) -> int:
             f"checkpoint expects {enc_cfg.input_dim}-dim features, "
             f"dataset provides {ds.feature_dim}"
         )
-    report = evaluate_encoder(state, enc_cfg, ds, n_values, threshold)
+    report = evaluate_encoder(state, enc_cfg, ds, **recall)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [
@@ -371,7 +362,7 @@ def cmd_eval(cfg: _Config, out_dir: Path, seed: int) -> int:
 
 
 def cmd_gradcheck(cfg: _Config, seed: int) -> int:
-    names = cfg.get("methods")
+    names = cfg.get("methods", None)
     instances = cfg.get_int("instances", 20)
     tol = cfg.get_float("tol", 1e-4)
     base = cfg.get_int("seed", seed)
@@ -414,25 +405,17 @@ def _raw_features(x: np.ndarray) -> np.ndarray:
 
 def _bench_cell(ds, mode: str, n_q: int, n_k: int, per_place: int,
                 pool: int, seed: int) -> tuple[CostLedger, CostLedger, int]:
+    """Measured and predicted cost of one mode (``predict_cost`` reads the
+    sizes its mode uses), and the pool size."""
     led = CostLedger()
+    p = min(pool, n_k) if mode == "partial_hnm" else 0
     if mode == "pair_only":
         build_pairs(ds, m_q=n_q, eta=0.0, rng_seed=seed, ledger=led)
-        pred = predict_cost("pair_only", n_q, n_kp=n_q)
-        return led, pred, 0
-    if mode == "full_hnm":
-        mine_triplets(ds, n_q, MiningConfig(mode=MiningMode.FULL_HNM),
+    else:
+        mine_triplets(ds, n_q, MiningConfig(mode=MiningMode(mode), pool_size=p),
                       _raw_features, seed, ledger=led)
-        pred = predict_cost("full_hnm", n_q, n_k=n_k, n_kn=n_k - per_place)
-        return led, pred, 0
-    if mode == "partial_hnm":
-        p = min(pool, n_k)
-        mine_triplets(ds, n_q, MiningConfig(mode=MiningMode.PARTIAL_HNM, pool_size=p),
-                      _raw_features, seed, ledger=led)
-        pred = predict_cost("partial_hnm", n_q, n_kp=n_q, pool=p)
-        return led, pred, p
-    mine_triplets(ds, n_q, MiningConfig(mode=MiningMode.RANDOM),
-                  _raw_features, seed, ledger=led)
-    return led, predict_cost("random", n_q), 0
+    pred = predict_cost(mode, n_q, n_k=n_k, n_kp=n_q, n_kn=n_k - per_place, pool=p)
+    return led, pred, p
 
 
 def cmd_bench_mining(cfg: _Config, out_dir: Path, seed: int) -> int:
@@ -519,6 +502,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:  # a diverged run, named by its label and seed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -328,6 +328,14 @@ def synth_dataset(
         raise ValueError("need at least 1 database sample per place")
     if not 0.0 <= query_fraction <= 1.0:
         raise ValueError(f"query_fraction {query_fraction} outside [0, 1]")
+    if feature_dim < 1:
+        raise ValueError(f"feature_dim must be at least 1, got {feature_dim}")
+    if view_noise < 0:  # a non-finite one fails on the features it makes
+        raise ValueError(f"view_noise cannot be negative, got {view_noise}")
+    if buffer_per_place < 0:
+        raise ValueError(f"buffer_per_place cannot be negative, got {buffer_per_place}")
+    if buffer_per_place > 0 and r_neg - r_pos <= 2.0:
+        raise ValueError("buffer samples need r_neg - r_pos > 2 meters of annulus")
     if spacing_m <= 2.0 * r_neg:
         raise ValueError(
             f"spacing_m {spacing_m} must exceed 2 * r_neg = {2 * r_neg} so places "
@@ -339,9 +347,6 @@ def synth_dataset(
         (spacing_m * (i % side), spacing_m * (i // side)) for i in range(n_places)
     ]
     latents = rng.normal(size=(n_places, feature_dim))
-
-    if buffer_per_place > 0 and r_neg - r_pos <= 2.0:
-        raise ValueError("buffer samples need r_neg - r_pos > 2 meters of annulus")
 
     def offset(radius: float) -> tuple[float, float]:
         # Uniform over a disk of the given radius.

@@ -103,6 +103,8 @@ class LossConfig:
             value = getattr(self, name)
             if not (_is_real(value) and math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if not (self.symmetric is None or isinstance(self.symmetric, bool)):
+            raise ValueError(f"symmetric must be true, false or null, got {self.symmetric!r}")
         if self.symmetric is None:
             object.__setattr__(self, "symmetric", SYMMETRIC_DEFAULT.get(self.method, False))
 

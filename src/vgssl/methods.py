@@ -129,10 +129,13 @@ def method_config(
     """
     loss = LossConfig(method=method, **loss_overrides)
     if method is Method.TRIPLET:
+        if not hidden_dims:
+            # The triplet head is the identity, so the trunk is all it trains.
+            raise ValueError(f"triplet needs a hidden layer, got hidden_dims={hidden_dims!r}")
         enc = EncoderConfig(
             input_dim=input_dim,
             hidden_dims=hidden_dims,
-            embed_dim=hidden_dims[-1] if hidden_dims else input_dim,
+            embed_dim=hidden_dims[-1],
             identity_projection=True,
         )
         mining = mining or MiningConfig(mode=MiningMode.FULL_HNM)

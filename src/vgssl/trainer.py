@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -361,20 +362,19 @@ def run_single(
     mcfg: MethodConfig,
     ds: GeoDataset,
     tcfg: TrainConfig,
-    seed: int,
     enc_state=None,
     adam: AdamState | None = None,
     start_epoch: int = 0,
 ) -> TrainResult:
-    """Train one seed end to end; resumable via (enc_state, adam, start_epoch)."""
+    """Train seed ``tcfg.seed`` end to end; resumable via (enc_state, adam, start_epoch)."""
     t0 = time.perf_counter()
     if enc_state is None:
-        enc_state = init_state(mcfg.encoder, seed)
+        enc_state = init_state(mcfg.encoder, tcfg.seed)
     if adam is None:
         adam = adam_init(enc_state.params)
-    record = RunRecord(label=strategy_label(mcfg), seed=seed)
+    record = RunRecord(label=strategy_label(mcfg), seed=tcfg.seed)
     ledger = CostLedger()
-    master = np.random.default_rng(seed)
+    master = np.random.default_rng(tcfg.seed)
     epoch_seeds = master.integers(0, 2**62, size=start_epoch + tcfg.epochs)
     for epoch in range(start_epoch, start_epoch + tcfg.epochs):
         try:
@@ -440,16 +440,19 @@ class ExperimentResult:
 
 
 def run_experiment(
-    mcfg: MethodConfig, ds: GeoDataset, tcfg: TrainConfig, n_seeds: int = 3
-) -> ExperimentResult:
-    """Repeat a run across seeds; report mean and population std of recall.
-
-    Seeds are ``tcfg.seed .. tcfg.seed + n_seeds - 1``, run in order.
-    """
+    mcfg: MethodConfig, ds: GeoDataset, tcfg: TrainConfig, n_seeds: int = 3,
+    resume: tuple | None = None,
+) -> Iterator[TrainResult]:
+    """Train seeds ``tcfg.seed .. tcfg.seed + n_seeds - 1`` in order, yielding
+    each seed's result once it is trained; ``resume`` is the (enc_state,
+    adam, start_epoch) that a single seed continues from.  A diverged seed
+    raises ``FloatingPointError`` naming its label and seed."""
     if n_seeds < 1:
-        raise ValueError("need at least one seed")
-    runs = [
-        run_single(mcfg, ds, replace(tcfg, seed=seed), seed).record
-        for seed in range(tcfg.seed, tcfg.seed + n_seeds)
-    ]
-    return ExperimentResult.from_runs(runs)
+        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
+    if resume is not None and n_seeds != 1:
+        raise ValueError("resume applies to a single seed; set n_seeds to 1")
+    for seed in range(tcfg.seed, tcfg.seed + n_seeds):
+        try:
+            yield run_single(mcfg, ds, replace(tcfg, seed=seed), *resume or ())
+        except FloatingPointError as err:
+            raise FloatingPointError(f"{strategy_label(mcfg)} seed {seed}: {err}") from err

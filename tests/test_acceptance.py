@@ -287,7 +287,7 @@ def test_criterion_6_learnability():
                                  proj_layers=proj, eta=1.0)
             tcfg = TrainConfig(epochs=100, batch_size=64, queries_per_epoch=10,
                                lr=1e-3, seed=seed)
-            res = run_single(mcfg, ds, tcfg, seed)
+            res = run_single(mcfg, ds, tcfg)
             finals.append(res.record.final_recall.recalls[0])
         times[name] = time.perf_counter() - t0
         results[name] = float(np.median(finals))
@@ -329,7 +329,7 @@ def _final_r1(method, eta, seed):
                          proj_layers=2, eta=eta)
     tcfg = TrainConfig(epochs=COLLAPSE_EPOCHS, batch_size=20,
                        queries_per_epoch=10, lr=3e-3, seed=seed)
-    res = run_single(mcfg, ds, tcfg, seed)
+    res = run_single(mcfg, ds, tcfg)
     return evaluate(res.state, mcfg, ds, n_values=(1,)).recalls[0]
 
 

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import vgssl.trainer
-from vgssl.cli import main
+from vgssl.cli import _epoch_rows, _write_csv, main
 from vgssl.encoder import load_checkpoint, save_checkpoint
 from vgssl.geodata import load_csv, save_csv, synth_dataset
 from vgssl.losses import Method
 from vgssl.methods import method_config
-from vgssl.trainer import TrainConfig, run_experiment
+from vgssl.retrieval import evaluate_encoder
+from vgssl.trainer import ExperimentResult, TrainConfig, run_experiment, run_single
 
 
 def write_config(path, payload):
@@ -177,7 +178,9 @@ class TestTrain:
         ({"loss": {"tau": float("inf")}}, "tau must be finite and positive"),
         ({"loss": {"margin": float("nan")}}, "margin must be finite and non-negative"),
         ({"loss": {"std_margin": -1}}, "std_margin must be finite and non-negative"),
-        ({"loss": {"tau": "0.1"}}, "tau must be finite and positive, got '0.1'"),
+        ({"loss": {"tau": "0.1"}}, "train.loss: tau must be a number, got '0.1'"),
+        ({"method": "triplet", "hidden_dims": []},
+         "triplet needs a hidden layer, got hidden_dims=()"),
     ])
     def test_impossible_settings_fail_before_training(
         self, tmp_path, world, capsys, monkeypatch, over, message
@@ -209,13 +212,15 @@ class TestTrain:
         ({"momentum": None}, "train: momentum must be a number, got None"),
         ({"decoupled_wd": "false"}, "train: decoupled_wd must be true or false, got 'false'"),
         ({"decoupled_wd": 0}, "train: decoupled_wd must be true or false, got 0"),
+        ({"method": "simsiam", "proj_layers": 2, "loss": {"symmetric": "no"}},
+         "train.loss: symmetric must be true, false or null, got 'no'"),
         # File descriptor 0 is stdin, not a checkpoint.
         ({"resume": 0}, "train: resume must be a string, got 0"),
         ({"resume": ["a.ckpt"]}, "train: resume must be a string, got ['a.ckpt']"),
     ], ids=["eta_inf", "eta_nan", "hidden_dims_str", "hidden_dims_frac", "recall_ns_frac",
             "embed_dim_frac", "epochs_frac", "batch_size_bool", "seed_str", "pool_size_frac",
             "eta_str", "eta_bool", "lr_str", "momentum_null", "decoupled_wd_str",
-            "decoupled_wd_int", "resume_int", "resume_list"])
+            "decoupled_wd_int", "symmetric_str", "resume_int", "resume_list"])
     def test_non_integer_keys_fail_before_training(
         self, tmp_path, world, capsys, monkeypatch, over, message
     ):
@@ -295,8 +300,74 @@ class TestTrain:
             queries_per_epoch=payload["queries_per_epoch"], lr=payload["lr"],
             seed=payload["seed"],
         )
-        expected = run_experiment(mcfg, ds, tcfg, n_seeds=2).summary_line()
+        expected = ExperimentResult.from_runs(
+            [r.record for r in run_experiment(mcfg, ds, tcfg, n_seeds=2)]).summary_line()
         assert printed[-1] == expected
+
+
+    def test_diverged_seed_is_one_error_line(self, tmp_path, world, capsys, monkeypatch):
+        epoch = vgssl.trainer.train_epoch
+
+        def diverging(*args):
+            if args[4].seed == 2:  # the second of seeds 1, 2 and 3
+                raise FloatingPointError("non-finite loss nan at batch 0")
+            return epoch(*args)
+
+        monkeypatch.setattr(vgssl.trainer, "train_epoch", diverging)
+        cfg = write_config(tmp_path / "t.json", train_config(world, n_seeds=3))
+        out = tmp_path / "runs"
+        assert run("train", "--config", cfg, "--out", str(out)) == 1
+        printed = capsys.readouterr()
+        assert printed.err == ("error: SimCLR-FC-1-8-0.5 seed 2: epoch 0: "
+                               "non-finite loss nan at batch 0\n")
+        assert printed.out.startswith("SimCLR-FC-1-8-0.5 seed 1: ")
+        # The seed that finished first keeps its directory.
+        assert [p.name for p in out.iterdir()] == ["SimCLR-FC-1-8-0.5-seed1"]
+        assert (out / "SimCLR-FC-1-8-0.5-seed1" / "epochs.csv").exists()
+
+
+class TestLibraryDefaults:
+    """A key that a config leaves out takes the library's own default."""
+
+    def test_empty_synth_config_writes_the_default_world(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {})
+        out = tmp_path / "d"
+        assert run("synth", "--config", cfg, "--out", str(out)) == 0
+        save_csv(synth_dataset(seed=0), tmp_path / "ref.csv")
+        for got, ref in (("dataset.csv", "ref.csv"), ("dataset.meta.json", "ref.meta.json")):
+            assert (out / got).read_bytes() == (tmp_path / ref).read_bytes()
+
+    def test_minimal_train_config_is_the_default_run(self, tmp_path, world):
+        cfg = write_config(tmp_path / "t.json", {
+            "dataset": str(world), "method": "simclr", "epochs": 2, "queries_per_epoch": 4,
+        })
+        out = tmp_path / "runs"
+        assert run("train", "--config", cfg, "--out", str(out)) == 0
+        ds = load_csv(world)
+        res = run_single(method_config(Method.SIMCLR, input_dim=ds.feature_dim), ds,
+                         TrainConfig(epochs=2, queries_per_epoch=4))
+        expected = tmp_path / "expected.csv"
+        _write_csv(expected, *_epoch_rows(res.record))
+        (run_dir,) = out.iterdir()
+        assert run_dir.name == "SimCLR-FC-1-64-1-seed0"
+        assert (run_dir / "epochs.csv").read_bytes() == expected.read_bytes()
+        state, _, _, _ = load_checkpoint(run_dir / "checkpoint.ckpt")
+        for name, p in res.state.params.items():
+            assert np.array_equal(state.params[name].data, p.data)
+
+    def test_eval_without_recall_keys_uses_the_defaults(self, tmp_path, world):
+        tcfg = write_config(tmp_path / "t.json", train_config(world))
+        assert run("train", "--config", tcfg, "--out", str(tmp_path / "runs")) == 0
+        ckpt = tmp_path / "runs" / "SimCLR-FC-1-8-0.5-seed1" / "checkpoint.ckpt"
+        ecfg = write_config(tmp_path / "e.json", {"checkpoint": str(ckpt), "dataset": str(world)})
+        assert run("eval", "--config", ecfg, "--out", str(tmp_path / "ev")) == 0
+        state, enc_cfg, _, _ = load_checkpoint(ckpt)
+        report = evaluate_encoder(state, enc_cfg, load_csv(world))
+        with open(tmp_path / "ev" / "recall.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [[str(n), repr(r), repr(report.threshold_m), str(report.n_queries)]
+                            for n, r in zip(report.n_values, report.recalls)]
+        assert [r[0] for r in rows[1:]] == ["1", "5", "10"]
 
 
 def _drop_moment(extra, kind):
@@ -458,6 +529,8 @@ class TestEval:
     ("bench-mining", {"n_q": []}, "bench-mining: n_q must list at least one value"),
     ("bench-mining", {"n_q": [5], "n_k": []}, "bench-mining: n_k must list at least one value"),
     ("synth", {"filename": 5}, "synth: filename must be a string, got 5"),
+    ("synth", {"feature_dim": 0}, "feature_dim must be at least 1, got 0"),
+    ("synth", {"view_noise": -1}, "view_noise cannot be negative, got -1.0"),
     ("train", {"dataset": 5, "method": "simclr", "epochs": 1},
      "train: dataset must be a string, got 5"),
     ("eval", {"checkpoint": 7, "dataset": "d"}, "eval: checkpoint must be a string, got 7"),
@@ -473,7 +546,8 @@ class TestEval:
      "bench-mining: slack must be a finite number above 0, got -0.05"),
 ], ids=["synth_str", "synth_bool", "eval_str", "gradcheck_tol_str", "gradcheck_methods_str",
         "bench_slack_bool", "bench_n_q_zero", "bench_n_k_negative", "bench_n_q_empty",
-        "bench_n_k_empty", "synth_filename_int", "train_dataset_int", "eval_checkpoint_int",
+        "bench_n_k_empty", "synth_filename_int", "synth_feature_dim_zero",
+        "synth_view_noise_negative", "train_dataset_int", "eval_checkpoint_int",
         "eval_dataset_null", "gradcheck_instances_zero", "gradcheck_instances_negative",
         "gradcheck_tol_inf", "gradcheck_tol_zero", "bench_slack_inf", "bench_slack_negative"])
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, payload, message):

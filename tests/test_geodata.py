@@ -557,6 +557,18 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             synth_dataset(seed=0, n_places=1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"feature_dim": 0}, "feature_dim must be at least 1, got 0"),
+        ({"feature_dim": -1}, "feature_dim must be at least 1, got -1"),
+        ({"view_noise": -1.0}, "view_noise cannot be negative, got -1.0"),
+        ({"view_noise": -np.inf}, "view_noise cannot be negative, got -inf"),
+        ({"buffer_per_place": -1}, "buffer_per_place cannot be negative, got -1"),
+    ])
+    def test_impossible_world_named_before_any_draw(self, monkeypatch, kwargs, message):
+        monkeypatch.setattr(np.random, "default_rng", None)  # any draw would fail
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            synth_dataset(seed=0, n_places=4, **kwargs)
+
     def test_buffer_samples_fall_in_annulus(self):
         ds = synth_dataset(
             seed=4, n_places=3, db_per_place=2, query_fraction=1.0, buffer_per_place=2

@@ -230,6 +230,14 @@ class TestLossConfig:
         assert LossConfig(Method.SIMCLR).symmetric is False
         assert LossConfig(Method.MOCOV2).symmetric is False
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, "true"])
+    def test_symmetric_takes_only_a_bool_or_none(self, value):
+        # A truthy string must not switch the symmetric loss on.
+        with pytest.raises(ValueError,
+                           match=f"^symmetric must be true, false or null, got {value!r}$"):
+            LossConfig(Method.SIMSIAM, symmetric=value)
+        assert LossConfig(Method.SIMSIAM, symmetric=False).symmetric is False
+
     def test_bad_temperature(self):
         with pytest.raises(ValueError):
             LossConfig(Method.SIMCLR, tau=0.0)

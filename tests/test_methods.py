@@ -66,6 +66,11 @@ class TestFactory:
         assert m.eta == 0.0
         assert m.mining.mode is MiningMode.FULL_HNM
 
+    def test_triplet_without_hidden_layers_rejected(self):
+        # The identity head leaves the trunk as the only trainable part.
+        with pytest.raises(ValueError, match="hidden_dims"):
+            method_config(Method.TRIPLET, input_dim=8, hidden_dims=())
+
     def test_loss_overrides_pass_through(self):
         m = method_config(Method.SIMCLR, input_dim=8, tau=0.2)
         assert m.loss.tau == 0.2

@@ -20,6 +20,7 @@ from vgssl.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    ExperimentResult,
     TrainConfig,
     adam_init,
     adam_step,
@@ -213,7 +214,7 @@ class TestRunSingle:
         ds = small_world()
         mcfg = method_config(Method.SIMCLR, input_dim=8, hidden_dims=(12,), embed_dim=8)
         tcfg = TrainConfig(epochs=3, batch_size=8, queries_per_epoch=8, lr=1e-3, seed=0)
-        res = run_single(mcfg, ds, tcfg, seed=0)
+        res = run_single(mcfg, ds, tcfg)
         rec = res.record
         assert rec.label == "SimCLR-FC-1-8-1"
         assert len(rec.epochs) == 3
@@ -228,7 +229,7 @@ class TestRunSingle:
                              proj_layers=2)
         tcfg = TrainConfig(epochs=4, batch_size=8, queries_per_epoch=8, lr=1e-3,
                            eval_every=2, seed=0)
-        res = run_single(mcfg, ds, tcfg, seed=0)
+        res = run_single(mcfg, ds, tcfg)
         evals = [e.recall is not None for e in res.record.epochs]
         assert evals == [False, True, False, True]
 
@@ -237,8 +238,8 @@ class TestRunSingle:
         mcfg = method_config(Method.BARLOW_TWINS, input_dim=8, hidden_dims=(12,),
                              embed_dim=8, proj_layers=2)
         tcfg = TrainConfig(epochs=2, batch_size=8, queries_per_epoch=8, lr=1e-3, seed=5)
-        r1 = run_single(mcfg, ds, tcfg, seed=5)
-        r2 = run_single(mcfg, ds, tcfg, seed=5)
+        r1 = run_single(mcfg, ds, tcfg)
+        r2 = run_single(mcfg, ds, tcfg)
         for e1, e2 in zip(r1.record.epochs, r2.record.epochs):
             assert e1.loss == e2.loss
             assert e1.ledger == e2.ledger
@@ -252,15 +253,15 @@ class TestRunSingle:
         mcfg = method_config(Method.SIMCLR, input_dim=8, hidden_dims=(12,), embed_dim=8)
         straight = run_single(
             mcfg, ds, TrainConfig(epochs=4, batch_size=8, queries_per_epoch=8,
-                                  lr=1e-3, seed=2), seed=2
+                                  lr=1e-3, seed=2)
         )
         first = run_single(
             mcfg, ds, TrainConfig(epochs=2, batch_size=8, queries_per_epoch=8,
-                                  lr=1e-3, seed=2), seed=2
+                                  lr=1e-3, seed=2)
         )
         resumed = run_single(
             mcfg, ds, TrainConfig(epochs=2, batch_size=8, queries_per_epoch=8,
-                                  lr=1e-3, seed=2), seed=2,
+                                  lr=1e-3, seed=2),
             enc_state=first.state, adam=first.adam, start_epoch=2,
         )
         for name in straight.state.params:
@@ -274,7 +275,7 @@ class TestRunSingle:
         mcfg = method_config(Method.BYOL, input_dim=8, hidden_dims=(12,), embed_dim=8,
                              proj_layers=2)
         tcfg = TrainConfig(epochs=1, batch_size=8, queries_per_epoch=8, lr=1e-3, seed=0)
-        res = run_single(mcfg, ds, tcfg, seed=0)
+        res = run_single(mcfg, ds, tcfg)
         # After training, target must differ from both init and online.
         fresh = init_state(mcfg.encoder, 0)
         moved = any(
@@ -288,7 +289,7 @@ class TestRunSingle:
         mcfg = method_config(Method.TRIPLET, input_dim=8, hidden_dims=(12,),
                              mining=MiningConfig(mode=MiningMode.FULL_HNM))
         tcfg = TrainConfig(epochs=2, batch_size=8, queries_per_epoch=8, lr=1e-3, seed=1)
-        res = run_single(mcfg, ds, tcfg, seed=1)
+        res = run_single(mcfg, ds, tcfg)
         led = res.record.epochs[-1].ledger
         assert led["extractions"] > 0
         assert led["comparisons"] > 0
@@ -297,7 +298,7 @@ class TestRunSingle:
         ds = small_world()
         mcfg = method_config(Method.SIMCLR, input_dim=8, hidden_dims=(12,), embed_dim=8)
         tcfg = TrainConfig(epochs=3, batch_size=8, queries_per_epoch=8, lr=1e-3, seed=0)
-        res = run_single(mcfg, ds, tcfg, seed=0)
+        res = run_single(mcfg, ds, tcfg)
         ex = [e.ledger["extractions"] for e in res.record.epochs]
         assert ex[0] > 0 and ex[1] == 2 * ex[0] and ex[2] == 3 * ex[0]
 
@@ -307,7 +308,7 @@ class TestRunSingle:
                              eta=0.0)
         # 5 pairs at batch 4: the final singleton cannot carry batch stats.
         tcfg = TrainConfig(epochs=1, batch_size=4, queries_per_epoch=5, lr=1e-3, seed=0)
-        res = run_single(mcfg, ds, tcfg, seed=0)
+        res = run_single(mcfg, ds, tcfg)
         assert np.isfinite(res.record.epochs[0].loss)
 
     @pytest.mark.parametrize("method,mining", [
@@ -344,7 +345,7 @@ class TestRunSingle:
         mcfg = method_config(method, input_dim=8, hidden_dims=(12,), embed_dim=8,
                              mining=mining)
         tcfg = TrainConfig(epochs=3, batch_size=8, queries_per_epoch=8, lr=1e-3, seed=0)
-        run_single(mcfg, ds, tcfg, seed=0)
+        run_single(mcfg, ds, tcfg)
         assert after_epoch == [{"search": 1, "distance": 0}] * 3
 
 
@@ -364,7 +365,7 @@ class TestNonFinite:
             return (tamper(out) if len(steps) == 6 else out), frozen
 
         monkeypatch.setattr(vgssl.trainer, "method_batch_loss", tampered)
-        run_single(mcfg, ds, tcfg, seed=0)
+        run_single(mcfg, ds, tcfg)
 
     def test_nan_loss_names_epoch_and_batch(self, monkeypatch):
         with pytest.raises(
@@ -450,7 +451,8 @@ class TestRunExperiment:
         ds = small_world()
         mcfg = method_config(Method.SIMCLR, input_dim=8, hidden_dims=(12,), embed_dim=8)
         tcfg = TrainConfig(epochs=2, batch_size=8, queries_per_epoch=8, lr=1e-3, seed=10)
-        result = run_experiment(mcfg, ds, tcfg, n_seeds=2)
+        result = ExperimentResult.from_runs(
+            [r.record for r in run_experiment(mcfg, ds, tcfg, n_seeds=2)])
         assert result.seeds == (10, 11)
         assert len(result.runs) == 2
         assert set(result.recall_mean) == {1, 5, 10}
@@ -464,8 +466,8 @@ class TestRunExperiment:
         mcfg = method_config(Method.VICREG, input_dim=8, hidden_dims=(12,), embed_dim=8,
                              proj_layers=2)
         tcfg = TrainConfig(epochs=1, batch_size=8, queries_per_epoch=8, lr=1e-3, seed=0)
-        a = run_experiment(mcfg, ds, tcfg, n_seeds=2)
-        b = run_experiment(mcfg, ds, tcfg, n_seeds=2)
+        a, b = (ExperimentResult.from_runs([r.record for r in run_experiment(
+            mcfg, ds, tcfg, n_seeds=2)]) for _ in range(2))
         assert a.recall_mean == b.recall_mean
         assert a.recall_std == b.recall_std
 
@@ -473,6 +475,7 @@ class TestRunExperiment:
         ds = small_world()
         mcfg = method_config(Method.SIMCLR, input_dim=8, hidden_dims=(12,), embed_dim=8)
         tcfg = TrainConfig(epochs=1, batch_size=8, queries_per_epoch=8, lr=1e-3, seed=0)
-        line = run_experiment(mcfg, ds, tcfg, n_seeds=1).summary_line()
+        line = ExperimentResult.from_runs(
+            [r.record for r in run_experiment(mcfg, ds, tcfg, n_seeds=1)]).summary_line()
         assert line.startswith("SimCLR-FC-1-8-1:")
         assert "R@1=" in line and "+/-" in line
