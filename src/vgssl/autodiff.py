@@ -5,7 +5,10 @@ produced it, a closure that routes the output adjoint to its parents.
 ``backward`` on a scalar-shaped Value walks the tape in reverse
 topological order exactly once and populates ``grad`` on every reachable
 node.  Everything is double precision; there are no views that alias
-storage, so gradient accumulation is plain ``+=`` on dense buffers.
+storage, so gradient accumulation is plain ``+=`` on dense buffers.  A
+contribution may have any shape that broadcasts to its value's (a row of
+column sums, say): numpy broadcasts it as it is copied or added, with the
+bits an explicitly broadcast copy would give.
 
 A closure takes the output gradient as its argument and never refers to
 its own output node, only to the parents and plain arrays.  References
@@ -81,7 +84,7 @@ class Value:
         self._aux = None  # op metadata: a hinge's threshold, a fused ReLU's input
         self._const = False  # off the tape; see the module docstring
         # An array of this shape that the first gradient contribution is
-        # copied into, instead of a fresh array: a view into an optimizer's
+        # written into, instead of a fresh array: a view into an optimizer's
         # flat gradient buffer.
         self._grad_home: np.ndarray | None = None
 
@@ -247,12 +250,10 @@ class Value:
     # -- reductions --------------------------------------------------------
 
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Value":
-        shape = self.shape
-
         def bwd(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(g, shape).copy())
+            self._accum(g)
 
         return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum", bwd)
 
@@ -263,33 +264,49 @@ class Value:
     # -- backward pass --------------------------------------------------------
 
     def _accum(self, g: np.ndarray) -> None:
+        """Add ``g``, broadcast to this value's shape, into ``grad``.
+
+        The first contribution is copied into ``_grad_home`` if there is
+        one, else into a fresh array; later ones are added in place.  A
+        full-shape copy keeps ``g``'s memory layout (a transpose's gradient
+        stays Fortran-ordered), which the matrix products downstream read.
+        """
         if self.grad is None:
-            home = self._grad_home
-            if home is None:
-                self.grad = np.array(g, dtype=np.float64)
-            else:
-                home[...] = g
-                self.grad = home
+            grad = self._grad_home
+            if grad is None:
+                if g.shape == self.data.shape:
+                    self.grad = np.array(g, dtype=np.float64)
+                    return
+                grad = np.empty(self.data.shape)
+            grad[...] = g
+            self.grad = grad
         else:
             self.grad += g
 
+    def _first_grad_home(self) -> np.ndarray | None:
+        """``_grad_home`` while no gradient has arrived, else None: where a
+        closure may write its first contribution itself, with ``out=``."""
+        return self._grad_home if self.grad is None else None
+
     def _topo(self) -> list["Value"]:
+        """Every node this one depends on, itself last: the depth-first
+        post-order, with each node's parents visited in recorded order."""
         order: list[Value] = []
-        seen: set[int] = set()
-        stack: list[tuple[Value, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            # Reversed so parents are visited in recorded order.
-            for p in reversed(node._parents):
-                if id(p) not in seen:
-                    stack.append((p, False))
+        seen = {self}
+        path = [self]  # the nodes being expanded, each below its consumer
+        parents = [iter(self._parents)]  # each one's parents still to visit
+        while parents:
+            for p in parents[-1]:
+                if p not in seen:
+                    seen.add(p)
+                    if p._parents:
+                        path.append(p)
+                        parents.append(iter(p._parents))
+                        break
+                    order.append(p)
+            else:
+                parents.pop()
+                order.append(path.pop())
         return order
 
     def backward(self) -> dict["Value", np.ndarray]:

@@ -475,7 +475,9 @@ def cmd_bench_mining(cfg: _Config, out_dir: Path, seed: int) -> int:
 # -- entry point --------------------------------------------------------------
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     common.add_argument("--out", metavar="DIR", default=".", help="output directory")
@@ -485,8 +487,11 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("synth", "train", "eval", "gradcheck", "bench-mining"):
         sub.add_parser(name, parents=[common])
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config, args.command)
         out = Path(args.out)

@@ -196,11 +196,19 @@ def _affine(h: Value, W: Value, b: Value, relu: bool = False) -> Value:
         if relu:
             g = g * (pre > 0.0)
         if not b._const:
-            b._accum(_unbroadcast(g, b.shape))
+            home = b._first_grad_home()
+            if home is None:
+                b._accum(_unbroadcast(g, b.shape))
+            else:
+                b.grad = np.sum(g, axis=0, out=home)
         if not h._const:
             h._accum(g @ W.data.T)
         if not W._const:
-            W._accum(h.data.T @ g)
+            home = W._first_grad_home()
+            if home is None:
+                W._accum(h.data.T @ g)
+            else:
+                W.grad = np.matmul(h.data.T, g, out=home)
 
     out = _node(y, (h, W, b), "affine_relu" if relu else "affine", bwd)
     if relu and not out._const:
@@ -239,12 +247,11 @@ def _batchnorm_train(
         g_xhat = g * gamma.data
         g_c = g_xhat / sd
         g_sd = _unbroadcast(-g_xhat * c / (sd * sd), sd.shape)
-        g_sq = np.broadcast_to(g_sd / (2.0 * sd) * inv_n, c.shape)
+        g_sq = g_sd / (2.0 * sd) * inv_n  # one row, broadcast over the batch
         g_c += g_sq * c  # c * c feeds the variance through both factors
         g_c += g_sq * c
         x._accum(g_c)  # through c, then through mu = sum(x) / n
-        g_sum = _unbroadcast(-g_c, mu.shape) * inv_n
-        x._accum(np.broadcast_to(g_sum, x.shape))
+        x._accum(_unbroadcast(-g_c, mu.shape) * inv_n)
 
     out = _node(xhat * gamma.data + beta.data, (x, gamma, beta), "batchnorm", bwd)
     return out, mu, var

@@ -330,8 +330,10 @@ def synth_dataset(
         raise ValueError(f"query_fraction {query_fraction} outside [0, 1]")
     if feature_dim < 1:
         raise ValueError(f"feature_dim must be at least 1, got {feature_dim}")
-    if view_noise < 0:  # a non-finite one fails on the features it makes
+    if view_noise < 0:
         raise ValueError(f"view_noise cannot be negative, got {view_noise}")
+    if not math.isfinite(view_noise):
+        raise ValueError(f"view_noise must be finite, got {view_noise}")
     if buffer_per_place < 0:
         raise ValueError(f"buffer_per_place cannot be negative, got {buffer_per_place}")
     if buffer_per_place > 0 and r_neg - r_pos <= 2.0:

@@ -134,7 +134,7 @@ def l2_normalize_rows(x: Value) -> Value:
     def bwd(g):
         x._accum(g / norms)
         g_norms = _unbroadcast(-g * xd / (norms * norms), norms.shape)
-        g_sq = np.broadcast_to(g_norms / (2.0 * norms), xd.shape) * xd
+        g_sq = g_norms / (2.0 * norms) * xd
         x._accum(g_sq)  # x * x feeds the norm through both factors
         x._accum(g_sq)
 
@@ -233,11 +233,11 @@ def _diagonal(c: Value, eye: np.ndarray) -> Value:
 
     Forward and closure replay the chain with its numpy operations: the
     sum node's backward broadcasts ``g`` over the rows, then the product
-    node's multiplies by ``eye``.
+    node's multiplies by ``eye``; the product broadcasts ``g`` itself.
     """
 
     def bwd(g):
-        c._accum(np.broadcast_to(g, c.shape) * eye)
+        c._accum(g * eye)
 
     return _node((c.data * eye).sum(axis=1, keepdims=True), (c,), "diagonal", bwd)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Value
+from .autodiff import Value, as_value
 from .encoder import EncoderConfig, EncoderState, forward, predictor_forward
 from .losses import (
     LossConfig,
@@ -200,12 +200,19 @@ def method_batch_loss(
     prediction loss, online(partners), target(anchors).  Returns the loss
     plus the detached target arrays in the order they were computed, so a
     finite-difference harness can pin them with ``frozen=``.
+
+    A symmetric stop-gradient step embeds each batch once: its targets are
+    constant copies of the online projections of the same rows.  A
+    stop-gradient target forward runs the same layers on the same
+    parameter values and normalizes by batch statistics, reading no
+    running statistics, so it would give these bits.
     """
     enc = mcfg.encoder
 
-    def online(rows) -> Value:
+    def online(rows) -> tuple[Value, Value]:
+        """The projection of ``rows`` and the online view made of it."""
         z = forward(state, enc, rows)
-        return predictor_forward(state, enc, l2_normalize_rows(z)) if enc.predictor else z
+        return z, predictor_forward(state, enc, l2_normalize_rows(z)) if enc.predictor else z
 
     if not enc.has_target_branch:
         rows = (anchors, partners)
@@ -213,7 +220,13 @@ def method_batch_loss(
             if negatives is None:
                 raise ValueError("triplet batches need a negatives matrix")
             rows += (negatives,)
-        return compute_loss(mcfg.loss, *[online(r) for r in rows]), ()
+        return compute_loss(mcfg.loss, *[online(r)[1] for r in rows]), ()
+
+    if enc.stop_grad_target and mcfg.loss.symmetric and frozen is None:
+        (z_a, p_a), (z_p, p_p) = online(anchors), online(partners)
+        t_p, t_a = z_p.data.copy(), z_a.data.copy()
+        out = compute_loss(mcfg.loss, p_a, as_value(t_p), p_p, as_value(t_a))
+        return out, (t_p, t_a)
 
     targets: list[np.ndarray] = []
 
@@ -225,7 +238,7 @@ def method_batch_loss(
         targets.append(t.data)
         return t
 
-    views = [online(anchors), target(partners)]
+    views = [online(anchors)[1], target(partners)]
     if enc.predictor and mcfg.loss.symmetric:
-        views += [online(partners), target(anchors)]
+        views += [online(partners)[1], target(anchors)]
     return compute_loss(mcfg.loss, *views), tuple(targets)

@@ -90,7 +90,9 @@ class AdamState:
     them by name.  The first step binds the parameters to two more flat
     buffers of the same layout: each parameter's ``.data`` becomes a view
     into one, and backward writes its gradient into its slice of the
-    other.  A step is then a handful of in-place ops over whole buffers.
+    other.  Two scratch buffers of the same size hold a step's
+    temporaries, so a step is a handful of in-place ops over whole
+    buffers and allocates no parameter-sized array.
     """
 
     m: dict[str, np.ndarray]
@@ -99,10 +101,12 @@ class AdamState:
     _names: list[str] = field(init=False, repr=False, compare=False)
     _m: np.ndarray = field(init=False, repr=False, compare=False)
     _v: np.ndarray = field(init=False, repr=False, compare=False)
-    # The bound parameters, their flat buffer and the flat gradient.
+    # The bound parameters, their flat buffer, the flat gradient and the
+    # two scratch buffers.
     _values: list[Value] | None = field(default=None, init=False, repr=False, compare=False)
     _p: np.ndarray = field(init=False, repr=False, compare=False)
     _g: np.ndarray = field(init=False, repr=False, compare=False)
+    _scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._names = sorted(self.m)
@@ -118,6 +122,7 @@ class AdamState:
         grads = {n: np.zeros_like(a) for n, a in data.items()}
         self._p = _flatten(data, self._names)
         self._g = _flatten(grads, self._names)
+        self._scratch = (np.empty_like(self._g), np.empty_like(self._g))
         for n, p in zip(self._names, values):
             p.data = data[n]
             p._grad_home = grads[n]
@@ -169,30 +174,32 @@ def adam_step(
     step.  The update runs over the flat buffers with the per-parameter
     expressions' operations in their order, so it has their bits:
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) (g g)`` and
-    ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``.
+    ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``.  Every temporary is
+    written into the optimizer's two scratch buffers.
     """
     opt.t += 1
     bc1 = 1.0 - ADAM_BETA1**opt.t
     bc2 = 1.0 - ADAM_BETA2**opt.t
     g = opt._grad(params)  # read only: backward wrote the gradients there
     p, m, v = opt._p, opt._m, opt._v
+    s1, s2 = opt._scratch
     if weight_decay and not decoupled:
-        g = g + weight_decay * p
+        g = np.add(g, np.multiply(weight_decay, p, out=s1), out=s1)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
-    scratch = g * g
-    scratch *= 1.0 - ADAM_BETA2
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=s2)
+    sq = np.multiply(g, g, out=s2)
+    sq *= 1.0 - ADAM_BETA2
     v *= ADAM_BETA2
-    v += scratch
-    denom = np.divide(v, bc2, out=scratch)
+    v += sq
+    denom = np.divide(v, bc2, out=s2)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
-    step = m / bc1
+    step = np.divide(m, bc1, out=s1)  # g is spent, decay included
     step *= lr
     step /= denom
     p -= step
     if weight_decay and decoupled:
-        p -= lr * weight_decay * p
+        p -= np.multiply(lr * weight_decay, p, out=s1)
 
 
 @dataclass(frozen=True)

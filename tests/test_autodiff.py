@@ -5,8 +5,13 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vgssl.autodiff import Value, as_value, zero_grads
+from vgssl.encoder import init_state
+from vgssl.losses import Method
+from vgssl.methods import method_batch_loss, method_config
 
 
 def fd_grad(fn, arrays, h=1e-5):
@@ -218,6 +223,67 @@ class TestBackwardContract:
         g2 = run()
         np.testing.assert_array_equal(g1[0], g2[0])
         np.testing.assert_array_equal(g1[1], g2[1])
+
+
+def reference_topo(root):
+    """The ``(node, flag)`` stack walk that ``_topo`` replaced: a node is
+    pushed once unexpanded and, when popped, again as expanded above its
+    parents, which are pushed in reverse so they pop in recorded order."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in reversed(node._parents):
+            if id(p) not in seen:
+                stack.append((p, False))
+    return order
+
+
+@st.composite
+def tapes(draw):
+    """A random tape's output: each node lists up to four earlier nodes or
+    constants as parents, so parents are shared and may repeat."""
+    nodes = [as_value(0.0) for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(1, 30))):
+        picks = draw(st.lists(st.integers(0, len(nodes) - 1), max_size=4)) if nodes else []
+        nodes.append(Value(0.0, tuple(nodes[i] for i in picks)))
+    return nodes[-1]
+
+
+class TestTopologicalOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(tapes())
+    def test_order_matches_the_reference_walk(self, root):
+        assert root._topo() == reference_topo(root)
+
+    def test_a_parent_listed_twice_is_visited_once(self):
+        x = Value(np.array([2.0]))
+        y = x * x
+        assert y._parents == (x, x)
+        assert y._topo() == [x, y]
+
+    def test_training_tapes_match_the_reference_walk(self):
+        rng = np.random.default_rng(0)
+        a, p, n = (rng.normal(size=(6, 8)) for _ in range(3))
+        for method in Method:
+            mcfg = method_config(method, input_dim=8, hidden_dims=(10,), embed_dim=5,
+                                 proj_layers=2)
+            out, _ = method_batch_loss(init_state(mcfg.encoder, seed=0), mcfg, a, p,
+                                       negatives=n if method is Method.TRIPLET else None)
+            assert out.node._topo() == reference_topo(out.node), method
+
+    def test_a_deep_chain_needs_no_recursion(self):
+        x = Value(np.array([1.0]))
+        y = x
+        for _ in range(5000):  # past the interpreter's recursion limit
+            y = y * 1.0
+        assert len(y._topo()) == 5001
 
 
 def every_op(x, w):

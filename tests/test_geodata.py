@@ -357,7 +357,7 @@ class TestDatasetValidation:
 
     @pytest.mark.parametrize("noise", [np.nan, np.inf])
     def test_non_finite_synth_features_rejected(self, noise):
-        with pytest.raises(ValueError, match="^sample 0 has non-finite features$"):
+        with pytest.raises(ValueError, match=f"^view_noise must be finite, got {noise}$"):
             synth_dataset(seed=0, n_places=3, db_per_place=2, view_noise=noise)
 
     @pytest.mark.parametrize("sid", [1.5, True, np.True_, "3", None])
@@ -563,6 +563,8 @@ class TestSynthDataset:
         ({"view_noise": -1.0}, "view_noise cannot be negative, got -1.0"),
         ({"view_noise": -np.inf}, "view_noise cannot be negative, got -inf"),
         ({"buffer_per_place": -1}, "buffer_per_place cannot be negative, got -1"),
+        ({"view_noise": np.nan}, "view_noise must be finite, got nan"),
+        ({"view_noise": np.inf}, "view_noise must be finite, got inf"),
     ])
     def test_impossible_world_named_before_any_draw(self, monkeypatch, kwargs, message):
         monkeypatch.setattr(np.random, "default_rng", None)  # any draw would fail

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import vgssl.methods
 from vgssl.autodiff import zero_grads
-from vgssl.encoder import EncoderConfig, init_state
+from vgssl.encoder import EncoderConfig, forward, init_state, predictor_forward
 from vgssl.gradcheck import audit_gradient_flow
-from vgssl.losses import LossConfig, Method
+from vgssl.losses import LossConfig, Method, l2_normalize_rows
 from vgssl.methods import (
     TABLE_FLAGS,
     MethodConfig,
@@ -163,12 +164,41 @@ class TestBatchLoss:
             assert out1.value == out2.value, method
 
     def test_simsiam_target_is_online_output(self):
+        # A symmetric SimSiam step reuses its online projections as targets:
+        # they must be the target forward's bits, and the running statistics
+        # must be those of the four-forward step, whose online forwards
+        # update them for anchors first, then partners.
         mcfg, state = self.make(Method.SIMSIAM)
-        from vgssl.encoder import forward
-
+        enc = mcfg.encoder
+        want = [forward(state, enc, rows, branch="target").data
+                for rows in (self.partners, self.anchors)]
+        ref = init_state(enc, seed=1)
+        for rows in (self.anchors, self.partners):
+            predictor_forward(ref, enc, l2_normalize_rows(forward(ref, enc, rows)))
         _, used = method_batch_loss(state, mcfg, self.anchors, self.partners)
-        online = forward(state, mcfg.encoder, self.partners, training=True).data
+        assert [t.tobytes() for t in used] == [w.tobytes() for w in want]
+        assert state.bn_running.keys() == ref.bn_running.keys()
+        for key, a in ref.bn_running.items():
+            assert state.bn_running[key].tobytes() == a.tobytes(), key
+        online = forward(state, enc, self.partners, training=True).data
         np.testing.assert_array_equal(used[0], online)
+
+    @pytest.mark.parametrize("method, overrides, forwards", [
+        (Method.SIMSIAM, {}, ["online", "online"]),
+        (Method.SIMSIAM, {"symmetric": False}, ["online", "target"]),
+        (Method.BYOL, {}, ["online", "target", "online", "target"]),
+    ], ids=["simsiam", "simsiam_one_way", "byol"])
+    def test_encoder_forwards_per_step(self, monkeypatch, method, overrides, forwards):
+        calls = []
+
+        def counted(state, cfg, batch, branch="online", training=True):
+            calls.append(branch)
+            return forward(state, cfg, batch, branch, training)
+
+        monkeypatch.setattr(vgssl.methods, "forward", counted)
+        mcfg, state = self.make(method, **overrides)
+        method_batch_loss(state, mcfg, self.anchors, self.partners)
+        assert calls == forwards
 
     def test_methods_without_targets_report_none(self):
         for method in (Method.SIMCLR, Method.BARLOW_TWINS, Method.VICREG, Method.TRIPLET):

@@ -131,6 +131,27 @@ class TestFlatAdam:
                 assert opt.m[n].tobytes() == m[n].tobytes()
                 assert opt.v[n].tobytes() == v[n].tobytes()
 
+    @pytest.mark.parametrize("weight_decay, decoupled", [(0.0, False), (1e-2, False),
+                                                         (1e-2, True)])
+    def test_a_step_allocates_nothing_parameter_sized(self, weight_decay, decoupled):
+        rng = np.random.default_rng(3)
+        params = {n: Value(rng.normal(size=s))
+                  for n, s in {"w": (64, 64), "b": (64,), "gamma": (1, 64)}.items()}
+        opt = adam_init(params)
+        for _ in range(2):  # the first step binds the flat buffers; the last counts
+            sum(((p * p).sum() for p in params.values()), Value(0.0)).backward()
+            tracemalloc.start()
+            try:
+                adam_step(params, opt, lr=0.05, weight_decay=weight_decay,
+                          decoupled=decoupled)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            zero_grads(params.values())
+        # The peak counts every allocator domain, numpy's arrays and Python's
+        # objects alike; one temporary of the flat buffer's size would reach it.
+        assert peak < opt._g.nbytes
+
     def test_parameters_and_moments_share_one_buffer_each(self):
         params = self.params(np.random.default_rng(1))
         opt = adam_init(params)
