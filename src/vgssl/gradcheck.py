@@ -147,6 +147,81 @@ def _build_instance(method: Method, seed: int):
     return mcfg, state, anchors, partners, negatives
 
 
+def _check_instance(
+    method: Method, inst_seed: int, tol: float, corrupt: bool
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]] | None:
+    """The analytic and numeric gradient of every leaf of one instance, or
+    None if the instance must be redrawn: degenerate input, a hinge within
+    ``KINK_MARGIN`` of its threshold, a flat gradient, or a hinge that
+    flips inside a difference interval."""
+    try:
+        mcfg, state, anchors, partners, negatives = _build_instance(method, inst_seed)
+        out, used = method_batch_loss(state, mcfg, anchors, partners, negatives=negatives)
+    except DegenerateInputError:
+        return None
+    if _kink_margin(out.node) < KINK_MARGIN:
+        return None
+    inputs = {"anchors": anchors, "partners": partners, "negatives": negatives}
+    leaves = {**state.params, **{f"input.{k}": v for k, v in inputs.items() if v is not None}}
+    out.node.backward()
+    analytic = {
+        name: (v.grad.copy() if v.grad is not None else np.zeros_like(v.data))
+        for name, v in leaves.items()
+    }
+    zero_grads(out.node._topo())
+    analytic_scale = max(np.max(np.abs(g)) for g in analytic.values())
+    if analytic_scale < 1e-8:
+        # A flat instance (every hinge inactive) verifies nothing.
+        return None
+
+    if corrupt:
+        # Flip the largest entry of the largest-gradient parameter.
+        name = max(analytic, key=lambda k: np.max(np.abs(analytic[k])))
+        flat = analytic[name].reshape(-1)
+        idx = int(np.argmax(np.abs(flat)))
+        flat[idx] = -flat[idx]
+
+    # Reference hinge pattern on the frozen-target tape, which every
+    # perturbed evaluation must reproduce.
+    def frozen_loss() -> LossOutput:
+        return method_batch_loss(state, mcfg, anchors, partners,
+                                 negatives=negatives, frozen=used)[0]
+
+    sig_base = _hinge_signature(frozen_loss().node)
+
+    def side(flat: np.ndarray, i: int, x: float) -> float | None:
+        """The loss with ``flat[i] = x``, or None if a hinge flipped."""
+        flat[i] = x
+        loss = frozen_loss()
+        return loss.value if np.array_equal(_hinge_signature(loss.node), sig_base) else None
+
+    # The h/2 step costs two more evaluations, so it is taken only where
+    # the plain quotient misses half of ``tol`` against the analytic
+    # scale: a coordinate kept plain then stays inside ``tol``.
+    refine_at = 0.5 * tol * analytic_scale
+    numeric: dict[str, np.ndarray] = {}
+    for name, v in leaves.items():
+        numeric[name] = g = np.zeros_like(v.data)
+        flat, gf = v.data.reshape(-1), g.reshape(-1)
+        af = analytic[name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            d = []  # central differences D(h), then D(h/2)
+            for step in (FD_STEP, FD_STEP / 2):
+                hi = side(flat, i, orig + step)
+                lo = None if hi is None else side(flat, i, orig - step)
+                if lo is None:  # a hinge flipped; a flip at +h skips -h
+                    return None
+                flat[i] = orig
+                d.append((hi - lo) / (2.0 * step))
+                if abs(d[0] - af[i]) < refine_at:
+                    break
+            # Richardson: D(h) = g + c·h² + O(h⁴), so (4·D(h/2) − D(h)) / 3
+            # cancels the h² truncation term.
+            gf[i] = d[0] if len(d) == 1 else (4.0 * d[1] - d[0]) / 3.0
+    return analytic, numeric
+
+
 def gradcheck_method(
     method: Method,
     seed: int = 0,
@@ -155,107 +230,24 @@ def gradcheck_method(
 ) -> GradCheckResult:
     """Compare the tape gradient against central differences.
 
-    Checks every trainable parameter and every input coordinate.
-    ``corrupt`` flips the sign of one analytic gradient entry first; a
-    healthy harness must then report failure (used to prove the check
-    can actually catch a wrong gradient).
+    Checks every trainable parameter and every input coordinate of the
+    first usable instance among seeds ``seed * 1009 + j``; ``redraws`` is
+    that ``j``.  ``corrupt`` flips the sign of one analytic gradient entry
+    first; a healthy harness must then report failure (used to prove the
+    check can actually catch a wrong gradient).
     """
-    redraws = 0
-    for attempt in range(MAX_REDRAWS):
-        inst_seed = seed * 1009 + attempt
-        try:
-            mcfg, state, anchors, partners, negatives = _build_instance(method, inst_seed)
-            out, used = method_batch_loss(
-                state, mcfg, anchors, partners,
-                negatives=negatives, frozen=None,
-            )
-        except DegenerateInputError:
-            redraws += 1
-            continue
-        if _kink_margin(out.node) < KINK_MARGIN:
-            redraws += 1
-            continue
-        leaves: dict[str, Value] = dict(state.params)
-        leaves["input.anchors"] = anchors
-        leaves["input.partners"] = partners
-        if negatives is not None:
-            leaves["input.negatives"] = negatives
-        out.node.backward()
-        analytic = {
-            name: (v.grad.copy() if v.grad is not None else np.zeros_like(v.data))
-            for name, v in leaves.items()
-        }
-        zero_grads(out.node._topo())
-        analytic_scale = max(np.max(np.abs(g)) for g in analytic.values())
-        if analytic_scale < 1e-8:
-            # A flat instance (every hinge inactive) verifies nothing.
-            redraws += 1
-            continue
-
-        if corrupt:
-            # Flip the largest entry of the largest-gradient parameter.
-            name = max(analytic, key=lambda k: np.max(np.abs(analytic[k])))
-            flat = analytic[name].reshape(-1)
-            idx = int(np.argmax(np.abs(flat)))
-            flat[idx] = -flat[idx]
-
-        # Reference hinge pattern on the frozen-target tape (the frozen
-        # path skips target forwards, so its hinge count differs from the
-        # full tape above; every perturbed evaluation must reproduce it).
-        def frozen_loss() -> LossOutput:
-            return method_batch_loss(state, mcfg, anchors, partners,
-                                     negatives=negatives, frozen=used)[0]
-
-        sig_base = _hinge_signature(frozen_loss().node)
-
-        def side(flat: np.ndarray, i: int, x: float) -> float | None:
-            """The loss with ``flat[i] = x``, or None if a hinge flipped."""
-            flat[i] = x
-            loss = frozen_loss()
-            return loss.value if np.array_equal(_hinge_signature(loss.node), sig_base) else None
-
-        # The h/2 step costs two more evaluations, so it is taken only where
-        # the plain quotient misses half of ``tol`` against the analytic
-        # scale: a coordinate kept plain then stays inside ``tol``.
-        refine_at = 0.5 * tol * analytic_scale
-        numeric: dict[str, np.ndarray] = {}
-        crossed = False
-        for name, v in leaves.items():
-            g = np.zeros_like(v.data)
-            flat = v.data.reshape(-1)
-            gf = g.reshape(-1)
-            af = analytic[name].reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                d = []  # central differences D(h), then D(h/2)
-                for step in (FD_STEP, FD_STEP / 2):
-                    hi, lo = side(flat, i, orig + step), side(flat, i, orig - step)
-                    flat[i] = orig
-                    crossed = hi is None or lo is None
-                    if crossed:
-                        break
-                    d.append((hi - lo) / (2.0 * step))
-                    if abs(d[0] - af[i]) < refine_at:
-                        break
-                if crossed:
-                    break
-                # Richardson: D(h) = g + c·h² + O(h⁴), so (4·D(h/2) − D(h)) / 3
-                # cancels the h² truncation term.
-                gf[i] = d[0] if len(d) == 1 else (4.0 * d[1] - d[0]) / 3.0
-            if crossed:
-                break
-            numeric[name] = g
-        if crossed:
-            redraws += 1
-            continue
-        break
+    for redraws in range(MAX_REDRAWS):
+        checked = _check_instance(method, seed * 1009 + redraws, tol, corrupt)
+        if checked is not None:
+            break
     else:
         raise RuntimeError(f"{method.value}: no usable instance after {MAX_REDRAWS} draws")
 
+    analytic, numeric = checked
     scale = max(np.max(np.abs(g)) for g in numeric.values()) + 1e-12
     per_coord = {
         name: float(np.max(np.abs(analytic[name] - numeric[name])) / scale)
-        for name in leaves
+        for name in analytic
     }
     max_err = max(per_coord.values())
     return GradCheckResult(

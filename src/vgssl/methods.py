@@ -198,14 +198,15 @@ def method_batch_loss(
     passed through the predictor when there is one; with a target branch
     the views are online(anchors), target(partners) and, for a symmetric
     prediction loss, online(partners), target(anchors).  Returns the loss
-    plus the detached target arrays in the order they were computed, so a
-    finite-difference harness can pin them with ``frozen=``.
+    plus the detached target arrays in that order, so a finite-difference
+    harness can pin them with ``frozen=``.
 
-    A symmetric stop-gradient step embeds each batch once: its targets are
-    constant copies of the online projections of the same rows.  A
-    stop-gradient target forward runs the same layers on the same
-    parameter values and normalizes by batch statistics, reading no
-    running statistics, so it would give these bits.
+    The online views come first, anchors then partners.  Every target is
+    a constant, by one rule: the pinned ``frozen`` array if given; else,
+    on a stop-gradient branch, a copy of the online projection of the same
+    rows when this step made it (a target forward normalizes by batch
+    statistics and reads no running statistics, so it would give these
+    bits); else the target forward.
     """
     enc = mcfg.encoder
 
@@ -222,23 +223,18 @@ def method_batch_loss(
             rows += (negatives,)
         return compute_loss(mcfg.loss, *[online(r)[1] for r in rows]), ()
 
-    if enc.stop_grad_target and mcfg.loss.symmetric and frozen is None:
-        (z_a, p_a), (z_p, p_p) = online(anchors), online(partners)
-        t_p, t_a = z_p.data.copy(), z_a.data.copy()
-        out = compute_loss(mcfg.loss, p_a, as_value(t_p), p_p, as_value(t_a))
-        return out, (t_p, t_a)
-
-    targets: list[np.ndarray] = []
-
-    def target(rows) -> Value:
-        if frozen is None:
-            t = forward(state, enc, rows, branch="target")
+    sides = (anchors, partners)
+    views = [online(rows) for rows in sides[:2 if enc.predictor and mcfg.loss.symmetric else 1]]
+    # View k is scored against a target of the other side's rows.
+    targets, inputs = [], []
+    for k, (_, view) in enumerate(views):
+        other = 1 - k
+        if frozen is not None:
+            t = frozen[k]
+        elif enc.stop_grad_target and other < len(views):
+            t = views[other][0].data.copy()
         else:
-            t = Value(frozen[len(targets)])
-        targets.append(t.data)
-        return t
-
-    views = [online(anchors)[1], target(partners)]
-    if enc.predictor and mcfg.loss.symmetric:
-        views += [online(partners)[1], target(anchors)]
-    return compute_loss(mcfg.loss, *views), tuple(targets)
+            t = forward(state, enc, sides[other], branch="target").data
+        targets.append(t)
+        inputs += [view, as_value(t)]
+    return compute_loss(mcfg.loss, *inputs), tuple(targets)

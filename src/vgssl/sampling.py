@@ -197,45 +197,34 @@ def mine_triplets(
             triplets[k, 2] = db_ids[negs[int(rng.integers(len(negs)))]]
         return triplets
 
-    if cfg.mode is MiningMode.FULL_HNM:
-        q_emb = embed(ds.features(query_ids))
-        db_unit = _unit_rows(embed(ds.db_features))
-        ledger.add_extractions(m_q + len(db_ids))
-        ledger.note_cached(m_q + len(db_ids))
-        for k, qid in enumerate(query_ids):
-            negs = ds.neighbour_rows(qid)[1]
-            # Each row's distance is its own reduce, so distances to the
-            # whole database, then taken at ``negs``, carry the bits of
-            # distances to the gathered rows.  Rows ascend with ids, so
-            # they break ties as the ids would.
-            best = _closest(_query_distances(q_emb[k], db_unit)[negs], negs)
-            ledger.add_comparisons(len(negs))
-            triplets[k, 2] = db_ids[negs[best]]
-        return triplets
-
-    # PARTIAL_HNM: one shared candidate pool per call.
-    if cfg.pool_size > len(db_ids):
-        raise ValueError(
-            f"pool_size {cfg.pool_size} exceeds database size {len(db_ids)}"
-        )
-    pool_rows = rng.choice(len(db_ids), size=cfg.pool_size, replace=False)
+    n_db = len(db_ids)
+    full = cfg.mode is MiningMode.FULL_HNM
+    if not full and cfg.pool_size > n_db:
+        raise ValueError(f"pool_size {cfg.pool_size} exceeds database size {n_db}")
+    # Full mining's pool is every database row, in order; partial mining
+    # draws one shared random candidate pool per call.
+    pool_rows = np.arange(n_db) if full else rng.choice(n_db, size=cfg.pool_size, replace=False)
     q_emb = embed(ds.features(query_ids))
-    pool_unit = _unit_rows(embed(ds.db_features[pool_rows]))
-    ledger.add_extractions(m_q + cfg.pool_size + m_q)  # queries + pool + positives
-    ledger.note_cached(m_q + cfg.pool_size + m_q)
-    is_neg = np.zeros(len(db_ids), dtype=bool)
+    pool_unit = _unit_rows(embed(ds.db_features if full else ds.db_features[pool_rows]))
+    # Queries and the pool; partial mining also fetches each positive.
+    extracted = m_q + n_db if full else 2 * m_q + cfg.pool_size
+    ledger.add_extractions(extracted)
+    ledger.note_cached(extracted)
+    is_neg = np.zeros(n_db, dtype=bool)
     for k, qid in enumerate(query_ids):
-        # Every pool member is distance-checked, then geometric eligibility
-        # masks out anything not strictly beyond the negative radius.
-        ledger.add_comparisons(cfg.pool_size)
         negs = ds.neighbour_rows(qid)[1]
+        # Full mining compares each eligible negative; partial mining checks
+        # every pool member, then masks out all but the eligible negatives.
+        ledger.add_comparisons(len(negs) if full else cfg.pool_size)
         is_neg[negs] = True
         elig = np.flatnonzero(is_neg[pool_rows])
         is_neg[negs] = False
         if elig.size:
+            # Rows ascend with ids, so they break ties as the ids would.
+            rows = pool_rows[elig]
             dists = _query_distances(q_emb[k], pool_unit[elig])
-            triplets[k, 2] = db_ids[pool_rows[elig[_closest(dists, pool_rows[elig])]]]
-        else:
+            triplets[k, 2] = db_ids[rows[_closest(dists, rows)]]
+        else:  # only partial mining: every query has a negative in the database
             triplets[k, 2] = db_ids[negs[int(rng.integers(len(negs)))]]
             ledger.add_extractions(1)  # the fallback negative is fetched fresh
     return triplets
