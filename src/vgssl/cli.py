@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import enum
 import functools
 import inspect
 import json
@@ -83,6 +84,17 @@ class _Config:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{self._where}: {key} must be a number, got {value!r}")
         return float(value)
+
+    def get_choice(self, key: str, choices: type[enum.Enum]) -> enum.Enum:
+        """A required key whose value names a member of ``choices``."""
+        value = self.get(key)
+        try:
+            return choices(value)
+        except ValueError:
+            valid = ", ".join(c.value for c in choices)
+            raise ConfigError(
+                f"{self._where}: unknown {key} {value!r}; expected one of: {valid}"
+            ) from None
 
     def get_str(self, key: str, default=_REQUIRED) -> str | None:
         """A path key: a JSON string; null stands for a null default."""
@@ -188,19 +200,10 @@ def cmd_synth(cfg: _Config, out_dir: Path, seed: int) -> int:
 # -- train --------------------------------------------------------------------
 
 
-def _method_from_config(cfg: _Config):
-    name = cfg.get("method")
-    try:
-        return Method(name)
-    except ValueError:
-        valid = ", ".join(m.value for m in Method)
-        raise ConfigError(f"unknown method {name!r}; expected one of: {valid}") from None
-
-
 def _mining_from_config(sub: _Config) -> MiningConfig | None:
     if not sub._raw:
         return None
-    mode = MiningMode(sub.get("mode"))
+    mode = sub.get_choice("mode", MiningMode)
     args = sub.args_for(MiningConfig, skip=("mode",))
     sub.finish()
     return MiningConfig(mode=mode, **args)
@@ -237,8 +240,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _resume_point(path, mcfg) -> tuple:
-    """The encoder state, Adam state and next epoch stored in a training
-    checkpoint, checked against the train config before any epoch runs."""
+    """The encoder state, Adam state, next epoch and cost ledger stored in
+    a training checkpoint, checked against the train config before any
+    epoch runs."""
     state, enc_cfg, meta, extra = load_checkpoint(path)
     if enc_cfg != mcfg.encoder:
         raise ConfigError(f"checkpoint {path}: encoder config does not match the train config")
@@ -247,6 +251,13 @@ def _resume_point(path, mcfg) -> tuple:
             raise ConfigError(
                 f"checkpoint {path}: meta {key} must be a non-negative int, got {meta.get(key)!r}"
             )
+    counts = meta.get("ledger")
+    if not (isinstance(counts, dict) and counts.keys() == CostLedger().snapshot().keys()
+            and all(_is_count(n) for n in counts.values())):
+        raise ConfigError(
+            f"checkpoint {path}: meta ledger must map extractions, comparisons and "
+            f"peak_cached to non-negative ints, got {counts!r}"
+        )
     shapes = {name: v.shape for name, v in state.params.items()}
     moments = {}
     for kind in ("m", "v"):
@@ -258,17 +269,17 @@ def _resume_point(path, mcfg) -> tuple:
                 f"parameters {sorted(shapes)} in names and shapes"
             )
     adam = AdamState(m=moments["m"], v=moments["v"], t=meta["adam_t"])
-    return state, adam, meta["epoch_next"]
+    return state, adam, meta["epoch_next"], CostLedger(**counts)
 
 
 def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
     dataset_path = cfg.get_str("dataset")
+    method = cfg.get_choice("method", Method)
+    mining = _mining_from_config(cfg.sub("mining"))
     if not Path(dataset_path).exists():
         raise ConfigError(f"dataset not found: {dataset_path}")
     ds = load_csv(dataset_path)
 
-    method = _method_from_config(cfg)
-    mining = _mining_from_config(cfg.sub("mining"))
     loss_cfg = cfg.sub("loss")
     loss = loss_cfg.args_for(LossConfig, skip=("method",))
     loss_cfg.finish()
@@ -292,16 +303,17 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
         run_dir.mkdir(parents=True, exist_ok=True)
         header, rows = _epoch_rows(tres.record)
         _write_csv(run_dir / "epochs.csv", header, rows)
-        last_epoch = tres.record.epochs[-1].epoch
+        last = tres.record.epochs[-1]
         save_checkpoint(
             run_dir / "checkpoint.ckpt",
             tres.state,
             mcfg.encoder,
             meta={
-                "epoch_next": last_epoch + 1,
+                "epoch_next": last.epoch + 1,
                 "seed": run_seed,
                 "label": label,
                 "adam_t": tres.adam.t,
+                "ledger": last.ledger,
             },
             extra_tensors={
                 **{f"adam.m.{k}": v for k, v in tres.adam.m.items()},

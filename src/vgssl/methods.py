@@ -124,9 +124,12 @@ def method_config(
 
     ``proj_layers`` and ``embed_dim`` shape the projection head for the
     pair methods; the triplet baseline ignores them and embeds straight
-    off the trunk.  Loss keyword overrides (``tau=``, ``margin=``, ...)
-    pass through to ``LossConfig``.
+    off the trunk.  ``mining`` belongs to the triplet baseline alone, and a
+    pair method given one is an error.  Loss keyword overrides (``tau=``,
+    ``margin=``, ...) pass through to ``LossConfig``.
     """
+    if mining is not None and method is not Method.TRIPLET:
+        raise ValueError(f"{method.value}: mining applies to the triplet baseline only")
     loss = LossConfig(method=method, **loss_overrides)
     if method is Method.TRIPLET:
         if not hidden_dims:

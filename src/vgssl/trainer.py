@@ -372,15 +372,18 @@ def run_single(
     enc_state=None,
     adam: AdamState | None = None,
     start_epoch: int = 0,
+    ledger: CostLedger | None = None,
 ) -> TrainResult:
-    """Train seed ``tcfg.seed`` end to end; resumable via (enc_state, adam, start_epoch)."""
+    """Train seed ``tcfg.seed`` end to end; resumable via (enc_state, adam,
+    start_epoch, ledger), the ledger holding the counts spent so far."""
     t0 = time.perf_counter()
     if enc_state is None:
         enc_state = init_state(mcfg.encoder, tcfg.seed)
     if adam is None:
         adam = adam_init(enc_state.params)
+    if ledger is None:
+        ledger = CostLedger()
     record = RunRecord(label=strategy_label(mcfg), seed=tcfg.seed)
-    ledger = CostLedger()
     master = np.random.default_rng(tcfg.seed)
     epoch_seeds = master.integers(0, 2**62, size=start_epoch + tcfg.epochs)
     for epoch in range(start_epoch, start_epoch + tcfg.epochs):
@@ -452,7 +455,7 @@ def run_experiment(
 ) -> Iterator[TrainResult]:
     """Train seeds ``tcfg.seed .. tcfg.seed + n_seeds - 1`` in order, yielding
     each seed's result once it is trained; ``resume`` is the (enc_state,
-    adam, start_epoch) that a single seed continues from.  A diverged seed
+    adam, start_epoch, ledger) that a single seed continues from.  A diverged seed
     raises ``FloatingPointError`` naming its label and seed."""
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")

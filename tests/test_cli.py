@@ -159,6 +159,11 @@ class TestTrain:
         with open(p2 / "SimCLR-FC-1-8-0.5-seed1" / "epochs.csv") as fh:
             rows = list(csv.reader(fh))
         assert [r[0] for r in rows[1:]] == ["1"]
+        # The resumed row, cost counters included, is the straight run's
+        # row for the same epoch, byte for byte.
+        resumed, straight = ((d / "SimCLR-FC-1-8-0.5-seed1" / "epochs.csv").read_bytes()
+                             for d in (p2, ref))
+        assert resumed.splitlines()[1] == straight.splitlines()[2]
 
         a, _, meta_a, ex_a = load_checkpoint(p2 / "SimCLR-FC-1-8-0.5-seed1" / "checkpoint.ckpt")
         b, _, meta_b, ex_b = load_checkpoint(ref / "SimCLR-FC-1-8-0.5-seed1" / "checkpoint.ckpt")
@@ -181,6 +186,7 @@ class TestTrain:
         ({"loss": {"tau": "0.1"}}, "train.loss: tau must be a number, got '0.1'"),
         ({"method": "triplet", "hidden_dims": []},
          "triplet needs a hidden layer, got hidden_dims=()"),
+        ({"mining": {"mode": "full_hnm"}}, "simclr: mining applies to the triplet baseline only"),
     ])
     def test_impossible_settings_fail_before_training(
         self, tmp_path, world, capsys, monkeypatch, over, message
@@ -415,6 +421,27 @@ class TestResumeGuard:
         assert err == (f"error: checkpoint {ckpt}: meta {key} must be a "
                        f"non-negative int, got {value!r}\n")
 
+    @pytest.mark.parametrize("edit", [
+        lambda counts: None,
+        lambda counts: {**counts, "comparisons": -1},
+        lambda counts: {**counts, "peak_cached": True},
+        lambda counts: {k: n for k, n in counts.items() if k != "extractions"},
+        lambda counts: {**counts, "pool": 3},
+    ], ids=["missing", "negative", "bool", "key_missing", "key_unknown"])
+    def test_ledger_must_hold_the_three_counts(
+        self, tmp_path, world, capsys, monkeypatch, saved, edit
+    ):
+        state, enc_cfg, meta, extra = saved
+        counts = edit(meta["ledger"])
+        meta = {k: v for k, v in meta.items() if k != "ledger"}
+        if counts is not None:
+            meta["ledger"] = counts
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, state, enc_cfg, meta=meta, extra_tensors=extra)
+        err = self.resume(tmp_path, world, capsys, monkeypatch, ckpt)
+        assert err == (f"error: checkpoint {ckpt}: meta ledger must map extractions, "
+                       f"comparisons and peak_cached to non-negative ints, got {counts!r}\n")
+
     @pytest.mark.parametrize("kind, edit", [
         ("m", lambda extra: _drop_moment(extra, "m")),
         ("v", lambda extra: _drop_moment(extra, "v")),
@@ -544,12 +571,15 @@ class TestEval:
      "bench-mining: slack must be a finite number above 0, got inf"),
     ("bench-mining", {"slack": -0.05},
      "bench-mining: slack must be a finite number above 0, got -0.05"),
+    ("train", {"dataset": "d", "method": "triplet", "mining": {"mode": "hardest"}},
+     "train.mining: unknown mode 'hardest'; expected one of: full_hnm, partial_hnm, random"),
 ], ids=["synth_str", "synth_bool", "eval_str", "gradcheck_tol_str", "gradcheck_methods_str",
         "bench_slack_bool", "bench_n_q_zero", "bench_n_k_negative", "bench_n_q_empty",
         "bench_n_k_empty", "synth_filename_int", "synth_feature_dim_zero",
         "synth_view_noise_negative", "train_dataset_int", "eval_checkpoint_int",
         "eval_dataset_null", "gradcheck_instances_zero", "gradcheck_instances_negative",
-        "gradcheck_tol_inf", "gradcheck_tol_zero", "bench_slack_inf", "bench_slack_negative"])
+        "gradcheck_tol_inf", "gradcheck_tol_zero", "bench_slack_inf", "bench_slack_negative",
+        "train_mining_mode_unknown"])
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path / "c.json", payload)
     out = tmp_path / "out"
