@@ -88,13 +88,11 @@ class _Config:
     def get_choice(self, key: str, choices: type[enum.Enum]) -> enum.Enum:
         """A required key whose value names a member of ``choices``."""
         value = self.get(key)
-        try:
-            return choices(value)
-        except ValueError:
-            valid = ", ".join(c.value for c in choices)
-            raise ConfigError(
-                f"{self._where}: unknown {key} {value!r}; expected one of: {valid}"
-            ) from None
+        valid = [c.value for c in choices]
+        if value not in valid:
+            raise ConfigError(f"{self._where}: unknown {key} {value!r}; "
+                              f"expected one of: {', '.join(valid)}")
+        return choices(value)
 
     def get_str(self, key: str, default=_REQUIRED) -> str | None:
         """A path key: a JSON string; null stands for a null default."""

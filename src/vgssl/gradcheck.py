@@ -39,7 +39,7 @@ import numpy as np
 
 from .autodiff import Value, zero_grads
 from .encoder import forward, init_state, momentum_update
-from .losses import DegenerateInputError, LossOutput, Method
+from .losses import DegenerateInputError, Method
 from .methods import TABLE_FLAGS, method_batch_loss, method_config
 
 __all__ = [
@@ -181,18 +181,16 @@ def _check_instance(
         idx = int(np.argmax(np.abs(flat)))
         flat[idx] = -flat[idx]
 
-    # Reference hinge pattern on the frozen-target tape, which every
-    # perturbed evaluation must reproduce.
-    def frozen_loss() -> LossOutput:
-        return method_batch_loss(state, mcfg, anchors, partners,
-                                 negatives=negatives, frozen=used)[0]
-
-    sig_base = _hinge_signature(frozen_loss().node)
+    # Every target is a constant, pinned or not, so a pinned evaluation
+    # records this tape's hinges, and each perturbed one must reproduce
+    # their pattern.
+    sig_base = _hinge_signature(out.node)
 
     def side(flat: np.ndarray, i: int, x: float) -> float | None:
         """The loss with ``flat[i] = x``, or None if a hinge flipped."""
         flat[i] = x
-        loss = frozen_loss()
+        loss = method_batch_loss(state, mcfg, anchors, partners,
+                                 negatives=negatives, frozen=used)[0]
         return loss.value if np.array_equal(_hinge_signature(loss.node), sig_base) else None
 
     # The h/2 step costs two more evaluations, so it is taken only where

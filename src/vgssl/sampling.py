@@ -132,9 +132,13 @@ def _unit_rows(vecs: np.ndarray) -> np.ndarray:
 
 def _query_distances(query_vec: np.ndarray, unit_vecs: np.ndarray) -> np.ndarray:
     """L2 distance of the normalised query to each (normalised) row, by
-    direct differences.  The query keeps the 1-D ``np.linalg.norm``."""
+    direct differences.  The query keeps the 1-D ``np.linalg.norm``; the
+    rows take the ops of its float path along one axis, in its order (square,
+    ``np.add.reduce``, square root), without its argument handling."""
     q = query_vec / max(np.linalg.norm(query_vec), 1e-12)
-    return np.linalg.norm(unit_vecs - q[None, :], axis=1)
+    diff = unit_vecs - q[None, :]
+    diff *= diff
+    return np.sqrt(np.add.reduce(diff, axis=1))
 
 
 def _closest(dists: np.ndarray, ids: np.ndarray) -> int:
@@ -210,19 +214,21 @@ def mine_triplets(
     extracted = m_q + n_db if full else 2 * m_q + cfg.pool_size
     ledger.add_extractions(extracted)
     ledger.note_cached(extracted)
-    is_neg = np.zeros(n_db, dtype=bool)
+    # Each database row's place in the pool, if it is in it.
+    at = np.full(n_db, -1)
+    at[pool_rows] = np.arange(len(pool_rows))
+    in_pool = at >= 0
     for k, qid in enumerate(query_ids):
         negs = ds.neighbour_rows(qid)[1]
         # Full mining compares each eligible negative; partial mining checks
-        # every pool member, then masks out all but the eligible negatives.
+        # every pool member, then keeps the eligible negatives among them.
         ledger.add_comparisons(len(negs) if full else cfg.pool_size)
-        is_neg[negs] = True
-        elig = np.flatnonzero(is_neg[pool_rows])
-        is_neg[negs] = False
-        if elig.size:
-            # Rows ascend with ids, so they break ties as the ids would.
-            rows = pool_rows[elig]
-            dists = _query_distances(q_emb[k], pool_unit[elig])
+        rows = negs[in_pool[negs]]
+        if rows.size:
+            # Each row's distance is its own reduce, so taking it at ``rows``
+            # keeps its bits.  Rows ascend with ids, so they break ties as
+            # the ids would.
+            dists = _query_distances(q_emb[k], pool_unit)[at[rows]]
             triplets[k, 2] = db_ids[rows[_closest(dists, rows)]]
         else:  # only partial mining: every query has a negative in the database
             triplets[k, 2] = db_ids[negs[int(rng.integers(len(negs)))]]

@@ -381,8 +381,7 @@ def run_single(
         enc_state = init_state(mcfg.encoder, tcfg.seed)
     if adam is None:
         adam = adam_init(enc_state.params)
-    if ledger is None:
-        ledger = CostLedger()
+    ledger = ledger or CostLedger()
     record = RunRecord(label=strategy_label(mcfg), seed=tcfg.seed)
     master = np.random.default_rng(tcfg.seed)
     epoch_seeds = master.integers(0, 2**62, size=start_epoch + tcfg.epochs)
