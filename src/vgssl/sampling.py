@@ -133,8 +133,9 @@ def _unit_rows(vecs: np.ndarray) -> np.ndarray:
 def _query_distances(query_vec: np.ndarray, unit_vecs: np.ndarray) -> np.ndarray:
     """L2 distance of the normalised query to each (normalised) row, by
     direct differences.  The query keeps the 1-D ``np.linalg.norm``; the
-    rows take the ops of its float path along one axis, in its order (square,
-    ``np.add.reduce``, square root), without its argument handling."""
+    row norms are its float path along one axis written out (square,
+    ``np.add.reduce``, square root), the same ops without its argument
+    handling, so the same bits."""
     q = query_vec / max(np.linalg.norm(query_vec), 1e-12)
     diff = unit_vecs - q[None, :]
     diff *= diff
