@@ -19,14 +19,10 @@ for method in Method:
         views = (anchor, partner, negative)
     elif method in (Method.BYOL, Method.SIMSIAM):
         # self-distillation compares predicted online rows to detached targets,
-        # in both directions; here the "predictor" is a plain normalize so the
-        # numbers stay readable
-        views = (
-            l2_normalize_rows(anchor),
-            l2_normalize_rows(partner),
-            l2_normalize_rows(partner),
-            l2_normalize_rows(anchor),
-        )
+        # in both directions, each a stack of the two directions' views; here
+        # the "predictor" is a plain normalize so the numbers stay readable
+        both = Value(np.stack([anchor.data, partner.data]))
+        views = (l2_normalize_rows(both), l2_normalize_rows(Value(both.data[::-1].copy())))
     else:
         views = (anchor, partner)
     out = compute_loss(cfg, *views)

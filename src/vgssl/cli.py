@@ -87,7 +87,10 @@ class _Config:
 
     def get_choice(self, key: str, choices: type[enum.Enum]) -> enum.Enum:
         """A required key whose value names a member of ``choices``."""
-        value = self.get(key)
+        return self.choice(key, self.get(key), choices)
+
+    def choice(self, key: str, value, choices: type[enum.Enum]) -> enum.Enum:
+        """The member of ``choices`` that ``value``, read from ``key``, names."""
         valid = [c.value for c in choices]
         if value not in valid:
             raise ConfigError(f"{self._where}: unknown {key} {value!r}; "
@@ -237,10 +240,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         w.writerows(rows)
 
 
-def _resume_point(path, mcfg) -> tuple:
+def _resume_point(path, mcfg, seed: int) -> tuple:
     """The encoder state, Adam state, next epoch and cost ledger stored in
-    a training checkpoint, checked against the train config before any
-    epoch runs."""
+    a training checkpoint, checked against the train config, whose run is
+    seed ``seed``, before any epoch runs."""
     state, enc_cfg, meta, extra = load_checkpoint(path)
     if enc_cfg != mcfg.encoder:
         raise ConfigError(f"checkpoint {path}: encoder config does not match the train config")
@@ -256,6 +259,11 @@ def _resume_point(path, mcfg) -> tuple:
             f"checkpoint {path}: meta ledger must map extractions, comparisons and "
             f"peak_cached to non-negative ints, got {counts!r}"
         )
+    # A resume continues one run: the same seed's epoch seeds, the same label.
+    for key, want in (("seed", seed), ("label", strategy_label(mcfg))):
+        if meta.get(key) != want:
+            raise ConfigError(f"checkpoint {path}: meta {key} {meta.get(key)!r} does not "
+                              f"match the train config's {key} {want!r}")
     shapes = {name: v.shape for name, v in state.params.items()}
     moments = {}
     for kind in ("m", "v"):
@@ -292,7 +300,7 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
 
     label = strategy_label(mcfg)
     seeds = list(range(tcfg.seed, tcfg.seed + n_seeds))
-    point = None if resume is None else _resume_point(resume, mcfg)
+    point = None if resume is None else _resume_point(resume, mcfg, tcfg.seed)
     records = []
     for tres in run_experiment(mcfg, ds, tcfg, n_seeds, point):
         records.append(tres.record)
@@ -385,7 +393,8 @@ def cmd_gradcheck(cfg: _Config, seed: int) -> int:
         raise ConfigError(f"gradcheck: instances must be at least 1, got {instances}")
     if not 0.0 < tol < float("inf"):
         raise ConfigError(f"gradcheck: tol must be a finite number above 0, got {tol!r}")
-    methods = ALL_METHODS if names is None else tuple(Method(n) for n in names)
+    methods = ALL_METHODS if names is None else tuple(
+        cfg.choice("methods", n, Method) for n in names)
 
     print(f"{'method':14s} {'instances':>9s} {'worst rel err':>14s}  verdict")
     failed = []

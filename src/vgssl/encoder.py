@@ -19,13 +19,17 @@ the parameters or the input through such an output.  A raw input array
 enters any forward as a constant, so no gradient is computed for it, and
 no forward ever writes to it.
 
-Each affine layer, with the ReLU that follows it where no batchnorm sits
-between them, and each training-mode batchnorm is one tape node whose
-backward replays the primitive chain it stands for (``h @ W + b`` and
-``relu``; batch mean, centring, population variance, scale and shift)
-with the same numpy operations in the same order, so its gradient,
-including the terms through the batch mean and variance, is exact and has
-that chain's bits.  Off the tape an affine layer writes one array: the
+A forward takes one batch (N, D) or a stack of views (S, N, D) that
+share the parameters, such as the two columns of a pair batch, and runs
+each layer once over the whole stack; batchnorm normalizes each view by
+its own batch statistics.  On the tape the layers of one run (trunk and
+projection head, or the predictor) are one node, whose backward replays
+each layer's primitive chain (``h @ W + b`` and ``relu``; batch mean,
+centring, population variance, scale and shift) with the same numpy
+operations in the same order, view by view where a parameter's
+contributions add up, so its gradients, including the terms through the
+batch mean and variance, are exact and have the bits of a tape of
+per-view chains.  Off the tape an affine layer writes one array: the
 product, into which the bias is added and the ReLU applied in place.
 In training mode batchnorm normalizes by batch statistics and updates the
 running statistics; in eval mode it applies the stored running
@@ -216,84 +220,168 @@ def _affine(h: Value, W: Value, b: Value, relu: bool = False) -> Value:
     return out
 
 
-def _batchnorm_train(
-    x: Value, gamma: Value, beta: Value
-) -> tuple[Value, np.ndarray, np.ndarray]:
-    """Batch-statistics batchnorm as one tape node, with the batch mean and
-    population variance for the running statistics.
+def _add_views(p: Value, parts: np.ndarray, order) -> None:
+    """Add one layer's contributions into ``p``'s gradient: one array for a
+    single batch, else one per view, in ``order``."""
+    if p._const:
+        return
+    if parts.ndim == p.data.ndim:
+        p._accum(parts)
+        return
+    for s in order:
+        p._accum(parts[s])
 
-    Forward and backward replay the primitive chain ``mu = x.mean(0)``,
-    ``c = x - mu``, ``var = (c * c).mean(0)``, ``xhat = c / sqrt(var +
-    eps)``, ``xhat * gamma + beta`` with the same numpy operations, node
-    by node in reverse, so the gradients are the chain's bits.
-    """
-    n = x.shape[0]
+
+def _batchnorm_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """Batch-statistics batchnorm of each view of ``x``, whose rows are axis
+    -2: the output, and the batch mean, population variance, centred input,
+    standard deviation and normalized input, each with its view axes."""
+    n = x.shape[-2]
     if n < 2:
         raise ValueError("batchnorm in training mode needs a batch of at least 2")
     inv_n = 1.0 / n
-    mu = x.data.sum(axis=0, keepdims=True) * inv_n
-    c = x.data - mu
-    var = (c * c).sum(axis=0, keepdims=True) * inv_n
+    mu = x.sum(axis=-2, keepdims=True) * inv_n
+    c = x - mu
+    var = (c * c).sum(axis=-2, keepdims=True) * inv_n
     sd = np.sqrt(var + BN_EPS)
     xhat = c / sd
-
-    def bwd(g):
-        if not beta._const:
-            beta._accum(_unbroadcast(g, beta.shape))
-        if not gamma._const:
-            gamma._accum(_unbroadcast(g * xhat, gamma.shape))
-        if x._const:
-            return
-        g_xhat = g * gamma.data
-        g_c = g_xhat / sd
-        g_sd = _unbroadcast(-g_xhat * c / (sd * sd), sd.shape)
-        g_sq = g_sd / (2.0 * sd) * inv_n  # one row, broadcast over the batch
-        g_c += g_sq * c  # c * c feeds the variance through both factors
-        g_c += g_sq * c
-        x._accum(g_c)  # through c, then through mu = sum(x) / n
-        x._accum(_unbroadcast(-g_c, mu.shape) * inv_n)
-
-    out = _node(xhat * gamma.data + beta.data, (x, gamma, beta), "batchnorm", bwd)
-    return out, mu, var
+    return xhat * gamma + beta, (mu, var, c, sd, xhat)
 
 
-def _batchnorm(x: Value, gamma: Value, beta: Value, running: dict[str, np.ndarray],
-               prefix: str, training: bool, update_running: bool) -> Value:
-    """Batchnorm then ReLU.
+def _split(x: Value, index, arrived: list) -> Value:
+    """``x.data[index]``, a view or a run of views of a stack, as one node.
 
-    Training mode normalizes by batch statistics (one ``_batchnorm_train``
-    node, then a ReLU node) and, with ``update_running``, blends them into
-    the running statistics.  Eval mode applies the running statistics.  It
-    is reached only off the tape, on an affine's own fresh output, so it
-    works in that array: the ufuncs of ``(x - mean) / sqrt(var + eps) *
-    gamma + beta`` and the ReLU, in that order, give the same bits.
+    Its gradient is written into ``x.grad[index]``, which starts at zero,
+    and ``index`` appended to ``arrived``.  The views taken of ``x`` must
+    be its only consumers, each taken once; ``arrived`` then lists them in
+    the order their gradients reached ``x``.
     """
-    if training:
-        out, mu, var = _batchnorm_train(x, gamma, beta)
-        if update_running:
-            for key, batch in ((f"{prefix}.mean", mu), (f"{prefix}.var", var)):
-                running[key] = (1 - BN_MOMENTUM) * running[key] + BN_MOMENTUM * batch
-        return out.relu()
-    y = x.data
-    y -= running[f"{prefix}.mean"]
-    y /= np.sqrt(running[f"{prefix}.var"] + BN_EPS)
-    y *= gamma.data
-    y += beta.data
-    np.maximum(y, 0.0, out=y)
-    return x
+    def bwd(g):
+        if x.grad is None:
+            x.grad = np.zeros(x.shape)
+        x.grad[index] = g
+        arrived.append(index)
+
+    return _node(x.data[index], (x,), "view", bwd)
+
+
+def _stack(views: list[Value]) -> Value:
+    """The views as one (S, N, D) node whose parents are the views."""
+    def bwd(g):
+        for v, gs in zip(views, g):
+            if not v._const:
+                v._accum(gs)
+
+    return _node(np.stack([v.data for v in views]), tuple(views), "stack", bwd)
 
 
 def _run(cfg: EncoderConfig, predictor: bool, params: dict[str, Value], x: Value,
-         running: dict[str, np.ndarray], training: bool, update_running: bool) -> Value:
-    """Run the predictor's layers of ``_layers``, or all the others, on ``x``."""
-    for prefix, _, _, bn, relu in _layers(cfg):
-        if prefix.startswith("pred.") != predictor:
-            continue
-        x = _affine(x, params[f"{prefix}.W"], params[f"{prefix}.b"], relu and bn is None)
-        if bn is not None:
-            x = _batchnorm(x, params[f"{bn}.gamma"], params[f"{bn}.beta"],
-                           running, bn, training, update_running)
-    return x
+         running: dict[str, np.ndarray], training: bool, update_running: bool,
+         per_view: bool = False) -> Value:
+    """Run the predictor's layers of ``_layers``, or all the others, on ``x``.
+
+    ``x`` is one batch (N, D) or a stack of views (S, N, D) that share the
+    parameters; batchnorm normalizes each view by its own statistics, and
+    the running statistics blend them in view by view.  Every layer runs
+    as one numpy pass over the whole stack: a view's slice of each result
+    has the bits a forward of that view alone would give.
+
+    Off the tape (``x`` and every parameter a constant) each layer writes
+    one array: the product, into which the bias is added and the ReLU or an
+    eval-mode batchnorm applied in place.  On the tape the layers are one
+    node, whose ``_aux`` lists every hinge input (the pre-activation of an
+    affine with a fused ReLU, the batchnorm output ahead of its ReLU).  Its
+    closure replays each layer's primitive chain backwards with the same
+    numpy operations (``h @ W + b`` and ``relu``; batch mean, centring,
+    population variance, scale and shift), so it has the per-view chains'
+    bits.  A parameter takes one contribution per view.  When the views'
+    gradients arrive one by one (``per_view``), they are added in the
+    order of arrival, which is the order a tape of per-view chains adds
+    them; a stack's gradient arriving whole adds them in view order (with
+    two views, as in every stacked training step, the order cannot change
+    the bits).
+
+    With ``per_view`` (a stack on the tape) the output layer runs on each
+    view's slice as its own ``_affine`` node, and the result is ``_stack``
+    of them: a loss that couples views reads those nodes, and the gradient
+    each hands back reaches the output layer in its own memory layout.
+    """
+    layers = [layer for layer in _layers(cfg) if layer[0].startswith("pred.") == predictor]
+    if per_view:
+        layers, last = layers[:-1], layers[-1]
+    names = [n for prefix, _, _, bn, _ in layers
+             for n in (f"{prefix}.W", f"{prefix}.b",
+                       *((f"{bn}.gamma", f"{bn}.beta") if bn else ()))]
+    tape = not (x._const and all(params[n]._const for n in names))
+    h = x.data
+    saved = []  # on the tape, per layer: its input, pre-activation and batchnorm results
+    for prefix, _, _, bn, relu in layers:
+        h_in = h
+        pre = h @ params[f"{prefix}.W"].data
+        pre += params[f"{prefix}.b"].data
+        norm = None
+        if bn is None:
+            h = np.maximum(pre, 0.0, out=None if tape else pre) if relu else pre
+        elif training:
+            y, (mu, var, *norm) = _batchnorm_train(
+                pre, params[f"{bn}.gamma"].data, params[f"{bn}.beta"].data)
+            if update_running:
+                for key, stats in ((f"{bn}.mean", mu), (f"{bn}.var", var)):
+                    for batch in stats if stats.ndim == 3 else (stats,):  # view by view
+                        running[key] = (1 - BN_MOMENTUM) * running[key] + BN_MOMENTUM * batch
+            norm = (y, *norm)
+            h = np.maximum(y, 0.0, out=None if tape else y)
+        else:  # eval mode, reached only off the tape: in place, ufunc by ufunc
+            pre -= running[f"{bn}.mean"]
+            pre /= np.sqrt(running[f"{bn}.var"] + BN_EPS)
+            pre *= params[f"{bn}.gamma"].data
+            pre += params[f"{bn}.beta"].data
+            h = np.maximum(pre, 0.0, out=pre)
+        if tape:
+            saved.append((prefix, bn, relu, h_in, pre, norm))
+
+    arrived: list[int] = []  # views of a per-view run, as their gradients arrive
+    if not layers:
+        out = x
+    elif not tape:
+        return as_value(h)
+    else:
+        def bwd(g):
+            order = arrived or range(x.shape[0])
+            for i in range(len(saved) - 1, -1, -1):
+                prefix, bn, relu, h_in, pre, norm = saved[i]
+                if norm is not None:
+                    bn_out, c, sd, xhat = norm
+                    g = g * (bn_out > 0.0)
+                    gamma = params[f"{bn}.gamma"]
+                    _add_views(params[f"{bn}.beta"], g.sum(axis=-2, keepdims=True), order)
+                    _add_views(gamma, (g * xhat).sum(axis=-2, keepdims=True), order)
+                    inv_n = 1.0 / g.shape[-2]
+                    g_xhat = g * gamma.data
+                    g = g_xhat / sd
+                    g_sd = (-g_xhat * c / (sd * sd)).sum(axis=-2, keepdims=True)
+                    g_sq = g_sd / (2.0 * sd) * inv_n
+                    g += g_sq * c  # c * c feeds the variance through both factors
+                    g += g_sq * c
+                    g += (-g).sum(axis=-2, keepdims=True) * inv_n  # through the mean
+                elif relu:
+                    g = g * (pre > 0.0)
+                W = params[f"{prefix}.W"]
+                _add_views(params[f"{prefix}.b"], g.sum(axis=-2), order)
+                _add_views(W, np.matmul(h_in.swapaxes(-1, -2), g), order)
+                if i or not x._const:
+                    g = g @ W.data.T
+            if not x._const:
+                x._accum(g)
+
+        out = _node(h, (x, *(params[n] for n in names)), "run", bwd)
+        out._aux = [pre if norm is None else norm[0]
+                    for _, _, relu, _, pre, norm in saved if relu]
+    if not per_view:
+        return out
+    prefix, _, _, _, relu = last
+    W, b = params[f"{prefix}.W"], params[f"{prefix}.b"]
+    return _stack([_affine(_split(out, s, arrived), W, b, relu) for s in range(len(x.data))])
 
 
 def forward(
@@ -302,17 +390,22 @@ def forward(
     batch: np.ndarray | Value,
     branch: str = "online",
     training: bool = True,
+    per_view: bool = False,
 ) -> Value:
-    """Embed a batch (N, input_dim) -> (N, embed_dim).
+    """Embed a batch (N, input_dim) -> (N, embed_dim), or a stack of views
+    (S, N, input_dim) -> (S, N, embed_dim) in one run.
 
     ``branch='target'`` requires a momentum target or stop-grad target.
     Only ``branch='online'`` with ``training=True`` records a tape; any
     other forward runs on constants and returns a leaf with no parents,
-    through which no gradient reaches the parameters or the input.
+    through which no gradient reaches the parameters or the input.  On the
+    tape, ``per_view`` runs the output layer view by view (see ``_run``):
+    the result's parents are then the views' outputs.
     """
     x = as_value(batch)  # a raw array enters as a constant
-    if x.data.ndim != 2 or x.shape[1] != cfg.input_dim:
-        raise ValueError(f"expected batch of shape (N, {cfg.input_dim}), got {x.shape}")
+    if x.data.ndim not in (2, 3) or x.shape[-1] != cfg.input_dim:
+        raise ValueError(f"expected batch of shape (N, {cfg.input_dim}) or "
+                         f"(S, N, {cfg.input_dim}), got {x.shape}")
 
     recording = branch == "online" and training
     if branch == "online":
@@ -331,9 +424,11 @@ def forward(
         raise ValueError(f"unknown branch {branch!r}")
     if not recording:
         x = as_value(x.data)  # a live input takes no gradient here
+    elif per_view and x.data.ndim != 3:
+        raise ValueError(f"a per-view forward takes a stack of views, got {x.shape}")
 
     # Only the recorded forward updates the running statistics.
-    out = _run(cfg, False, params, x, running, training, recording)
+    out = _run(cfg, False, params, x, running, training, recording, per_view and recording)
     # A net with no layer passes its input through; off the tape, cut it loose.
     return x.detach() if out is x and not recording else out
 
@@ -341,7 +436,8 @@ def forward(
 def predictor_forward(
     state: EncoderState, cfg: EncoderConfig, z: Value, training: bool = True
 ) -> Value:
-    """Two-layer head on top of an online embedding, batchnorm + ReLU inside.
+    """Two-layer head on top of an online embedding, batchnorm + ReLU inside;
+    ``z`` is one batch or a stack of views, as for ``forward``.
 
     Like ``forward``, records a tape only in training mode; an eval-mode
     output is a constant with the same bits.

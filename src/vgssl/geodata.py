@@ -196,8 +196,13 @@ class GeoDataset:
         return [self._sample(i, row) for row, i in enumerate(self.query_ids, len(self.db_ids))]
 
     def features(self, ids) -> np.ndarray:
-        """Feature rows of ``ids``, any roles, in the given order; a copy."""
-        return self._matrix[self._rows(ids)]
+        """Feature rows of ``ids``, any roles, in the given order; a copy.
+        An id array of any shape gives that shape's rows, e.g. (S, N, F)
+        for (S, N) ids."""
+        shape = np.shape(ids)
+        if len(shape) > 1:
+            ids = np.ravel(ids).tolist()
+        return self._matrix[self._rows(ids)].reshape(*shape, self.feature_dim)
 
     def positions(self, ids) -> list[Position]:
         """Positions of ``ids``, any roles, in the given order."""

@@ -86,14 +86,17 @@ class GradCheckResult:
 
 def _hinges(loss_node: Value) -> list[tuple[np.ndarray, float]]:
     """(input, threshold) of every hinge on this tape, in topo order: each
-    ``maximum`` node, and each affine node with a fused ReLU, whose
-    ``_aux`` is its pre-activation."""
+    ``maximum`` node, each affine node with a fused ReLU, whose ``_aux`` is
+    its pre-activation, and each encoder run, whose ``_aux`` lists the
+    inputs of its ReLUs."""
     out = []
     for node in loss_node._topo():
         if node._op == "maximum" and node._aux is not None:
             out.append((node._parents[0].data, node._aux))
         elif node._op == "affine_relu":
             out.append((node._aux, 0.0))
+        elif node._op == "run":
+            out += [(x, 0.0) for x in node._aux]
     return out
 
 
@@ -119,8 +122,13 @@ def _hinge_signature(loss_node: Value) -> np.ndarray:
     return np.concatenate(parts)
 
 
+# The views of an instance's batch, in stack order.
+VIEW_NAMES = ("anchors", "partners", "negatives")
+
+
 def _build_instance(method: Method, seed: int):
-    """Small random instance; dimensions stay within N <= 8, D <= 16."""
+    """Small random instance; dimensions stay within N <= 8, D <= 16.  The
+    batch is one leaf, the stack of its views."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 9))
     # Two squeezed layers keep the walk through trunk, projection and
@@ -141,10 +149,11 @@ def _build_instance(method: Method, seed: int):
         **overrides,
     )
     state = init_state(mcfg.encoder, seed)
-    anchors = Value(rng.normal(size=(n, 5)))
-    partners = Value(rng.normal(size=(n, 5)) * 0.9 + anchors.data * 0.1)
-    negatives = Value(rng.normal(size=(n, 5))) if method is Method.TRIPLET else None
-    return mcfg, state, anchors, partners, negatives
+    anchors = rng.normal(size=(n, 5))
+    views = [anchors, rng.normal(size=(n, 5)) * 0.9 + anchors * 0.1]
+    if method is Method.TRIPLET:
+        views.append(rng.normal(size=(n, 5)))
+    return mcfg, state, Value(np.stack(views))
 
 
 def _check_instance(
@@ -155,14 +164,13 @@ def _check_instance(
     ``KINK_MARGIN`` of its threshold, a flat gradient, or a hinge that
     flips inside a difference interval."""
     try:
-        mcfg, state, anchors, partners, negatives = _build_instance(method, inst_seed)
-        out, used = method_batch_loss(state, mcfg, anchors, partners, negatives=negatives)
+        mcfg, state, views = _build_instance(method, inst_seed)
+        out, used = method_batch_loss(state, mcfg, views)
     except DegenerateInputError:
         return None
     if _kink_margin(out.node) < KINK_MARGIN:
         return None
-    inputs = {"anchors": anchors, "partners": partners, "negatives": negatives}
-    leaves = {**state.params, **{f"input.{k}": v for k, v in inputs.items() if v is not None}}
+    leaves = {**state.params, "input": views}
     out.node.backward()
     analytic = {
         name: (v.grad.copy() if v.grad is not None else np.zeros_like(v.data))
@@ -189,8 +197,7 @@ def _check_instance(
     def side(flat: np.ndarray, i: int, x: float) -> float | None:
         """The loss with ``flat[i] = x``, or None if a hinge flipped."""
         flat[i] = x
-        loss = method_batch_loss(state, mcfg, anchors, partners,
-                                 negatives=negatives, frozen=used)[0]
+        loss = method_batch_loss(state, mcfg, views, frozen=used)[0]
         return loss.value if np.array_equal(_hinge_signature(loss.node), sig_base) else None
 
     # The h/2 step costs two more evaluations, so it is taken only where
@@ -217,6 +224,10 @@ def _check_instance(
             # Richardson: D(h) = g + c·h² + O(h⁴), so (4·D(h/2) − D(h)) / 3
             # cancels the h² truncation term.
             gf[i] = d[0] if len(d) == 1 else (4.0 * d[1] - d[0]) / 3.0
+    # The input's gradient, view by view.
+    for grads in (analytic, numeric):
+        stacked = grads.pop("input")
+        grads.update({f"input.{name}": g for name, g in zip(VIEW_NAMES, stacked)})
     return analytic, numeric
 
 
@@ -301,7 +312,7 @@ def audit_gradient_flow(method: Method, seed: int = 0) -> dict[str, bool]:
     # mechanism flags, so resample the instance and try again.
     last_err: Exception | None = None
     for attempt in range(20):
-        mcfg, enc_state, anchors, partners, _ = _build_instance(method, seed + attempt)
+        mcfg, enc_state, views = _build_instance(method, seed + attempt)
 
         # Let the target lag the online parameters so EMA copies are
         # distinguishable from stopped online outputs.
@@ -311,7 +322,7 @@ def audit_gradient_flow(method: Method, seed: int = 0) -> dict[str, bool]:
             momentum_update(enc_state, mcfg.encoder)
 
         try:
-            out, used = method_batch_loss(enc_state, mcfg, anchors, partners)
+            out, used = method_batch_loss(enc_state, mcfg, views)
             out.node.backward()
             break
         except DegenerateInputError as err:
@@ -351,7 +362,7 @@ def audit_gradient_flow(method: Method, seed: int = 0) -> dict[str, bool]:
     if flags.stop_gradient or flags.momentum_encoder:
         checks["target_side_detached"] = target_used
         online_view = forward(
-            enc_state, mcfg.encoder, partners.data, branch="online", training=True
+            enc_state, mcfg.encoder, views.data[1], branch="online", training=True
         ).data
         if flags.momentum_encoder:
             checks["target_is_lagged_copy"] = not np.allclose(used[0], online_view)
@@ -359,11 +370,8 @@ def audit_gradient_flow(method: Method, seed: int = 0) -> dict[str, bool]:
             checks["target_is_stopped_online"] = np.array_equal(used[0], online_view)
     else:
         checks["no_detached_branch"] = not target_used
-        checks["both_views_tape_connected"] = (
-            anchors.grad is not None
-            and partners.grad is not None
-            and bool(np.any(anchors.grad != 0))
-            and bool(np.any(partners.grad != 0))
+        checks["both_views_tape_connected"] = views.grad is not None and all(
+            bool(np.any(g != 0)) for g in views.grad
         )
 
     # Online branch always learns.

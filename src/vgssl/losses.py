@@ -117,18 +117,20 @@ class LossOutput:
 
 
 def l2_normalize_rows(x: Value) -> Value:
-    """Each row divided by its Euclidean norm, as one tape node.
+    """Each row (along the last axis) divided by its Euclidean norm, as one
+    tape node; ``x`` is one batch or a stack of views.
 
-    The closure replays the chain ``x / sqrt((x * x).sum(axis=1))``:
+    The closure replays the chain ``x / sqrt((x * x).sum(axis=-1))``:
     the contribution through the quotient, then the two through the
     square, with the chain's numpy operations.
     """
     xd = x.data
-    norms_sq = (xd * xd).sum(axis=1, keepdims=True)
+    norms_sq = (xd * xd).sum(axis=-1, keepdims=True)
     mins = np.sqrt(np.min(norms_sq))
     if mins <= _NORM_FLOOR:
-        row = int(np.argmin(norms_sq))
-        raise DegenerateInputError(f"row {row} has norm {mins:.3e}, cannot normalize")
+        *view, row = np.unravel_index(np.argmin(norms_sq), norms_sq.shape[:-1])
+        where = f"view {view[0]} row {row}" if view else f"row {row}"
+        raise DegenerateInputError(f"{where} has norm {mins:.3e}, cannot normalize")
     norms = np.sqrt(norms_sq)
 
     def bwd(g):
@@ -199,14 +201,19 @@ def embedding_prediction_loss(pred: Value, target: Value) -> Value:
 
     Both sides are row-normalized here, so each row's value lies in
     [0, 4]: 0 when prediction and target align, 4 when anti-aligned.
-    The caller is responsible for detaching the target branch.
+    On stacks of views, (S, N, D), it is the mean over views of each
+    view's loss.  The caller is responsible for detaching the target
+    branch.
     """
     if pred.shape != target.shape:
         raise ValueError(f"prediction {pred.shape} vs target {target.shape}")
     p_hat = l2_normalize_rows(pred)
     t_hat = l2_normalize_rows(target)
-    cos = (p_hat * t_hat).sum(axis=1, keepdims=True)
-    return (2.0 - 2.0 * cos).mean()
+    cos = (p_hat * t_hat).sum(axis=-1)
+    loss = (2.0 - 2.0 * cos).sum(axis=-1) * (1.0 / cos.shape[-1])
+    if cos.data.ndim == 1:
+        return loss
+    return loss.sum() * (1.0 / cos.shape[0])
 
 
 def cross_correlation_matrix(za: Value, zb: Value) -> Value:
@@ -316,16 +323,11 @@ def compute_loss(cfg: LossConfig, *views: Value) -> LossOutput:
 
     ``views`` in order: (anchor, positive, negative) for the triplet;
     (query, key) for the contrastive, redundancy-reduction and VICReg
-    objectives; (prediction, target) for embedding prediction, followed
-    by the reverse (prediction, target) when ``cfg.symmetric``.
+    objectives; (prediction, target) for embedding prediction, each a
+    stack of the two directions' views, (2, N, D), when ``cfg.symmetric``.
     """
     m = cfg.method
-    if m is Method.TRIPLET:
-        arity = 3
-    elif m in (Method.BYOL, Method.SIMSIAM) and cfg.symmetric:
-        arity = 4
-    else:
-        arity = 2
+    arity = 3 if m is Method.TRIPLET else 2
     if len(views) != arity:
         raise ValueError(f"{m.value} loss takes {arity} views, got {len(views)}")
     if m is Method.BARLOW_TWINS:
@@ -345,7 +347,9 @@ def compute_loss(cfg: LossConfig, *views: Value) -> LossOutput:
     elif m in (Method.SIMCLR, Method.MOCOV2):
         term, node = "contrastive", infonce_loss(*views, cfg.tau, symmetric=cfg.symmetric)
     else:
-        term, node = "prediction", embedding_prediction_loss(*views[:2])
-        if cfg.symmetric:
-            node = (node + embedding_prediction_loss(*views[2:])) * 0.5
+        shape = views[0].shape
+        if cfg.symmetric and not (len(shape) == 3 and shape[0] == 2):
+            raise ValueError(f"symmetric {m.value} loss takes stacks of 2 views, "
+                             f"got shape {shape}")
+        term, node = "prediction", embedding_prediction_loss(*views)
     return LossOutput(float(node.data), node, {term: float(node.data)})

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Value, as_value
-from .encoder import EncoderConfig, EncoderState, forward, predictor_forward
+from .encoder import EncoderConfig, EncoderState, _split, forward, predictor_forward
 from .losses import (
     LossConfig,
     LossOutput,
@@ -188,56 +188,55 @@ def strategy_label(mcfg: MethodConfig) -> str:
 def method_batch_loss(
     state: EncoderState,
     mcfg: MethodConfig,
-    anchors: np.ndarray,
-    partners: np.ndarray,
-    negatives: np.ndarray | None = None,
+    views: np.ndarray | Value,
     frozen: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[LossOutput, tuple[np.ndarray, ...]]:
     """One training step's loss for a batch of feature rows.
 
-    ``anchors``/``partners`` hold one row per pair (identical-negative
-    pairs repeat the same row); ``negatives`` only exists for triplets.
-    The encoder's flags pick the views: an online view is the projection,
-    passed through the predictor when there is one; with a target branch
-    the views are online(anchors), target(partners) and, for a symmetric
-    prediction loss, online(partners), target(anchors).  Returns the loss
-    plus the detached target arrays in that order, so a finite-difference
-    harness can pin them with ``frozen=``.
+    ``views`` stacks the batch's columns, (S, N, F): anchors and partners,
+    one row per pair (identical-negative pairs repeat the same row), then
+    the negatives for triplets.  The online views run through the encoder
+    as one stack.  The encoder's flags pick the loss's inputs: without a
+    target branch, the projections of every view, each from its own output
+    layer (see ``vgssl.encoder.forward``'s ``per_view``); with one, the
+    online view is the projection of the anchors (and of the partners too,
+    for a symmetric prediction loss), passed through the predictor when
+    there is one, and each is scored against a target of the other side's
+    rows.  Returns the loss plus the detached target arrays, one per
+    online view, so a finite-difference harness can pin them with
+    ``frozen=``.
 
-    The online views come first, anchors then partners.  Every target is
-    a constant, by one rule: the pinned ``frozen`` array if given; else,
-    on a stop-gradient branch, a copy of the online projection of the same
-    rows when this step made it (a target forward normalizes by batch
-    statistics and reads no running statistics, so it would give these
-    bits); else the target forward.
+    Every target is a constant, by one rule: the pinned ``frozen`` arrays
+    if given; else, on a stop-gradient branch, a copy of the online
+    projection of the same rows when this step made it (a target forward
+    normalizes by batch statistics and reads no running statistics, so it
+    would give these bits); else the target forward.
     """
     enc = mcfg.encoder
-
-    def online(rows) -> tuple[Value, Value]:
-        """The projection of ``rows`` and the online view made of it."""
-        z = forward(state, enc, rows)
-        return z, predictor_forward(state, enc, l2_normalize_rows(z)) if enc.predictor else z
+    x = as_value(views)
+    need = 3 if mcfg.method is Method.TRIPLET else 2
+    if x.data.ndim != 3 or x.shape[0] != need:
+        raise ValueError(f"{mcfg.method.value} batches take a stack of {need} views, "
+                         f"got shape {x.shape}")
 
     if not enc.has_target_branch:
-        rows = (anchors, partners)
-        if mcfg.method is Method.TRIPLET:
-            if negatives is None:
-                raise ValueError("triplet batches need a negatives matrix")
-            rows += (negatives,)
-        return compute_loss(mcfg.loss, *[online(r)[1] for r in rows]), ()
+        z = forward(state, enc, x, per_view=True)
+        return compute_loss(mcfg.loss, *z._parents), ()
 
-    sides = (anchors, partners)
-    views = [online(rows) for rows in sides[:2 if enc.predictor and mcfg.loss.symmetric else 1]]
-    # View k is scored against a target of the other side's rows.
-    targets, inputs = [], []
-    for k, (_, view) in enumerate(views):
-        other = 1 - k
-        if frozen is not None:
-            t = frozen[k]
-        elif enc.stop_grad_target and other < len(views):
-            t = views[other][0].data.copy()
-        else:
-            t = forward(state, enc, sides[other], branch="target").data
-        targets.append(t)
-        inputs += [view, as_value(t)]
-    return compute_loss(mcfg.loss, *inputs), tuple(targets)
+    k = 2 if enc.predictor and mcfg.loss.symmetric else 1
+    # Online view j is scored against a target of view 1 - j's rows.
+    other = [1, 0][:k]
+    z = forward(state, enc, x if k == need else _split(x, slice(0, k), []),
+                per_view=not enc.predictor)
+    if frozen is not None:
+        t = np.stack(frozen)
+    elif enc.stop_grad_target and k == need:
+        t = z.data[other]
+    else:
+        t = forward(state, enc, x.data[other], branch="target").data
+    targets = tuple(t)
+    if enc.predictor:
+        online = predictor_forward(state, enc, l2_normalize_rows(z))
+    else:  # the contrastive loss reads the one online view's own output layer
+        (online,), t = z._parents, t[0]
+    return compute_loss(mcfg.loss, online, as_value(t)), targets

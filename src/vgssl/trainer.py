@@ -326,10 +326,8 @@ def train_epoch(
         n = len(batch)
         if n < 2:
             continue  # batch statistics are undefined on a single pair
-        # One feature matrix per column: anchors, partners and any negatives.
-        out, _ = method_batch_loss(
-            enc_state, mcfg, *[ds.features(c) for c in batch.T.tolist()]
-        )
+        # The columns as one stack of views: anchors, partners and any negatives.
+        out, _ = method_batch_loss(enc_state, mcfg, ds.features(batch.T))
         out.node.backward()
         _check_finite(out.value, enc_state.params, adam, start // tcfg.batch_size)
         adam_step(

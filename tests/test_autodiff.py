@@ -274,8 +274,8 @@ class TestTopologicalOrder:
         for method in Method:
             mcfg = method_config(method, input_dim=8, hidden_dims=(10,), embed_dim=5,
                                  proj_layers=2)
-            out, _ = method_batch_loss(init_state(mcfg.encoder, seed=0), mcfg, a, p,
-                                       negatives=n if method is Method.TRIPLET else None)
+            views = np.stack([a, p, n] if method is Method.TRIPLET else [a, p])
+            out, _ = method_batch_loss(init_state(mcfg.encoder, seed=0), mcfg, views)
             assert out.node._topo() == reference_topo(out.node), method
 
     def test_a_deep_chain_needs_no_recursion(self):

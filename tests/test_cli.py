@@ -465,6 +465,20 @@ class TestResumeGuard:
         assert err == (f"error: checkpoint {ckpt}: encoder config does not match "
                        "the train config\n")
 
+    @pytest.mark.parametrize("over, key, got, want", [
+        ({"seed": 7}, "seed", 1, 7),
+        ({"eta": 1.0}, "label", "'SimCLR-FC-1-8-0.5'", "'SimCLR-FC-1-8-1'"),
+    ], ids=["seed", "label"])
+    def test_seed_and_label_must_match(
+        self, tmp_path, world, capsys, monkeypatch, saved, over, key, got, want
+    ):
+        # Resuming seed 1 under another seed or eta would continue its
+        # parameters with another run's epoch seeds or batches.
+        ckpt = tmp_path / "first" / "SimCLR-FC-1-8-0.5-seed1" / "checkpoint.ckpt"
+        err = self.resume(tmp_path, world, capsys, monkeypatch, ckpt, **over)
+        assert err == (f"error: checkpoint {ckpt}: meta {key} {got} does not match "
+                       f"the train config's {key} {want}\n")
+
     def test_resume_takes_a_single_seed(self, tmp_path, world, capsys, monkeypatch, saved):
         ckpt = tmp_path / "first" / "SimCLR-FC-1-8-0.5-seed1" / "checkpoint.ckpt"
         err = self.resume(tmp_path, world, capsys, monkeypatch, ckpt, n_seeds=2)
@@ -573,13 +587,16 @@ class TestEval:
      "bench-mining: slack must be a finite number above 0, got -0.05"),
     ("train", {"dataset": "d", "method": "triplet", "mining": {"mode": "hardest"}},
      "train.mining: unknown mode 'hardest'; expected one of: full_hnm, partial_hnm, random"),
+    ("gradcheck", {"methods": ["simclr", "simclrr"]},
+     "gradcheck: unknown methods 'simclrr'; expected one of: triplet, simclr, mocov2, byol, "
+     "simsiam, barlow_twins, vicreg"),
 ], ids=["synth_str", "synth_bool", "eval_str", "gradcheck_tol_str", "gradcheck_methods_str",
         "bench_slack_bool", "bench_n_q_zero", "bench_n_k_negative", "bench_n_q_empty",
         "bench_n_k_empty", "synth_filename_int", "synth_feature_dim_zero",
         "synth_view_noise_negative", "train_dataset_int", "eval_checkpoint_int",
         "eval_dataset_null", "gradcheck_instances_zero", "gradcheck_instances_negative",
         "gradcheck_tol_inf", "gradcheck_tol_zero", "bench_slack_inf", "bench_slack_negative",
-        "train_mining_mode_unknown"])
+        "train_mining_mode_unknown", "gradcheck_methods_unknown"])
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path / "c.json", payload)
     out = tmp_path / "out"

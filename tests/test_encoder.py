@@ -560,11 +560,11 @@ class TestNoTapeForward:
 
     def test_raw_input_rows_are_constants(self):
         cfg, state, x = self.make("plain")
-        first = forward(state, cfg, x, training=True)
-        while first._parents and first._parents[0]._parents:
-            first = first._parents[0]
-        # The first affine's parents are its weight and bias, not the rows.
-        assert first._parents == (state.params["trunk.0.W"], state.params["trunk.0.b"])
+        run = forward(state, cfg, x, training=True)
+        # The run's parents are the network's parameters, not the rows.
+        assert run._op == "run"
+        assert run._parents == tuple(v for n, v in state.params.items()
+                                     if not n.startswith("pred."))
 
     def test_no_layer_net_cuts_its_input_loose(self):
         cfg = EncoderConfig(input_dim=3, hidden_dims=(), embed_dim=3,

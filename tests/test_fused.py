@@ -8,6 +8,9 @@ inputs as constants, and with none live, which is the path an eval-mode
 forward takes.  The input ``x`` also feeds a second term of the
 loss, so its gradient is already populated when the fused node adds to
 it, as in a training step where a tensor has several consumers.
+
+An encoder run over a stack of views is checked against the same chains
+run view by view (``TestStackedRun``).
 """
 
 import numpy as np
@@ -16,7 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vgssl.autodiff import Value, as_value
-from vgssl.encoder import BN_EPS, _affine, _batchnorm_train
+from vgssl.encoder import (
+    BN_EPS,
+    BN_MOMENTUM,
+    EncoderConfig,
+    _affine,
+    _batchnorm_train,
+    _layers,
+    forward,
+    init_state,
+    predictor_forward,
+)
+from vgssl.gradcheck import _hinge_signature, _kink_margin
 from vgssl.losses import DegenerateInputError, _diagonal, l2_normalize_rows
 
 
@@ -75,6 +89,100 @@ def run(fn, arrays, seed, live=None):
     return [y.data, *extra, *(v.grad for v in leaves)]
 
 
+def chain_forward(cfg, predictor, params, running, h):
+    """The layers of ``_layers`` on one view ``h``, as primitive chains."""
+    for prefix, _, _, bn, relu in _layers(cfg):
+        if prefix.startswith("pred.") != predictor:
+            continue
+        h = affine_chain(h, params[f"{prefix}.W"], params[f"{prefix}.b"])
+        if bn is not None:
+            h, mu, var = batchnorm_chain(h, params[f"{bn}.gamma"], params[f"{bn}.beta"])
+            for key, batch in ((f"{bn}.mean", mu), (f"{bn}.var", var)):
+                running[key] = (1 - BN_MOMENTUM) * running[key] + BN_MOMENTUM * batch
+        if relu:
+            h = h.relu()
+    return h
+
+
+def loss_of(outs, upstream, order, fortran):
+    """Each view's output against its upstream gradient, the terms added
+    in ``order``; view s's gradient arrives Fortran-ordered (through a
+    transpose) where ``fortran[s]``."""
+    loss = None
+    for s in order:
+        y, u = outs[s], upstream[s]
+        term = (y.T * as_value(u.T.copy())).sum() if fortran[s] else (y * as_value(u)).sum()
+        loss = term if loss is None else loss + term
+    return loss
+
+
+def stacked_and_chains(cfg, predictor, x, rng, live, per_view, homes=False):
+    """(fused, chains): the outputs, parameter gradients, input gradients,
+    running statistics and hinge summary of one encoder run over ``x``
+    (one batch, or a stack of views), then of the same layers run view by
+    view as primitive chains, from the same parameters and upstream
+    gradients.  The upstream gradient reaches a stacked run as one array,
+    whose views the chains take in view order; a per-view run's views are
+    added in a random order, and some arrive Fortran-ordered."""
+    stacked = x.ndim == 3
+    views = x if stacked else x[None]
+    fused_state = init_state(cfg, seed=int(rng.integers(2**32)))
+    for name, v in fused_state.params.items():  # some units exactly 0
+        if name.endswith(".W"):
+            v.data[:, rng.random(v.shape[1]) < 0.2] = 0.0
+        elif name.endswith(".b"):
+            v.data[rng.random(v.shape[0]) < 0.3] = 0.0
+    chain_state = init_state(cfg, seed=0)
+    for name, v in chain_state.params.items():
+        v.data = fused_state.params[name].data.copy()
+    if homes:  # gradients written into arrays an optimizer owns
+        for state in (fused_state, chain_state):
+            for v in state.params.values():
+                v._grad_home = np.empty_like(v.data)
+    upstream = rng.normal(size=views.shape[:2] + (cfg.embed_dim,))
+    fortran = rng.random(len(views)) < 0.5
+    # The term added last reaches the parameters first.  A stacked run adds
+    # its views' contributions in view order, so its chains' terms go in
+    # reverse; a per-view run follows whatever order its views arrive in.
+    order = rng.permutation(len(views)) if per_view else range(len(views) - 1, -1, -1)
+
+    fused_x = Value(x.copy()) if live else x
+    if predictor:
+        out = predictor_forward(fused_state, cfg, as_value(fused_x))
+    else:
+        out = forward(fused_state, cfg, fused_x, per_view=per_view)
+    if per_view:
+        outs = list(out._parents)
+        loss = loss_of(outs, upstream, order, fortran)
+    elif stacked:
+        outs = list(out.data)
+        loss = (out * as_value(upstream)).sum()
+    else:
+        outs = [out.data]
+        loss = loss_of([out], upstream, [0], fortran)
+    fused_hinges = (_kink_margin(loss), int(_hinge_signature(loss).sum()))
+    loss.backward()
+
+    chain_x = [Value(v.copy()) if live else v for v in views]
+    chain_outs = [chain_forward(cfg, predictor, chain_state.params, chain_state.bn_running,
+                                as_value(v)) for v in chain_x]
+    chain_loss = loss_of(chain_outs, upstream, order, fortran if per_view or not stacked
+                         else [False] * len(views))
+    chain_hinges = (_kink_margin(chain_loss), int(_hinge_signature(chain_loss).sum()))
+    chain_loss.backward()
+
+    def results(outs, state, input_grads, hinges):
+        return [*(np.asarray(getattr(o, "data", o)) for o in outs),
+                *(np.asarray(v.grad if v.grad is not None else np.nan)
+                  for v in state.params.values()),
+                *input_grads, *state.bn_running.values(), np.array(hinges)]
+
+    fused_grads = list(fused_x.grad if stacked else [fused_x.grad]) if live else []
+    return (results(outs, fused_state, fused_grads, fused_hinges),
+            results(chain_outs, chain_state, [v.grad for v in chain_x] if live else [],
+                    chain_hinges))
+
+
 def assert_same_bytes(fused, chain):
     assert len(fused) == len(chain)
     for a, b in zip(fused, chain):
@@ -124,14 +232,13 @@ class TestFusedNodes:
     @settings(max_examples=150)
     @given(batches())
     def test_training_batchnorm(self, batch):
+        # A network whose only layers are an affine with batchnorm and its
+        # ReLU, then the output affine, run on one batch.
         rng, x = batch
-        gamma = rng.normal(size=(1, x.shape[1]))
-        beta = rng.normal(size=(1, x.shape[1]))
-        seed = int(rng.integers(2**32))
-        assert_same_bytes(
-            run(_batchnorm_train, [x, gamma, beta], seed),
-            run(batchnorm_chain, [x, gamma, beta], seed),
-        )
+        cfg = EncoderConfig(input_dim=x.shape[1], hidden_dims=(), embed_dim=int(rng.integers(1, 9)),
+                            proj_layers=2, proj_batchnorm=True)
+        fused, chain = stacked_and_chains(cfg, False, x, rng, live=True, per_view=False)
+        assert_same_bytes(fused, chain)
 
     @settings(max_examples=150)
     @given(batches())
@@ -149,8 +256,15 @@ class TestFusedNodes:
         assert _affine(x, W, b, relu=True)._parents == (x, W, b)
         c = Value(rng.normal(size=(3, 3)))
         assert _diagonal(c, np.eye(3))._parents == (c,)
-        assert _batchnorm_train(x, gamma, beta)[0]._parents == (x, gamma, beta)
         assert l2_normalize_rows(x)._parents == (x,)
+        # A run over the trunk and a batchnorm head is one node.
+        cfg = EncoderConfig(input_dim=3, hidden_dims=(4,), embed_dim=2, proj_layers=2,
+                            proj_batchnorm=True)
+        state = init_state(cfg, seed=0)
+        out = forward(state, cfg, x)
+        assert out._op == "run" and out._parents[0] is x
+        assert set(out._parents[1:]) == set(state.params.values())
+        assert len(out._parents) == 1 + len(state.params)
 
     @pytest.mark.parametrize(
         "row, scale, message",
@@ -166,6 +280,57 @@ class TestFusedNodes:
         assert str(err.value) == message
 
     def test_batch_of_one_raises(self):
-        x = Value(np.ones((1, 3)))
-        with pytest.raises(ValueError, match="batch of at least 2"):
-            _batchnorm_train(x, Value(np.ones((1, 3))), Value(np.zeros((1, 3))))
+        for x in (np.ones((1, 3)), np.ones((2, 1, 3))):
+            with pytest.raises(ValueError, match="batch of at least 2"):
+                _batchnorm_train(x, np.ones((1, 3)), np.zeros((1, 3)))
+
+
+class TestStackedRun:
+    """An encoder run over a stack of views, (S, N, D), or over one batch,
+    gives the bits of the same layers run view by view as primitive chains:
+    outputs, every parameter's and the input's gradient, the running
+    statistics and the hinge inputs."""
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2, 3]),
+           st.lists(st.integers(1, 9), max_size=2), st.integers(1, 3), st.booleans(),
+           st.sampled_from(["network", "per_view", "predictor"]), st.booleans(),
+           st.booleans())
+    def test_stacked_run_gives_the_per_view_chains_bits(
+        self, seed, n_views, hidden, proj_layers, bn, kind, live, homes
+    ):
+        rng = np.random.default_rng(seed)
+        d, e = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        cfg = EncoderConfig(input_dim=d, hidden_dims=tuple(hidden), embed_dim=e,
+                            proj_layers=proj_layers, proj_batchnorm=bn,
+                            predictor=kind == "predictor")
+        n = int(rng.integers(2, 13))
+        width = e if kind == "predictor" else d
+        # Rows repeat, so batchnorm sees columns of zero variance too.
+        distinct = rng.normal(size=(int(rng.integers(1, n + 1)), width))
+        rows = distinct[rng.integers(0, len(distinct), size=(max(n_views, 1), n))]
+        x = rows if n_views else rows[0]
+        per_view = kind == "per_view" and n_views > 0
+        fused, chain = stacked_and_chains(cfg, kind == "predictor", x, rng, live, per_view,
+                                          homes)
+        assert_same_bytes(fused, chain)
+
+    def test_a_per_view_run_ends_in_one_output_node_per_view(self):
+        cfg = EncoderConfig(input_dim=3, hidden_dims=(4,), embed_dim=2)
+        state = init_state(cfg, seed=0)
+        out = forward(state, cfg, np.ones((3, 5, 3)), per_view=True)
+        assert out._op == "stack" and out.shape == (3, 5, 2)
+        assert [v._op for v in out._parents] == ["affine"] * 3
+        assert {v._parents[0]._op for v in out._parents} == {"view"}
+        # Through the stack itself, two views' gradients are a stacked
+        # run's (with two views the order they add in cannot matter).
+        rng = np.random.default_rng(0)
+        x, upstream = rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 5, 2))
+        grads = []
+        for per_view in (True, False):
+            state = init_state(cfg, seed=0)
+            (forward(state, cfg, x, per_view=per_view) * as_value(upstream)).sum().backward()
+            grads.append([v.grad.tobytes() for v in state.params.values()])
+        assert grads[0] == grads[1]
+        with pytest.raises(ValueError, match="per-view forward takes a stack of views"):
+            forward(state, cfg, np.ones((5, 3)), per_view=True)

@@ -419,6 +419,16 @@ class TestLayout:
         assert got.dtype == np.float64 and got.shape == (4, ds.feature_dim)
         np.testing.assert_array_equal(got, np.stack([ds.sample(i).features for i in ids]))
 
+    def test_features_of_an_id_array_keep_its_shape(self):
+        # A batch's (S, N) columns, a transposed view of its (N, S) rows,
+        # give one (S, N, F) stack of views.
+        ds = self.ds
+        ids = np.array([[ds.db_ids[1], ds.query_ids[0], ds.db_ids[1]],
+                        [ds.db_ids[4], ds.db_ids[2], ds.query_ids[3]]])
+        got = ds.features(ids.T.copy().T)
+        assert got.shape == (2, 3, ds.feature_dim) and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, np.stack([ds.features(c) for c in ids.tolist()]))
+
     def test_features_returns_a_copy(self):
         ds = self.ds
         ds.features(ds.db_ids)[:] = 123.0

@@ -267,7 +267,10 @@ class TestDispatch:
         cfg = LossConfig(Method.BYOL)
         with pytest.raises(ValueError) as err:
             compute_loss(cfg, V(np.eye(2)), V(np.eye(2)))
-        assert str(err.value) == "byol loss takes 4 views, got 2"
+        assert str(err.value) == "symmetric byol loss takes stacks of 2 views, got shape (2, 2)"
+        with pytest.raises(ValueError) as err:
+            compute_loss(cfg, V(np.ones((1, 2, 2))), V(np.ones((1, 2, 2))))
+        assert str(err.value) == "symmetric byol loss takes stacks of 2 views, got shape (1, 2, 2)"
 
     def test_one_way_prediction_takes_two_views(self):
         cfg = LossConfig(Method.SIMSIAM, symmetric=False)

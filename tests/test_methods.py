@@ -121,6 +121,8 @@ class TestBatchLoss:
         self.anchors = rng.normal(size=(6, 8))
         self.partners = self.anchors + rng.normal(size=(6, 8)) * 0.1
         self.negatives = rng.normal(size=(6, 8))
+        self.pairs = np.stack([self.anchors, self.partners])
+        self.triplets = np.stack([self.anchors, self.partners, self.negatives])
 
     def make(self, method, **kw):
         proj = 2 if TABLE_FLAGS.get(method) and (
@@ -133,24 +135,29 @@ class TestBatchLoss:
     @pytest.mark.parametrize("method", PAIR_METHODS)
     def test_pair_methods_produce_finite_backpropable_loss(self, method):
         mcfg, state = self.make(method)
-        out, _ = method_batch_loss(state, mcfg, self.anchors, self.partners)
+        out, _ = method_batch_loss(state, mcfg, self.pairs)
         assert np.isfinite(out.value)
         out.node.backward()
         assert state.params["trunk.0.W"].grad is not None
 
     def test_triplet_needs_negatives(self):
         mcfg, state = self.make(Method.TRIPLET)
-        with pytest.raises(ValueError):
-            method_batch_loss(state, mcfg, self.anchors, self.partners)
-        out, _ = method_batch_loss(
-            state, mcfg, self.anchors, self.partners, negatives=self.negatives
-        )
+        with pytest.raises(ValueError, match=r"^triplet batches take a stack of 3 views, "
+                                             r"got shape \(2, 6, 8\)$"):
+            method_batch_loss(state, mcfg, self.pairs)
+        out, _ = method_batch_loss(state, mcfg, self.triplets)
         assert np.isfinite(out.value)
+
+    def test_pair_methods_take_two_views(self):
+        mcfg, state = self.make(Method.SIMCLR)
+        for views in (self.triplets, self.anchors):
+            with pytest.raises(ValueError, match="^simclr batches take a stack of 2 views"):
+                method_batch_loss(state, mcfg, views)
 
     def test_prediction_loss_in_range(self):
         for method in (Method.BYOL, Method.SIMSIAM):
             mcfg, state = self.make(method)
-            out, _ = method_batch_loss(state, mcfg, self.anchors, self.partners)
+            out, _ = method_batch_loss(state, mcfg, self.pairs)
             assert 0.0 <= out.value <= 4.0
 
     def test_frozen_targets_reproduce_loss(self):
@@ -158,11 +165,9 @@ class TestBatchLoss:
                  (Method.SIMSIAM, {"symmetric": False})]
         for method, overrides in cases:
             mcfg, state = self.make(method, **overrides)
-            out1, targets = method_batch_loss(state, mcfg, self.anchors, self.partners)
+            out1, targets = method_batch_loss(state, mcfg, self.pairs)
             zero_grads(state.params.values())
-            out2, again = method_batch_loss(
-                state, mcfg, self.anchors, self.partners, frozen=targets
-            )
+            out2, again = method_batch_loss(state, mcfg, self.pairs, frozen=targets)
             assert out1.node.data.tobytes() == out2.node.data.tobytes(), (method, overrides)
             assert [t.tobytes() for t in again] == [t.tobytes() for t in targets], method
 
@@ -178,7 +183,7 @@ class TestBatchLoss:
         ref = init_state(enc, seed=1)
         for rows in (self.anchors, self.partners):
             predictor_forward(ref, enc, l2_normalize_rows(forward(ref, enc, rows)))
-        _, used = method_batch_loss(state, mcfg, self.anchors, self.partners)
+        _, used = method_batch_loss(state, mcfg, self.pairs)
         assert [t.tobytes() for t in used] == [w.tobytes() for w in want]
         assert state.bn_running.keys() == ref.bn_running.keys()
         for key, a in ref.bn_running.items():
@@ -186,29 +191,32 @@ class TestBatchLoss:
         online = forward(state, enc, self.partners, training=True).data
         np.testing.assert_array_equal(used[0], online)
 
+    # Each forward as (branch, views embedded): the online views run as one
+    # stack, and so do the targets.
     @pytest.mark.parametrize("method, overrides, forwards", [
-        (Method.SIMSIAM, {}, ["online", "online"]),
-        (Method.SIMSIAM, {"symmetric": False}, ["online", "target"]),
-        (Method.BYOL, {}, ["online", "online", "target", "target"]),
-    ], ids=["simsiam", "simsiam_one_way", "byol"])
+        (Method.SIMCLR, {}, [("online", 2)]),
+        (Method.MOCOV2, {}, [("online", 1), ("target", 1)]),
+        (Method.SIMSIAM, {}, [("online", 2)]),
+        (Method.SIMSIAM, {"symmetric": False}, [("online", 1), ("target", 1)]),
+        (Method.BYOL, {}, [("online", 2), ("target", 2)]),
+    ], ids=["simclr", "mocov2", "simsiam", "simsiam_one_way", "byol"])
     def test_encoder_forwards_per_step(self, monkeypatch, method, overrides, forwards):
         calls = []
 
-        def counted(state, cfg, batch, branch="online", training=True):
-            calls.append(branch)
-            return forward(state, cfg, batch, branch, training)
+        def counted(state, cfg, batch, branch="online", training=True, **kw):
+            calls.append((branch, batch.shape[0]))
+            return forward(state, cfg, batch, branch, training, **kw)
 
         monkeypatch.setattr(vgssl.methods, "forward", counted)
         mcfg, state = self.make(method, **overrides)
-        method_batch_loss(state, mcfg, self.anchors, self.partners)
+        method_batch_loss(state, mcfg, self.pairs)
         assert calls == forwards
 
     def test_methods_without_targets_report_none(self):
         for method in (Method.SIMCLR, Method.BARLOW_TWINS, Method.VICREG, Method.TRIPLET):
             mcfg, state = self.make(method)
-            _, targets = method_batch_loss(
-                state, mcfg, self.anchors, self.partners, negatives=self.negatives
-            )
+            views = self.triplets if method is Method.TRIPLET else self.pairs
+            _, targets = method_batch_loss(state, mcfg, views)
             assert targets == (), method
 
     @pytest.mark.parametrize("method, overrides, count", [
@@ -219,7 +227,7 @@ class TestBatchLoss:
     ], ids=["mocov2", "simsiam_one_way", "byol", "simsiam"])
     def test_one_target_array_per_target_view(self, method, overrides, count):
         mcfg, state = self.make(method, **overrides)
-        _, targets = method_batch_loss(state, mcfg, self.anchors, self.partners)
+        _, targets = method_batch_loss(state, mcfg, self.pairs)
         assert isinstance(targets, tuple)
         assert len(targets) == count
         assert all(t.shape == (6, 5) for t in targets)
@@ -230,24 +238,25 @@ class TestBatchLoss:
         anchors = self.anchors.copy()
         partners = self.partners.copy()
         anchors[3] = partners[3] = self.negatives[0]
-        out, _ = method_batch_loss(state, mcfg, anchors, partners)
+        out, _ = method_batch_loss(state, mcfg, np.stack([anchors, partners]))
         assert np.isfinite(out.value)
 
 
 # Nodes on one training step's tape at criterion 7's encoder (input 32,
 # trunk (64, 64), two projection layers of 64) and batch 20: parameters,
-# the fused affine (with its ReLU where no batchnorm intervenes),
-# batchnorm, row-norm and Barlow Twins diagonal nodes and the loss
-# primitives.
+# one run node per encoder or predictor pass over the stacked views, and
+# for a loss that couples views, one view node and one fused affine (its
+# output layer) per view; row-norm and Barlow Twins diagonal nodes and the
+# loss primitives.  The prediction losses take both directions as one stack.
 # Constants (input rows, target outputs, wrapped scalars) are not counted.
 TAPE_NODES = {
-    Method.SIMCLR: 30,
-    Method.MOCOV2: 24,
-    Method.BYOL: 54,
-    Method.SIMSIAM: 54,
-    Method.BARLOW_TWINS: 42,
-    Method.VICREG: 77,
-    Method.TRIPLET: 28,
+    Method.SIMCLR: 27,
+    Method.MOCOV2: 23,
+    Method.BYOL: 28,
+    Method.SIMSIAM: 28,
+    Method.BARLOW_TWINS: 35,
+    Method.VICREG: 70,
+    Method.TRIPLET: 29,
 }
 
 
@@ -257,8 +266,8 @@ def test_training_step_tape_size(method):
     a, p, n = (rng.normal(size=(20, 32)) for _ in range(3))
     mcfg = method_config(method, input_dim=32, embed_dim=64, proj_layers=2, eta=1.0)
     state = init_state(mcfg.encoder, seed=0)
-    negatives = n if method is Method.TRIPLET else None
-    out, _ = method_batch_loss(state, mcfg, a, p, negatives=negatives)
+    views = np.stack([a, p, n] if method is Method.TRIPLET else [a, p])
+    out, _ = method_batch_loss(state, mcfg, views)
     assert len(out.node._topo()) == TAPE_NODES[method]
 
 

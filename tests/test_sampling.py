@@ -338,3 +338,37 @@ def near_tie_cases(draw):
 def test_hardest_negative_ignores_the_memory_order(case):
     q, ids, cands = case
     assert hardest_negative(q, ids, np.asfortranarray(cands)) == hardest_negative(q, ids, cands)
+
+
+@st.composite
+def near_tie_mining_cases(draw):
+    """A mining case whose embeddings are positive multiples of a few
+    Gaussian directions, plus some zero rows: unit rows of one direction
+    tie in exact arithmetic, so the filter's margin and the rerank decide
+    the pick by the last bits of the direct distances."""
+    ds, table, m_q, pool, seed, order = draw(mining_cases())
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(int(rng.integers(1, 4)), table.shape[1]))
+    table = dirs[rng.integers(0, len(dirs), size=len(table))]
+    table *= rng.uniform(0.5, 2.0, size=(len(table), 1))
+    table[rng.random(len(table)) < 0.1] = 0.0
+    return ds, table, m_q, pool, seed, order
+
+
+@given(case=near_tie_mining_cases(), full=st.booleans())
+def test_mining_picks_what_hardest_negative_picks(case, full):
+    # One product and a rerank per call pick, bit for bit, what
+    # ``hardest_negative`` picks for each query among its eligible pool
+    # members, from the query row the embedding returned.
+    ds, table, m_q, pool, seed, order = case
+    cfg = (MiningConfig(MiningMode.FULL_HNM) if full
+           else MiningConfig(MiningMode.PARTIAL_HNM, pool_size=pool))
+    trips, calls, _ = _mine_with_spy(ds, table, m_q, cfg, seed, order)
+    queries = np.asarray(table[trips[:, 0]], order=order)
+    for k, (anchor, _, negative) in enumerate(trips.tolist()):
+        negs = set(ds.negative_set(anchor))
+        elig = [i for i in calls[1] if i in negs]
+        if elig:
+            assert negative == hardest_negative(queries[k], elig, table[elig])
+        else:
+            assert negative in negs
