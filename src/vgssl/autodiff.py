@@ -210,6 +210,17 @@ class Value:
 
         return _node(self.data.T.copy(), (self,), "transpose", bwd)
 
+    def __getitem__(self, index) -> "Value":
+        """``data[index]`` by basic indexing (integers and slices), so each
+        element is taken at most once; its gradient is written into a zero
+        array of this value's shape."""
+        def bwd(g):
+            full = np.zeros(self.shape)
+            full[index] = g
+            self._accum(full)
+
+        return _node(self.data[index], (self,), "getitem", bwd)
+
     # -- nonlinearities --------------------------------------------------
 
     def exp(self) -> "Value":

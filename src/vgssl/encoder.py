@@ -57,6 +57,7 @@ from .autodiff import Value, _node, _unbroadcast, as_value
 __all__ = [
     "EncoderConfig",
     "EncoderState",
+    "ViewOutputs",
     "init_state",
     "forward",
     "predictor_forward",
@@ -265,19 +266,22 @@ def _split(x: Value, index, arrived: list) -> Value:
     return _node(x.data[index], (x,), "view", bwd)
 
 
-def _stack(views: list[Value]) -> Value:
-    """The views as one (S, N, D) node whose parents are the views."""
-    def bwd(g):
-        for v, gs in zip(views, g):
-            if not v._const:
-                v._accum(gs)
+class ViewOutputs(tuple):
+    """A per-view forward's outputs: one (N, embed_dim) value per view.
 
-    return _node(np.stack([v.data for v in views]), tuple(views), "stack", bwd)
+    ``data`` stacks their arrays into the (S, N, embed_dim) array a stacked
+    forward returns, so a caller that reads only ``.data`` (as the trace
+    spans in ``benchmarks/`` do) takes either result.
+    """
+
+    @property
+    def data(self) -> np.ndarray:
+        return np.stack([v.data for v in self])
 
 
 def _run(cfg: EncoderConfig, predictor: bool, params: dict[str, Value], x: Value,
          running: dict[str, np.ndarray], training: bool, update_running: bool,
-         per_view: bool = False) -> Value:
+         per_view: bool = False) -> Value | ViewOutputs:
     """Run the predictor's layers of ``_layers``, or all the others, on ``x``.
 
     ``x`` is one batch (N, D) or a stack of views (S, N, D) that share the
@@ -301,13 +305,16 @@ def _run(cfg: EncoderConfig, predictor: bool, params: dict[str, Value], x: Value
     two views, as in every stacked training step, the order cannot change
     the bits).
 
-    With ``per_view`` (a stack on the tape) the output layer runs on each
-    view's slice as its own ``_affine`` node, and the result is ``_stack``
-    of them: a loss that couples views reads those nodes, and the gradient
-    each hands back reaches the output layer in its own memory layout.
+    With ``per_view`` (``x`` a stack) the output layer, which has no
+    batchnorm, runs on each view's slice as its own ``_affine`` node, and
+    the result is the ``ViewOutputs`` of them: a loss that couples views
+    reads those nodes, and the gradient each hands back reaches the output
+    layer in its own memory layout.
     """
     layers = [layer for layer in _layers(cfg) if layer[0].startswith("pred.") == predictor]
     if per_view:
+        if not layers:  # a net with no layer passes each view through
+            return ViewOutputs(x[s] for s in range(len(x.data)))
         layers, last = layers[:-1], layers[-1]
     names = [n for prefix, _, _, bn, _ in layers
              for n in (f"{prefix}.W", f"{prefix}.b",
@@ -344,7 +351,7 @@ def _run(cfg: EncoderConfig, predictor: bool, params: dict[str, Value], x: Value
     if not layers:
         out = x
     elif not tape:
-        return as_value(h)
+        out = as_value(h)
     else:
         def bwd(g):
             order = arrived or range(x.shape[0])
@@ -381,7 +388,8 @@ def _run(cfg: EncoderConfig, predictor: bool, params: dict[str, Value], x: Value
         return out
     prefix, _, _, _, relu = last
     W, b = params[f"{prefix}.W"], params[f"{prefix}.b"]
-    return _stack([_affine(_split(out, s, arrived), W, b, relu) for s in range(len(x.data))])
+    return ViewOutputs(_affine(_split(out, s, arrived), W, b, relu)
+                       for s in range(len(x.data)))
 
 
 def forward(
@@ -391,16 +399,17 @@ def forward(
     branch: str = "online",
     training: bool = True,
     per_view: bool = False,
-) -> Value:
+) -> Value | ViewOutputs:
     """Embed a batch (N, input_dim) -> (N, embed_dim), or a stack of views
     (S, N, input_dim) -> (S, N, embed_dim) in one run.
 
     ``branch='target'`` requires a momentum target or stop-grad target.
     Only ``branch='online'`` with ``training=True`` records a tape; any
     other forward runs on constants and returns a leaf with no parents,
-    through which no gradient reaches the parameters or the input.  On the
-    tape, ``per_view`` runs the output layer view by view (see ``_run``):
-    the result's parents are then the views' outputs.
+    through which no gradient reaches the parameters or the input.
+    ``per_view`` takes a stack and runs its output layer view by view (see
+    ``_run``): the result is then the ``ViewOutputs`` of the views'
+    (N, embed_dim) outputs.
     """
     x = as_value(batch)  # a raw array enters as a constant
     if x.data.ndim not in (2, 3) or x.shape[-1] != cfg.input_dim:
@@ -422,13 +431,13 @@ def forward(
             running = state.bn_running
     else:
         raise ValueError(f"unknown branch {branch!r}")
+    if per_view and x.data.ndim != 3:
+        raise ValueError(f"a per-view forward takes a stack of views, got {x.shape}")
     if not recording:
         x = as_value(x.data)  # a live input takes no gradient here
-    elif per_view and x.data.ndim != 3:
-        raise ValueError(f"a per-view forward takes a stack of views, got {x.shape}")
 
     # Only the recorded forward updates the running statistics.
-    out = _run(cfg, False, params, x, running, training, recording, per_view and recording)
+    out = _run(cfg, False, params, x, running, training, recording, per_view)
     # A net with no layer passes its input through; off the tape, cut it loose.
     return x.detach() if out is x and not recording else out
 

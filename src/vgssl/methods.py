@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Value, as_value
-from .encoder import EncoderConfig, EncoderState, _split, forward, predictor_forward
+from .encoder import EncoderConfig, EncoderState, forward, predictor_forward
 from .losses import (
     LossConfig,
     LossOutput,
@@ -220,14 +220,12 @@ def method_batch_loss(
                          f"got shape {x.shape}")
 
     if not enc.has_target_branch:
-        z = forward(state, enc, x, per_view=True)
-        return compute_loss(mcfg.loss, *z._parents), ()
+        return compute_loss(mcfg.loss, *forward(state, enc, x, per_view=True)), ()
 
     k = 2 if enc.predictor and mcfg.loss.symmetric else 1
     # Online view j is scored against a target of view 1 - j's rows.
     other = [1, 0][:k]
-    z = forward(state, enc, x if k == need else _split(x, slice(0, k), []),
-                per_view=not enc.predictor)
+    z = forward(state, enc, x[:k], per_view=not enc.predictor)
     if frozen is not None:
         t = np.stack(frozen)
     elif enc.stop_grad_target and k == need:
@@ -238,5 +236,5 @@ def method_batch_loss(
     if enc.predictor:
         online = predictor_forward(state, enc, l2_normalize_rows(z))
     else:  # the contrastive loss reads the one online view's own output layer
-        (online,), t = z._parents, t[0]
+        (online,), t = z, t[0]
     return compute_loss(mcfg.loss, online, as_value(t)), targets

@@ -14,9 +14,7 @@ Triplets are ``(anchor, positive, negative)`` rows, with a hard negative
 mined per query either against the full database (``FULL_HNM``), against
 a fixed random candidate pool (``PARTIAL_HNM``), or uniformly
 (``RANDOM``).  Mining normalises the embedded database or pool once per
-call, reads each query's negatives as ascending row arrays, and picks
-every query's hardest negative from one matrix product and a rerank of
-near-ties.  All
+call and reads each query's negatives as ascending row arrays.  All
 randomness flows from one generator per call, so identical seeds give
 identical batches.
 """
@@ -31,7 +29,6 @@ import numpy as np
 
 from .costmodel import CostLedger
 from .geodata import GeoDataset
-from .retrieval import _knn_margin
 
 __all__ = [
     "MiningMode",
@@ -187,10 +184,9 @@ def mine_triplets(
     random candidate pool, falling back to a uniform negative for any
     query whose eligible negatives missed the pool; ``RANDOM`` skips
     embedding entirely.  Negatives are read as row arrays
-    (``GeoDataset.neighbour_rows``), the embedded database or pool is
-    normalised once per call, and ``_nearest_eligible`` picks every query's
-    negative at once; each pick is the one ``hardest_negative`` would
-    make, bit for bit.  Fallback draws are made in query order.
+    (``GeoDataset.neighbour_rows``), and the embedded database or pool is
+    normalised once per call; each pick is the one ``hardest_negative``
+    would make, bit for bit.
     """
     if ledger is None:
         ledger = CostLedger()
@@ -223,54 +219,19 @@ def mine_triplets(
     at = np.full(n_db, -1)
     at[pool_rows] = np.arange(len(pool_rows))
     in_pool = at >= 0
-    # Which pool members are each query's eligible negatives.
-    eligible = np.zeros((m_q, len(pool_rows)), dtype=bool)
     for k, qid in enumerate(query_ids):
         negs = ds.neighbour_rows(qid)[1]
         # Full mining compares each eligible negative; partial mining checks
         # every pool member, then keeps the eligible negatives among them.
         ledger.add_comparisons(len(negs) if full else cfg.pool_size)
-        eligible[k, at[negs[in_pool[negs]]]] = True
-    nearest = _nearest_eligible(q_emb, pool_unit, pool_rows, eligible)
-    for k in np.flatnonzero(nearest < 0).tolist():  # only partial mining
-        negs = ds.neighbour_rows(query_ids[k])[1]
-        triplets[k, 2] = db_ids[negs[int(rng.integers(len(negs)))]]
-        ledger.add_extractions(1)  # the fallback negative is fetched fresh
-    found = nearest >= 0
-    triplets[found, 2] = np.asarray(db_ids)[pool_rows[nearest[found]]]
+        rows = negs[in_pool[negs]]
+        if rows.size:
+            # Each row's distance is its own reduce, so taking it at ``rows``
+            # keeps its bits.  Rows ascend with ids, so they break ties as
+            # the ids would.
+            dists = _query_distances(q_emb[k], pool_unit)[at[rows]]
+            triplets[k, 2] = db_ids[rows[_closest(dists, rows)]]
+        else:  # only partial mining: every query has a negative in the database
+            triplets[k, 2] = db_ids[negs[int(rng.integers(len(negs)))]]
+            ledger.add_extractions(1)  # the fallback negative is fetched fresh
     return triplets
-
-
-def _nearest_eligible(q_emb: np.ndarray, pool_unit: np.ndarray, pool_rows: np.ndarray,
-                      eligible: np.ndarray) -> np.ndarray:
-    """Each query's nearest eligible pool member, as a pool index, or -1
-    where none is eligible: the pick ``_closest`` makes from the distances
-    ``_query_distances`` gives, ties to the smaller database row.
-
-    Filter, then rerank, as ``vgssl.retrieval.knn`` does.  Each query is
-    normalised by its own 1-D norm, and one matrix product gives every
-    (query, member) dot product.  By ``_knn_margin``'s argument with k = 1,
-    the nearest member's dot product is not below the query's largest
-    eligible one by more than the margin, so only the eligible members
-    within it are candidates.  They get direct differences in one batch
-    (a row's distance is a per-row reduce, so its bits do not depend on the
-    batch), and one ``lexsort`` by (query, distance, row) puts each query's
-    pick first.  NaN dot products are "not below", so a query whose every
-    distance is NaN keeps all its eligible members, and the smallest row
-    wins, as NaN distances sort last.
-    """
-    nearest = np.full(len(q_emb), -1)
-    q = np.stack([v / max(np.linalg.norm(v), 1e-12) for v in q_emb])
-    g = q @ pool_unit.T
-    best = np.fmax.reduce(np.where(eligible, g, -np.inf), axis=1)
-    sq_norms = np.einsum("ij,ij->i", pool_unit, pool_unit)
-    limit = _knn_margin(pool_unit.shape[1], float(sq_norms.min()), float(sq_norms.max()))
-    kq, cand = np.nonzero(eligible & ~(g < (best - limit)[:, None]))
-    diff = pool_unit[cand] - q[kq]
-    diff *= diff
-    dists = np.sqrt(np.add.reduce(diff, axis=1))
-    order = np.lexsort((pool_rows[cand], dists, kq))
-    # Each query's candidates are one run of ``order``; its pick leads it.
-    has = np.bincount(kq, minlength=len(q_emb)) > 0
-    nearest[has] = cand[order[np.searchsorted(kq[order], np.flatnonzero(has))]]
-    return nearest

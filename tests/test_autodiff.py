@@ -126,6 +126,18 @@ class TestReductionsAndShape:
         a = rng.normal(size=(5, 4))
         assert_close_to_fd(lambda vs: (vs[0].mean(axis=0) * vs[0].mean()).sum(), [a])
 
+    def test_slice_fd(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(3, 4, 2))
+        assert_close_to_fd(lambda vs: (vs[0][:2] * vs[0][1:]).sum() + vs[0][2, 1:].sum(), [a])
+
+    def test_slice_gradient_is_the_upstream_in_place(self):
+        x = Value(np.arange(12.0).reshape(3, 4))
+        g = np.random.default_rng(9).normal(size=(2, 4))
+        (x[:2] * as_value(g)).sum().backward()
+        assert x.grad[:2].tobytes() == g.tobytes() and not x.grad[2].any()
+        assert as_value(x.data)[1:]._const
+
 
 class TestHinge:
     def test_maximum_active_and_clamped(self):

@@ -127,11 +127,13 @@ def stacked_and_chains(cfg, predictor, x, rng, live, per_view, homes=False):
     stacked = x.ndim == 3
     views = x if stacked else x[None]
     fused_state = init_state(cfg, seed=int(rng.integers(2**32)))
-    for name, v in fused_state.params.items():  # some units exactly 0
-        if name.endswith(".W"):
+    for name, v in fused_state.params.items():
+        if name.endswith(".W"):  # some units exactly 0
             v.data[:, rng.random(v.shape[1]) < 0.2] = 0.0
         elif name.endswith(".b"):
             v.data[rng.random(v.shape[0]) < 0.3] = 0.0
+        else:  # batchnorm's scale and shift, away from 1 and 0
+            v.data[...] = rng.normal(size=v.shape)
     chain_state = init_state(cfg, seed=0)
     for name, v in chain_state.params.items():
         v.data = fused_state.params[name].data.copy()
@@ -152,7 +154,7 @@ def stacked_and_chains(cfg, predictor, x, rng, live, per_view, homes=False):
     else:
         out = forward(fused_state, cfg, fused_x, per_view=per_view)
     if per_view:
-        outs = list(out._parents)
+        outs = out
         loss = loss_of(outs, upstream, order, fortran)
     elif stacked:
         outs = list(out.data)
@@ -230,12 +232,12 @@ class TestFusedNodes:
                           run(diagonal_chain, [c], seed))
 
     @settings(max_examples=150)
-    @given(batches())
-    def test_training_batchnorm(self, batch):
+    @given(batches(), st.integers(1, 70))
+    def test_training_batchnorm(self, batch, width):
         # A network whose only layers are an affine with batchnorm and its
         # ReLU, then the output affine, run on one batch.
         rng, x = batch
-        cfg = EncoderConfig(input_dim=x.shape[1], hidden_dims=(), embed_dim=int(rng.integers(1, 9)),
+        cfg = EncoderConfig(input_dim=x.shape[1], hidden_dims=(), embed_dim=width,
                             proj_layers=2, proj_batchnorm=True)
         fused, chain = stacked_and_chains(cfg, False, x, rng, live=True, per_view=False)
         assert_same_bytes(fused, chain)
@@ -293,14 +295,14 @@ class TestStackedRun:
 
     @settings(max_examples=200)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2, 3]),
-           st.lists(st.integers(1, 9), max_size=2), st.integers(1, 3), st.booleans(),
+           st.lists(st.integers(1, 70), max_size=2), st.integers(1, 3), st.booleans(),
            st.sampled_from(["network", "per_view", "predictor"]), st.booleans(),
            st.booleans())
     def test_stacked_run_gives_the_per_view_chains_bits(
         self, seed, n_views, hidden, proj_layers, bn, kind, live, homes
     ):
         rng = np.random.default_rng(seed)
-        d, e = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        d, e = int(rng.integers(1, 71)), int(rng.integers(1, 71))
         cfg = EncoderConfig(input_dim=d, hidden_dims=tuple(hidden), embed_dim=e,
                             proj_layers=proj_layers, proj_batchnorm=bn,
                             predictor=kind == "predictor")
@@ -318,19 +320,32 @@ class TestStackedRun:
     def test_a_per_view_run_ends_in_one_output_node_per_view(self):
         cfg = EncoderConfig(input_dim=3, hidden_dims=(4,), embed_dim=2)
         state = init_state(cfg, seed=0)
-        out = forward(state, cfg, np.ones((3, 5, 3)), per_view=True)
-        assert out._op == "stack" and out.shape == (3, 5, 2)
-        assert [v._op for v in out._parents] == ["affine"] * 3
-        assert {v._parents[0]._op for v in out._parents} == {"view"}
-        # Through the stack itself, two views' gradients are a stacked
-        # run's (with two views the order they add in cannot matter).
+        outs = forward(state, cfg, np.ones((3, 5, 3)), per_view=True)
+        assert [(v._op, v.shape) for v in outs] == [("affine", (5, 2))] * 3
+        assert {v._parents[0]._op for v in outs} == {"view"}
+        # Off the tape the views' outputs are constants with the same bits,
+        # and ``data`` stacks them as a stacked forward's output holds them.
+        evals = forward(state, cfg, np.ones((3, 5, 3)), training=False, per_view=True)
+        assert all(e._const for e in evals)
+        stacked = forward(state, cfg, np.ones((3, 5, 3)), training=False)
+        assert evals.data.tobytes() == stacked.data.tobytes() == outs.data.tobytes()
+        # Two views' gradients are a stacked run's (with two views the
+        # order they add in cannot matter).
         rng = np.random.default_rng(0)
         x, upstream = rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 5, 2))
         grads = []
         for per_view in (True, False):
             state = init_state(cfg, seed=0)
-            (forward(state, cfg, x, per_view=per_view) * as_value(upstream)).sum().backward()
+            out = forward(state, cfg, x, per_view=per_view)
+            loss = (loss_of(out, upstream, range(2), [False] * 2) if per_view
+                    else (out * as_value(upstream)).sum())
+            loss.backward()
             grads.append([v.grad.tobytes() for v in state.params.values()])
         assert grads[0] == grads[1]
         with pytest.raises(ValueError, match="per-view forward takes a stack of views"):
             forward(state, cfg, np.ones((5, 3)), per_view=True)
+        # A net with no layer passes each view through.
+        cfg = EncoderConfig(input_dim=3, hidden_dims=(), embed_dim=3, identity_projection=True)
+        x = Value(rng.normal(size=(2, 5, 3)))
+        outs = forward(init_state(cfg, seed=0), cfg, x, per_view=True)
+        assert [o.data.tobytes() for o in outs] == [v.tobytes() for v in x.data]

@@ -357,9 +357,9 @@ def near_tie_mining_cases(draw):
 
 @given(case=near_tie_mining_cases(), full=st.booleans())
 def test_mining_picks_what_hardest_negative_picks(case, full):
-    # One product and a rerank per call pick, bit for bit, what
-    # ``hardest_negative`` picks for each query among its eligible pool
-    # members, from the query row the embedding returned.
+    # Mining picks, bit for bit, what ``hardest_negative`` picks for each
+    # query among its eligible pool members, from the query row the
+    # embedding returned.
     ds, table, m_q, pool, seed, order = case
     cfg = (MiningConfig(MiningMode.FULL_HNM) if full
            else MiningConfig(MiningMode.PARTIAL_HNM, pool_size=pool))
