@@ -29,12 +29,13 @@ runs the same ops, which compute the same bits.  A leaf the
 caller makes with ``Value(...)``, ``detach()`` output included, is not a
 constant and receives its gradient.  ``backward`` on a constant raises.
 
-A fused op (one node standing for a chain of primitives, such as the
-encoder's affine layer) must reproduce its chain's arithmetic: the same
-numpy operations in the same order, including the order in which
-contributions accumulate into each input's ``grad``, so that the fused
-tape gives the chain's bits.  Its closure takes the chain's place in the
-reverse topological order, which keeps the order across nodes.
+A fused op (one node standing for a chain of primitives, such as an
+encoder run of affine, batchnorm and ReLU layers) must reproduce its
+chain's arithmetic: the same numpy operations in the same order,
+including the order in which contributions accumulate into each input's
+``grad``, so that the fused tape gives the chain's bits.  Its closure
+takes the chain's place in the reverse topological order, which keeps
+the order across nodes.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class Value:
         self._parents = parents
         self._backward: Callable[[np.ndarray], None] | None = None
         self._op = op
-        self._aux = None  # op metadata: a hinge's threshold, a fused ReLU's input
+        self._aux = None  # op metadata: a hinge's threshold, an encoder run's ReLU inputs
         self._const = False  # off the tape; see the module docstring
         # An array of this shape that the first gradient contribution is
         # written into, instead of a fresh array: a view into an optimizer's
@@ -293,11 +294,6 @@ class Value:
             self.grad = grad
         else:
             self.grad += g
-
-    def _first_grad_home(self) -> np.ndarray | None:
-        """``_grad_home`` while no gradient has arrived, else None: where a
-        closure may write its first contribution itself, with ``out=``."""
-        return self._grad_home if self.grad is None else None
 
     def _topo(self) -> list["Value"]:
         """Every node this one depends on, itself last: the depth-first

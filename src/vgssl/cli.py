@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .costmodel import CostLedger, assert_ledger, predict_cost
+from .costmodel import _MODES, CostLedger, assert_ledger, predict_cost
 from .encoder import _is_count, load_checkpoint, save_checkpoint
 from .geodata import load_csv, save_csv, synth_dataset
 from .gradcheck import ALL_METHODS, gradcheck_all
@@ -414,8 +414,6 @@ def cmd_gradcheck(cfg: _Config, seed: int) -> int:
 
 # -- bench-mining -------------------------------------------------------------
 
-_BENCH_MODES = ("pair_only", "full_hnm", "partial_hnm", "random")
-
 
 def _raw_features(x: np.ndarray) -> np.ndarray:
     """Mining cost is counted per call, so any embedding will do."""
@@ -470,7 +468,7 @@ def cmd_bench_mining(cfg: _Config, out_dir: Path, seed: int) -> int:
                 seed=base, n_places=n_q, db_per_place=per_place,
                 feature_dim=feature_dim, view_noise=0.1,
             )
-            for mode in _BENCH_MODES:
+            for mode in _MODES:
                 led, pred, p = _bench_cell(ds, mode, n_q, n_k, per_place, pool, base)
                 ok, _ = assert_ledger(led, pred, slack=slack)
                 all_ok = all_ok and ok

@@ -23,10 +23,11 @@ A forward takes one batch (N, D) or a stack of views (S, N, D) that
 share the parameters, such as the two columns of a pair batch, and runs
 each layer once over the whole stack; batchnorm normalizes each view by
 its own batch statistics.  On the tape the layers of one run (trunk and
-projection head, or the predictor) are one node, whose backward replays
-each layer's primitive chain (``h @ W + b`` and ``relu``; batch mean,
-centring, population variance, scale and shift) with the same numpy
-operations in the same order, view by view where a parameter's
+projection head, or the predictor; a per-view forward runs its output
+layer once per view) are one node, whose backward replays each layer's
+primitive chain (``h @ W + b`` and ``relu``; batch mean, centring,
+population variance, scale and shift) with the same numpy operations
+in the same order, view by view where a parameter's
 contributions add up, so its gradients, including the terms through the
 batch mean and variance, are exact and have the bits of a tape of
 per-view chains.  Off the tape an affine layer writes one array: the
@@ -52,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Value, _node, _unbroadcast, as_value
+from .autodiff import Value, _node, as_value
 
 __all__ = [
     "EncoderConfig",
@@ -177,50 +178,6 @@ def _constants(params: dict[str, Value], predictor: bool) -> dict[str, Value]:
     }
 
 
-def _affine(h: Value, W: Value, b: Value, relu: bool = False) -> Value:
-    """``h @ W + b``, or ``(h @ W + b).relu()`` with ``relu``, as one tape node.
-
-    The bias is added in place into the product, with the ufunc the chain
-    runs.  Off the tape (every parent a constant) the ReLU is applied in
-    place too, so the layer writes one array.  On the tape the ReLU writes
-    a second array and the pre-activation is kept, as the chain keeps it:
-    the closure runs the maximum node's backward (``g * (pre > 0.0)``),
-    then the add node's and the matmul node's, with the same numpy
-    operations, so output and gradients are the chain's bits.  The node's
-    ``_aux`` holds the pre-activation, the hinge input that
-    ``vgssl.gradcheck`` reads to find kinks.
-    """
-    pre = h.data @ W.data
-    pre += b.data
-    y = pre
-    if relu:
-        off_tape = h._const and W._const and b._const
-        y = np.maximum(pre, 0.0, out=pre if off_tape else None)
-
-    def bwd(g):
-        if relu:
-            g = g * (pre > 0.0)
-        if not b._const:
-            home = b._first_grad_home()
-            if home is None:
-                b._accum(_unbroadcast(g, b.shape))
-            else:
-                b.grad = np.sum(g, axis=0, out=home)
-        if not h._const:
-            h._accum(g @ W.data.T)
-        if not W._const:
-            home = W._first_grad_home()
-            if home is None:
-                W._accum(h.data.T @ g)
-            else:
-                W.grad = np.matmul(h.data.T, g, out=home)
-
-    out = _node(y, (h, W, b), "affine_relu" if relu else "affine", bwd)
-    if relu and not out._const:
-        out._aux = pre
-    return out
-
-
 def _add_views(p: Value, parts: np.ndarray, order) -> None:
     """Add one layer's contributions into ``p``'s gradient: one array for a
     single batch, else one per view, in ``order``."""
@@ -279,10 +236,9 @@ class ViewOutputs(tuple):
         return np.stack([v.data for v in self])
 
 
-def _run(cfg: EncoderConfig, predictor: bool, params: dict[str, Value], x: Value,
-         running: dict[str, np.ndarray], training: bool, update_running: bool,
-         per_view: bool = False) -> Value | ViewOutputs:
-    """Run the predictor's layers of ``_layers``, or all the others, on ``x``.
+def _run(layers: list, params: dict[str, Value], x: Value, running: dict[str, np.ndarray],
+         training: bool, update_running: bool, arrived: list | None = None) -> Value:
+    """Run ``layers`` (entries of ``_layers``) on ``x``; with none, return ``x``.
 
     ``x`` is one batch (N, D) or a stack of views (S, N, D) that share the
     parameters; batchnorm normalizes each view by its own statistics, and
@@ -299,23 +255,12 @@ def _run(cfg: EncoderConfig, predictor: bool, params: dict[str, Value], x: Value
     numpy operations (``h @ W + b`` and ``relu``; batch mean, centring,
     population variance, scale and shift), so it has the per-view chains'
     bits.  A parameter takes one contribution per view.  When the views'
-    gradients arrive one by one (``per_view``), they are added in the
-    order of arrival, which is the order a tape of per-view chains adds
-    them; a stack's gradient arriving whole adds them in view order (with
-    two views, as in every stacked training step, the order cannot change
-    the bits).
-
-    With ``per_view`` (``x`` a stack) the output layer, which has no
-    batchnorm, runs on each view's slice as its own ``_affine`` node, and
-    the result is the ``ViewOutputs`` of them: a loss that couples views
-    reads those nodes, and the gradient each hands back reaches the output
-    layer in its own memory layout.
+    gradients arrive one by one, through ``_split`` nodes that append them
+    to ``arrived``, they are added in the order of arrival, which is the
+    order a tape of per-view chains adds them; a stack's gradient arriving
+    whole adds them in view order (with two views, as in every stacked
+    training step, the order cannot change the bits).
     """
-    layers = [layer for layer in _layers(cfg) if layer[0].startswith("pred.") == predictor]
-    if per_view:
-        if not layers:  # a net with no layer passes each view through
-            return ViewOutputs(x[s] for s in range(len(x.data)))
-        layers, last = layers[:-1], layers[-1]
     names = [n for prefix, _, _, bn, _ in layers
              for n in (f"{prefix}.W", f"{prefix}.b",
                        *((f"{bn}.gamma", f"{bn}.beta") if bn else ()))]
@@ -347,7 +292,6 @@ def _run(cfg: EncoderConfig, predictor: bool, params: dict[str, Value], x: Value
         if tape:
             saved.append((prefix, bn, relu, h_in, pre, norm))
 
-    arrived: list[int] = []  # views of a per-view run, as their gradients arrive
     if not layers:
         out = x
     elif not tape:
@@ -384,12 +328,7 @@ def _run(cfg: EncoderConfig, predictor: bool, params: dict[str, Value], x: Value
         out = _node(h, (x, *(params[n] for n in names)), "run", bwd)
         out._aux = [pre if norm is None else norm[0]
                     for _, _, relu, _, pre, norm in saved if relu]
-    if not per_view:
-        return out
-    prefix, _, _, _, relu = last
-    W, b = params[f"{prefix}.W"], params[f"{prefix}.b"]
-    return ViewOutputs(_affine(_split(out, s, arrived), W, b, relu)
-                       for s in range(len(x.data)))
+    return out
 
 
 def forward(
@@ -407,9 +346,13 @@ def forward(
     Only ``branch='online'`` with ``training=True`` records a tape; any
     other forward runs on constants and returns a leaf with no parents,
     through which no gradient reaches the parameters or the input.
-    ``per_view`` takes a stack and runs its output layer view by view (see
-    ``_run``): the result is then the ``ViewOutputs`` of the views'
-    (N, embed_dim) outputs.
+
+    ``per_view`` takes a stack and returns the ``ViewOutputs`` of the
+    views' (N, embed_dim) outputs: the layers below the output layer run
+    once over the stack, and the output layer, which has no batchnorm, runs
+    on each view's ``_split`` slice as a one-layer ``_run`` node of its
+    own.  A loss that couples views reads those nodes, and the gradient
+    each hands back reaches the output layer in its own memory layout.
     """
     x = as_value(batch)  # a raw array enters as a constant
     if x.data.ndim not in (2, 3) or x.shape[-1] != cfg.input_dim:
@@ -436,10 +379,18 @@ def forward(
     if not recording:
         x = as_value(x.data)  # a live input takes no gradient here
 
+    layers = [layer for layer in _layers(cfg) if not layer[0].startswith("pred.")]
     # Only the recorded forward updates the running statistics.
-    out = _run(cfg, False, params, x, running, training, recording, per_view)
-    # A net with no layer passes its input through; off the tape, cut it loose.
-    return x.detach() if out is x and not recording else out
+    if not per_view:
+        out = _run(layers, params, x, running, training, recording)
+        # A net with no layer passes its input through; off the tape, cut it loose.
+        return x.detach() if out is x and not recording else out
+    if not layers:  # a net with no layer passes each view through
+        return ViewOutputs(x[s] for s in range(len(x.data)))
+    arrived: list = []  # the views, in the order their gradients reach the body
+    body = _run(layers[:-1], params, x, running, training, recording, arrived)
+    return ViewOutputs(_run(layers[-1:], params, _split(body, s, arrived), running,
+                            training, recording) for s in range(len(x.data)))
 
 
 def predictor_forward(
@@ -457,7 +408,8 @@ def predictor_forward(
     if not training:
         params = _constants(params, True)
         z = as_value(z.data)
-    return _run(cfg, True, params, z, state.bn_running, training, training)
+    layers = [layer for layer in _layers(cfg) if layer[0].startswith("pred.")]
+    return _run(layers, params, z, state.bn_running, training, training)
 
 
 def momentum_update(state: EncoderState, cfg: EncoderConfig) -> None:
@@ -591,7 +543,10 @@ def _checked_manifest(path, header: dict, body_len: int) -> list[tuple[str, str,
 def load_checkpoint(path: str | Path):
     """Inverse of ``save_checkpoint``.
 
-    Returns (state, cfg, meta, extra_tensors).
+    Returns (state, cfg, meta, extra_tensors).  The parameter, target and
+    running-statistic tensors must be, by name and shape, those that
+    ``init_state`` builds for the checkpoint's own encoder config; any
+    other file is a ``ValueError`` naming ``path``.
     """
     with open(path, "rb") as fh:
         prefix = fh.read(4)
@@ -626,6 +581,15 @@ def load_checkpoint(path: str | Path):
         cfg = EncoderConfig(**header["config"])
     except (TypeError, ValueError) as err:
         raise ValueError(f"malformed checkpoint {path}: encoder config: {err}") from None
+    want = {n: a.shape for n, a in _tensor_map(init_state(cfg, seed=0), {}).items()}
+    got = {f"{group}.{key}": shape for group, key, shape, _ in manifest if group != "extra"}
+    wrong = [f"{n} is missing" for n in sorted(want.keys() - got.keys())]
+    wrong += [f"{n} is not in the layout" for n in sorted(got.keys() - want.keys())]
+    wrong += [f"{n} has shape {got[n]}, the layout {want[n]}"
+              for n in sorted(want.keys() & got.keys()) if got[n] != want[n]]
+    if wrong:
+        raise ValueError(f"malformed checkpoint {path}: tensors do not fit its encoder "
+                         f"config: {'; '.join(wrong)}")
     groups: dict[str, dict[str, np.ndarray]] = {group: {} for group in _GROUPS}
     for group, key, shape, start in manifest:
         a = np.frombuffer(body, dtype="<f8", count=math.prod(shape), offset=start)

@@ -56,8 +56,8 @@ ALL_METHODS = tuple(Method)
 FD_STEP = 1e-5
 # A perturbation of one coordinate moves a hinge input by at most a few
 # times the step, so any input within 10 steps of its threshold gets the
-# whole instance redrawn (a ReLU is a hinge at 0, fused into its affine
-# node or not, so this covers dead units grazing zero as well as the loss
+# whole instance redrawn (a ReLU is a hinge at 0, fused into an encoder
+# run or not, so this covers dead units grazing zero as well as the loss
 # hinges).
 KINK_MARGIN = 1e-4
 MAX_REDRAWS = 60
@@ -86,15 +86,12 @@ class GradCheckResult:
 
 def _hinges(loss_node: Value) -> list[tuple[np.ndarray, float]]:
     """(input, threshold) of every hinge on this tape, in topo order: each
-    ``maximum`` node, each affine node with a fused ReLU, whose ``_aux`` is
-    its pre-activation, and each encoder run, whose ``_aux`` lists the
-    inputs of its ReLUs."""
+    ``maximum`` node, and each encoder run, whose ``_aux`` lists the inputs
+    of its ReLUs."""
     out = []
     for node in loss_node._topo():
         if node._op == "maximum" and node._aux is not None:
             out.append((node._parents[0].data, node._aux))
-        elif node._op == "affine_relu":
-            out.append((node._aux, 0.0))
         elif node._op == "run":
             out += [(x, 0.0) for x in node._aux]
     return out

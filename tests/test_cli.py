@@ -9,7 +9,8 @@ import pytest
 
 import vgssl.trainer
 from vgssl.cli import _epoch_rows, _write_csv, main
-from vgssl.encoder import load_checkpoint, save_checkpoint
+from vgssl.autodiff import Value
+from vgssl.encoder import EncoderConfig, init_state, load_checkpoint, save_checkpoint
 from vgssl.geodata import load_csv, save_csv, synth_dataset
 from vgssl.losses import Method
 from vgssl.methods import method_config
@@ -534,6 +535,25 @@ class TestEval:
         assert run("eval", "--config", ecfg, "--out", str(out)) == 2
         assert "eval: n_values[1] must be an integer, got '5'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda params: params.pop("proj.0.b"),
+        lambda params: params.update({"proj.0.W": Value(np.zeros((16, 9)))}),
+        lambda params: params.update({"extra.X": Value(np.zeros((2, 2)))}),
+    ], ids=["missing", "shape", "unknown"])
+    def test_checkpoint_tensors_must_fit_its_config(self, tmp_path, world, capsys, edit):
+        # A parameter missing, one of the wrong shape, and one the encoder
+        # does not have: each fails naming the file, before any output.
+        enc_cfg = EncoderConfig(input_dim=8, hidden_dims=(16,), embed_dim=8)
+        state = init_state(enc_cfg, seed=0)
+        edit(state.params)
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, state, enc_cfg)
+        ecfg = write_config(tmp_path / "e.json", {"checkpoint": str(ckpt), "dataset": str(world)})
+        assert run("eval", "--config", ecfg, "--out", str(tmp_path / "ev")) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: malformed checkpoint {ckpt}: tensors do not fit its encoder config: ")
+        assert not (tmp_path / "ev").exists()
 
     def test_malformed_checkpoint_named(self, tmp_path, world, capsys):
         tcfg = write_config(tmp_path / "t.json", train_config(world))

@@ -356,6 +356,32 @@ class TestCheckpoint:
         expected = f"malformed checkpoint {path}: " + message.format(first=first)
         assert str(err.value).startswith(expected)
 
+    @pytest.mark.parametrize("case", ["missing", "shape", "unknown", "target_bn"])
+    def test_tensors_must_fit_the_config(self, tmp_path, case):
+        # Each tensor's name and shape are checked against the layout that
+        # the checkpoint's own encoder config builds, not only its header.
+        cfg, state = self.make()
+        if case == "missing":
+            del state.params["proj.0.b"]
+        elif case == "shape":
+            state.params["proj.0.W"] = Value(np.zeros((6, 5)))
+        elif case == "unknown":
+            state.params["extra.X"] = Value(np.zeros((2, 2)))
+        else:
+            del state.target_bn_running["proj.0.bn.var"]
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, state, cfg)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        message = {
+            "missing": "params.proj.0.b is missing",
+            "shape": "params.proj.0.W has shape (6, 5), the layout (6, 4)",
+            "unknown": "params.extra.X is not in the layout",
+            "target_bn": "target_bn.proj.0.bn.var is missing",
+        }[case]
+        assert str(err.value) == (f"malformed checkpoint {path}: tensors do not fit its "
+                                  f"encoder config: {message}")
+
     def test_every_tensor_must_end_inside_the_body(self, tmp_path):
         # Only the first entry points past the body; the last one fits.
         cfg, state = self.make()

@@ -3,11 +3,12 @@
 The oracles below are those chains, composed from autodiff primitives.
 Each property draws a batch, possibly with repeated rows, and a random
 upstream gradient, and compares the forward value and every input's
-gradient by their bytes.  The affine+ReLU node is also run with some
-inputs as constants, and with none live, which is the path an eval-mode
-forward takes.  The input ``x`` also feeds a second term of the
-loss, so its gradient is already populated when the fused node adds to
-it, as in a training step where a tensor has several consumers.
+gradient by their bytes.  A one-layer encoder run, an affine with its
+ReLU, is also run with some inputs as constants, and with none live,
+which is the path an eval-mode forward takes.  The input ``x`` also
+feeds a second term of the loss, so its gradient is already populated
+when the fused node adds to it, as in a training step where a tensor
+has several consumers.
 
 An encoder run over a stack of views is checked against the same chains
 run view by view (``TestStackedRun``).
@@ -23,15 +24,22 @@ from vgssl.encoder import (
     BN_EPS,
     BN_MOMENTUM,
     EncoderConfig,
-    _affine,
     _batchnorm_train,
     _layers,
+    _run,
     forward,
     init_state,
     predictor_forward,
 )
 from vgssl.gradcheck import _hinge_signature, _kink_margin
 from vgssl.losses import DegenerateInputError, _diagonal, l2_normalize_rows
+
+
+def one_layer_run(h, W, b, relu=False):
+    """An encoder run of one affine layer ``h @ W + b``, then its ReLU if
+    ``relu``: the node a per-view forward ends in."""
+    layer = ("out", W.shape[0], W.shape[1], None, relu)
+    return _run([layer], {"out.W": W, "out.b": b}, h, {}, True, True)
 
 
 def affine_chain(h, W, b):
@@ -200,7 +208,8 @@ class TestFusedNodes:
         W = rng.normal(size=(h.shape[1], width))
         b = rng.normal(size=width)
         seed = int(rng.integers(2**32))
-        assert_same_bytes(run(_affine, [h, W, b], seed), run(affine_chain, [h, W, b], seed))
+        assert_same_bytes(run(one_layer_run, [h, W, b], seed),
+                          run(affine_chain, [h, W, b], seed))
 
     @settings(max_examples=150)
     @given(batches(), st.integers(1, 70), st.lists(st.booleans(), min_size=3, max_size=3))
@@ -218,7 +227,7 @@ class TestFusedNodes:
         seed = int(rng.integers(2**32))
         arrays = [h, W, b]
         copies = [a.copy() for a in arrays]
-        fused = run(lambda *a: _affine(*a, relu=True), arrays, seed, live)
+        fused = run(lambda *a: one_layer_run(*a, relu=True), arrays, seed, live)
         assert_same_bytes(fused, run(affine_relu_chain, arrays, seed, live))
         assert all(a.tobytes() == c.tobytes() for a, c in zip(arrays, copies))
 
@@ -254,8 +263,9 @@ class TestFusedNodes:
         x = Value(rng.normal(size=(4, 3)))
         gamma, beta = Value(np.ones((1, 3))), Value(np.zeros((1, 3)))
         W, b = Value(rng.normal(size=(3, 2))), Value(np.zeros(2))
-        assert _affine(x, W, b)._parents == (x, W, b)
-        assert _affine(x, W, b, relu=True)._parents == (x, W, b)
+        for relu in (False, True):
+            out = one_layer_run(x, W, b, relu)
+            assert out._op == "run" and out._parents == (x, W, b)
         c = Value(rng.normal(size=(3, 3)))
         assert _diagonal(c, np.eye(3))._parents == (c,)
         assert l2_normalize_rows(x)._parents == (x,)
@@ -321,7 +331,7 @@ class TestStackedRun:
         cfg = EncoderConfig(input_dim=3, hidden_dims=(4,), embed_dim=2)
         state = init_state(cfg, seed=0)
         outs = forward(state, cfg, np.ones((3, 5, 3)), per_view=True)
-        assert [(v._op, v.shape) for v in outs] == [("affine", (5, 2))] * 3
+        assert [(v._op, v.shape) for v in outs] == [("run", (5, 2))] * 3
         assert {v._parents[0]._op for v in outs} == {"view"}
         # Off the tape the views' outputs are constants with the same bits,
         # and ``data`` stacks them as a stacked forward's output holds them.

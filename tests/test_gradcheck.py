@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vgssl.autodiff import Value
-from vgssl.encoder import _affine
+from vgssl.encoder import _run
 from vgssl.gradcheck import (
     ALL_METHODS,
     KINK_MARGIN,
@@ -53,12 +53,16 @@ class TestKinkScan:
         assert _kink_margin(y) == 2.0
 
     def test_fused_relu_is_a_hinge(self):
-        # The fused affine+ReLU node shows its pre-activation to the scan,
-        # as the separate maximum node of the chain it replaces does.
+        # An encoder run's ``_aux`` shows the scan its pre-activation, as the
+        # separate maximum node of the chain it replaces does.
         # Pre-activations 2, -1 and a dead unit 3e-6 below its kink.
         h, W = np.ones((2, 1)), np.ones((1, 3))
         b = np.array([1.0, -2.0, -1.0 - 3e-6])
-        fused = _affine(Value(h), Value(W), Value(b), relu=True).sum()
+        layer = ("out", 1, 3, None, True)
+        node = _run([layer], {"out.W": Value(W), "out.b": Value(b)}, Value(h), {}, True, True)
+        assert node._op == "run" and len(node._aux) == 1
+        np.testing.assert_array_equal(node._aux[0], h @ W + b)
+        fused = node.sum()
         chain = (Value(h) @ Value(W) + Value(b)).relu().sum()
         assert _kink_margin(fused) == _kink_margin(chain) == pytest.approx(3e-6)
         np.testing.assert_array_equal(_hinge_signature(fused), _hinge_signature(chain))
