@@ -18,10 +18,11 @@ def embed(x):
     return x  # cost is counted per call, the embedding itself is irrelevant
 
 rows = []
-for mode in (MiningMode.FULL_HNM, MiningMode.PARTIAL_HNM, MiningMode.RANDOM):
+for cfg in (MiningConfig(MiningMode.FULL_HNM), MiningConfig(MiningMode.PARTIAL_HNM, 64),
+            MiningConfig(MiningMode.RANDOM)):
     led = CostLedger()
-    mine_triplets(ds, n_q, MiningConfig(mode=mode, pool_size=64), embed, rng_seed=0, ledger=led)
-    rows.append((mode.value, led))
+    mine_triplets(ds, n_q, cfg, embed, rng_seed=0, ledger=led)
+    rows.append((cfg.mode.value, led))
 
 led = CostLedger()
 build_pairs(ds, n_q, eta=0.0, rng_seed=0, ledger=led)

@@ -282,8 +282,6 @@ def cmd_train(cfg: _Config, out_dir: Path, seed: int) -> int:
     dataset_path = cfg.get_str("dataset")
     method = cfg.get_choice("method", Method)
     mining = _mining_from_config(cfg.sub("mining"))
-    if not Path(dataset_path).exists():
-        raise ConfigError(f"dataset not found: {dataset_path}")
     ds = load_csv(dataset_path)
 
     loss_cfg = cfg.sub("loss")
@@ -381,30 +379,22 @@ def cmd_eval(cfg: _Config, out_dir: Path, seed: int) -> int:
 
 def cmd_gradcheck(cfg: _Config, seed: int) -> int:
     names = cfg.get("methods", None)
-    instances = cfg.get_int("instances", 20)
-    tol = cfg.get_float("tol", 1e-4)
-    base = cfg.get_int("seed", seed)
+    args = cfg.args_for(gradcheck_all, skip=("methods",), seed=seed)
     cfg.finish()
     if names is not None and not isinstance(names, list):
         raise ConfigError(f"gradcheck: methods must be a list of method names, got {names!r}")
-    if names == []:
-        raise ConfigError("gradcheck: methods must list at least one method")
-    if instances < 1:
-        raise ConfigError(f"gradcheck: instances must be at least 1, got {instances}")
-    if not 0.0 < tol < float("inf"):
-        raise ConfigError(f"gradcheck: tol must be a finite number above 0, got {tol!r}")
     methods = ALL_METHODS if names is None else tuple(
         cfg.choice("methods", n, Method) for n in names)
 
+    results = gradcheck_all(methods, **args)
     print(f"{'method':14s} {'instances':>9s} {'worst rel err':>14s}  verdict")
     failed = []
-    results = gradcheck_all(methods, instances=instances, seed0=base, tol=tol)
     for method, runs in results.items():
-        worst = max([0.0] + [r.max_rel_err for r in runs])
-        ok = worst < tol
+        worst = max(r.max_rel_err for r in runs)
+        ok = all(r.passed for r in runs)
         if not ok:
             failed.append(method.value)
-        print(f"{method.value:14s} {instances:9d} {worst:14.3e}  "
+        print(f"{method.value:14s} {len(runs):9d} {worst:14.3e}  "
               f"{'pass' if ok else 'FAIL'}")
     if failed:
         print(f"gradcheck failed for: {', '.join(failed)}", file=sys.stderr)
@@ -439,12 +429,9 @@ def cmd_bench_mining(cfg: _Config, out_dir: Path, seed: int) -> int:
     n_q_list = cfg.get_ints("n_q", [10, 50, 100])
     n_k_list = cfg.get_ints("n_k", [100, 1000, 5000])
     pool = cfg.get_int("pool", 64)
-    feature_dim = cfg.get_int("feature_dim", 8)
     slack = cfg.get_float("slack", 0.05)
     base = cfg.get_int("seed", seed)
     cfg.finish()
-    if not 0.0 < slack < float("inf"):
-        raise ConfigError(f"bench-mining: slack must be a finite number above 0, got {slack!r}")
     for key, values in (("n_q", n_q_list), ("n_k", n_k_list)):
         if not values:
             raise ConfigError(f"bench-mining: {key} must list at least one value")
@@ -466,7 +453,7 @@ def cmd_bench_mining(cfg: _Config, out_dir: Path, seed: int) -> int:
             per_place = n_k // n_q
             ds = synth_dataset(
                 seed=base, n_places=n_q, db_per_place=per_place,
-                feature_dim=feature_dim, view_noise=0.1,
+                feature_dim=8, view_noise=0.1,
             )
             for mode in _MODES:
                 led, pred, p = _bench_cell(ds, mode, n_q, n_k, per_place, pool, base)

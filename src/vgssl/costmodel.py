@@ -100,10 +100,11 @@ def assert_ledger(
     """Check each measured counter against prediction within relative slack.
 
     Returns (ok, deltas) where deltas maps counter name to the signed
-    relative error (measured - predicted) / max(predicted, 1).
+    relative error (measured - predicted) / max(predicted, 1).  ``slack``
+    must be finite and not negative; 0 asks for an exact match.
     """
-    if slack < 0:
-        raise ValueError("slack cannot be negative")
+    if not 0.0 <= slack < float("inf"):
+        raise ValueError(f"slack must be finite and not negative, got {slack!r}")
     deltas: dict[str, float] = {}
     ok = True
     for name in ("extractions", "comparisons", "peak_cached"):

@@ -456,6 +456,8 @@ def load_csv(csv_path: str | Path) -> GeoDataset:
     """Read a dataset written by ``save_csv``; a malformed CSV or sidecar
     raises a ``ValueError`` that names the file (and the CSV line)."""
     csv_path = Path(csv_path)
+    if not csv_path.exists():
+        raise FileNotFoundError(f"dataset not found: {csv_path}")
     meta_path = csv_path.with_suffix(".meta.json")
     if not meta_path.exists():
         raise FileNotFoundError(f"missing metadata sidecar {meta_path}")

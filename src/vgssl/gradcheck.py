@@ -267,15 +267,19 @@ def gradcheck_method(
 
 
 def gradcheck_all(
-    methods=ALL_METHODS, instances: int = 20, seed0: int = 0, tol: float = 1e-4
+    methods: tuple[Method, ...] = ALL_METHODS, instances: int = 20, seed: int = 0,
+    tol: float = 1e-4,
 ) -> dict[Method, list[GradCheckResult]]:
-    """``instances`` independent checks per method."""
-    results: dict[Method, list[GradCheckResult]] = {}
-    for method in methods:
-        results[method] = [
-            gradcheck_method(method, seed=seed0 + i, tol=tol) for i in range(instances)
-        ]
-    return results
+    """``instances`` independent checks per method, from seed ``seed`` on.
+    A check of nothing, or a ``tol`` not finite and above 0, raises."""
+    if not methods:
+        raise ValueError("methods must list at least one method")
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a finite number above 0, got {tol!r}")
+    return {method: [gradcheck_method(method, seed=seed + i, tol=tol) for i in range(instances)]
+            for method in methods}
 
 
 # -- mechanism audit -----------------------------------------------------------

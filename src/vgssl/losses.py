@@ -1,6 +1,6 @@
 """Training objectives for pair- and triplet-based representation learning.
 
-Seven objectives share one entry point, ``compute_loss``:
+Seven objectives share one entry point, ``compute_loss``, via ``OBJECTIVES``:
 
 * margin triplet on L2-normalized embeddings,
 * temperature-scaled contrastive (one- or two-directional), where the
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -46,6 +46,7 @@ __all__ = [
     "cross_correlation_matrix",
     "barlow_twins_loss",
     "vicreg_loss",
+    "OBJECTIVES",
     "compute_loss",
 ]
 
@@ -65,15 +66,6 @@ class Method(Enum):
     VICREG = "vicreg"
 
 
-# Which methods average the objective over both view directions.
-SYMMETRIC_DEFAULT = {
-    Method.BYOL: True,
-    Method.SIMSIAM: True,
-    Method.SIMCLR: False,
-    Method.MOCOV2: False,
-}
-
-
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
@@ -84,6 +76,10 @@ class DegenerateInputError(ValueError):
 
 @dataclass(frozen=True)
 class LossConfig:
+    """A method's loss settings.  Only those its objective reads
+    (``OBJECTIVES``) may leave their defaults; read, a ``None`` symmetric
+    means both directions for prediction and one for contrastive."""
+
     method: Method
     tau: float = 0.07
     margin: float = 0.1
@@ -105,8 +101,13 @@ class LossConfig:
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         if not (self.symmetric is None or isinstance(self.symmetric, bool)):
             raise ValueError(f"symmetric must be true, false or null, got {self.symmetric!r}")
-        if self.symmetric is None:
-            object.__setattr__(self, "symmetric", SYMMETRIC_DEFAULT.get(self.method, False))
+        objective, reads, _ = OBJECTIVES[self.method]
+        for f in fields(self)[1:]:
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.method.value} loss does not read {f.name}; "
+                                 f"it reads {', '.join(reads)}")
+        if "symmetric" in reads and self.symmetric is None:
+            object.__setattr__(self, "symmetric", objective is embedding_prediction_loss)
 
 
 @dataclass
@@ -196,15 +197,19 @@ def infonce_loss(
     return loss
 
 
-def embedding_prediction_loss(pred: Value, target: Value) -> Value:
+def embedding_prediction_loss(pred: Value, target: Value, symmetric: bool = False) -> Value:
     """Cosine prediction loss, ``mean_b(2 - 2 <p_hat_b, t_hat_b>)``.
 
     Both sides are row-normalized here, so each row's value lies in
     [0, 4]: 0 when prediction and target align, 4 when anti-aligned.
     On stacks of views, (S, N, D), it is the mean over views of each
-    view's loss.  The caller is responsible for detaching the target
-    branch.
+    view's loss.  ``symmetric`` says the inputs hold both directions,
+    so each must be a stack of 2 views, (2, N, D).  The caller is
+    responsible for detaching the target branch.
     """
+    if symmetric and not (len(pred.shape) == 3 and pred.shape[0] == 2):
+        raise ValueError(f"symmetric prediction loss takes stacks of 2 views, "
+                         f"got shape {pred.shape}")
     if pred.shape != target.shape:
         raise ValueError(f"prediction {pred.shape} vs target {target.shape}")
     p_hat = l2_normalize_rows(pred)
@@ -318,38 +323,34 @@ def vicreg_loss(
     }
 
 
+# Each method's objective, the ``LossConfig`` fields it reads (passed after
+# the views, in this order) and the name of its one term, or ``None`` when
+# the objective returns its own terms.
+OBJECTIVES = {
+    Method.TRIPLET: (triplet_margin_loss, ("margin",), "triplet"),
+    Method.SIMCLR: (infonce_loss, ("tau", "symmetric"), "contrastive"),
+    Method.MOCOV2: (infonce_loss, ("tau", "symmetric"), "contrastive"),
+    Method.BYOL: (embedding_prediction_loss, ("symmetric",), "prediction"),
+    Method.SIMSIAM: (embedding_prediction_loss, ("symmetric",), "prediction"),
+    Method.BARLOW_TWINS: (barlow_twins_loss, ("lambda_bt",), None),
+    Method.VICREG: (vicreg_loss, ("lambda_inv", "lambda_var", "lambda_cov", "std_margin"),
+                    None),
+}
+
+
 def compute_loss(cfg: LossConfig, *views: Value) -> LossOutput:
-    """Dispatch to the configured objective and package the result.
+    """Run the method's objective from ``OBJECTIVES`` on the views and the
+    settings it reads, and package the result.
 
     ``views`` in order: (anchor, positive, negative) for the triplet;
     (query, key) for the contrastive, redundancy-reduction and VICReg
     objectives; (prediction, target) for embedding prediction, each a
     stack of the two directions' views, (2, N, D), when ``cfg.symmetric``.
     """
-    m = cfg.method
-    arity = 3 if m is Method.TRIPLET else 2
+    arity = 3 if cfg.method is Method.TRIPLET else 2
     if len(views) != arity:
-        raise ValueError(f"{m.value} loss takes {arity} views, got {len(views)}")
-    if m is Method.BARLOW_TWINS:
-        node, terms = barlow_twins_loss(*views, cfg.lambda_bt)
-        return LossOutput(float(node.data), node, terms)
-    if m is Method.VICREG:
-        node, terms = vicreg_loss(
-            *views,
-            cfg.lambda_inv,
-            cfg.lambda_var,
-            cfg.lambda_cov,
-            cfg.std_margin,
-        )
-        return LossOutput(float(node.data), node, terms)
-    if m is Method.TRIPLET:
-        term, node = "triplet", triplet_margin_loss(*views, cfg.margin)
-    elif m in (Method.SIMCLR, Method.MOCOV2):
-        term, node = "contrastive", infonce_loss(*views, cfg.tau, symmetric=cfg.symmetric)
-    else:
-        shape = views[0].shape
-        if cfg.symmetric and not (len(shape) == 3 and shape[0] == 2):
-            raise ValueError(f"symmetric {m.value} loss takes stacks of 2 views, "
-                             f"got shape {shape}")
-        term, node = "prediction", embedding_prediction_loss(*views)
-    return LossOutput(float(node.data), node, {term: float(node.data)})
+        raise ValueError(f"{cfg.method.value} loss takes {arity} views, got {len(views)}")
+    objective, reads, term = OBJECTIVES[cfg.method]
+    out = objective(*views, *(getattr(cfg, name) for name in reads))
+    node, terms = out if term is None else (out, {term: float(out.data)})
+    return LossOutput(float(node.data), node, terms)

@@ -126,7 +126,8 @@ def method_config(
     pair methods; the triplet baseline ignores them and embeds straight
     off the trunk.  ``mining`` belongs to the triplet baseline alone, and a
     pair method given one is an error.  Loss keyword overrides (``tau=``,
-    ``margin=``, ...) pass through to ``LossConfig``.
+    ``margin=``, ...) pass through to ``LossConfig``, which takes those
+    the method's objective reads.
     """
     if mining is not None and method is not Method.TRIPLET:
         raise ValueError(f"{method.value}: mining applies to the triplet baseline only")

@@ -53,6 +53,8 @@ class MiningConfig:
     def __post_init__(self):
         if self.mode is MiningMode.PARTIAL_HNM and self.pool_size < 1:
             raise ValueError("partial mining needs pool_size >= 1")
+        if self.mode is not MiningMode.PARTIAL_HNM and self.pool_size != 0:
+            raise ValueError(f"{self.mode.value} mining does not read pool_size")
 
 
 def _draw_queries(

@@ -188,6 +188,13 @@ class TestTrain:
         ({"method": "triplet", "hidden_dims": []},
          "triplet needs a hidden layer, got hidden_dims=()"),
         ({"mining": {"mode": "full_hnm"}}, "simclr: mining applies to the triplet baseline only"),
+        # Settings the method never reads.
+        ({"method": "barlow_twins", "proj_layers": 2, "loss": {"symmetric": True}},
+         "barlow_twins loss does not read symmetric; it reads lambda_bt"),
+        ({"loss": {"lambda_bt": 0.01}},
+         "simclr loss does not read lambda_bt; it reads tau, symmetric"),
+        ({"method": "triplet", "mining": {"mode": "full_hnm", "pool_size": 8}},
+         "full_hnm mining does not read pool_size"),
     ])
     def test_impossible_settings_fail_before_training(
         self, tmp_path, world, capsys, monkeypatch, over, message
@@ -526,6 +533,18 @@ class TestEval:
         assert run("eval", "--config", ecfg, "--out", str(tmp_path / "ev")) == 2
 
 
+    def test_missing_dataset_named(self, tmp_path, capsys):
+        # The dataset is missing, not its metadata sidecar.
+        ecfg = write_config(tmp_path / "e.json", {
+            "checkpoint": str(tmp_path / "none.ckpt"), "dataset": str(tmp_path / "nope.csv"),
+        })
+        enc_cfg = EncoderConfig(input_dim=8, hidden_dims=(16,), embed_dim=8)
+        save_checkpoint(tmp_path / "none.ckpt", init_state(enc_cfg, seed=0), enc_cfg)
+        out = tmp_path / "ev"
+        assert run("eval", "--config", ecfg, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: dataset not found: {tmp_path / 'nope.csv'}\n"
+        assert not out.exists()
+
     def test_fractional_n_values_rejected(self, tmp_path, world, capsys):
         ecfg = write_config(tmp_path / "e.json", {
             "checkpoint": str(tmp_path / "none.ckpt"), "dataset": str(world),
@@ -596,27 +615,26 @@ class TestEval:
      "train: dataset must be a string, got 5"),
     ("eval", {"checkpoint": 7, "dataset": "d"}, "eval: checkpoint must be a string, got 7"),
     ("eval", {"checkpoint": "c", "dataset": None}, "eval: dataset must be a string, got None"),
-    ("gradcheck", {"instances": 0}, "gradcheck: instances must be at least 1, got 0"),
-    ("gradcheck", {"instances": -2}, "gradcheck: instances must be at least 1, got -2"),
-    ("gradcheck", {"tol": math.inf},
-     "gradcheck: tol must be a finite number above 0, got inf"),
-    ("gradcheck", {"tol": 0}, "gradcheck: tol must be a finite number above 0, got 0.0"),
-    ("bench-mining", {"slack": math.inf},
-     "bench-mining: slack must be a finite number above 0, got inf"),
-    ("bench-mining", {"slack": -0.05},
-     "bench-mining: slack must be a finite number above 0, got -0.05"),
+    ("gradcheck", {"instances": 0}, "instances must be at least 1, got 0"),
+    ("gradcheck", {"instances": -2}, "instances must be at least 1, got -2"),
+    ("gradcheck", {"tol": math.inf}, "tol must be a finite number above 0, got inf"),
+    ("gradcheck", {"tol": 0}, "tol must be a finite number above 0, got 0.0"),
+    ("bench-mining", {"slack": math.inf}, "slack must be finite and not negative, got inf"),
+    ("bench-mining", {"slack": -0.05}, "slack must be finite and not negative, got -0.05"),
     ("train", {"dataset": "d", "method": "triplet", "mining": {"mode": "hardest"}},
      "train.mining: unknown mode 'hardest'; expected one of: full_hnm, partial_hnm, random"),
     ("gradcheck", {"methods": ["simclr", "simclrr"]},
      "gradcheck: unknown methods 'simclrr'; expected one of: triplet, simclr, mocov2, byol, "
      "simsiam, barlow_twins, vicreg"),
+    # The mining ledger never reads features, so their width is no setting.
+    ("bench-mining", {"feature_dim": 8}, "bench-mining: unknown keys ['feature_dim']"),
 ], ids=["synth_str", "synth_bool", "eval_str", "gradcheck_tol_str", "gradcheck_methods_str",
         "bench_slack_bool", "bench_n_q_zero", "bench_n_k_negative", "bench_n_q_empty",
         "bench_n_k_empty", "synth_filename_int", "synth_feature_dim_zero",
         "synth_view_noise_negative", "train_dataset_int", "eval_checkpoint_int",
         "eval_dataset_null", "gradcheck_instances_zero", "gradcheck_instances_negative",
         "gradcheck_tol_inf", "gradcheck_tol_zero", "bench_slack_inf", "bench_slack_negative",
-        "train_mining_mode_unknown", "gradcheck_methods_unknown"])
+        "train_mining_mode_unknown", "gradcheck_methods_unknown", "bench_feature_dim_unknown"])
 def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path / "c.json", payload)
     out = tmp_path / "out"
@@ -630,8 +648,7 @@ class TestGradcheckCommand:
         # An empty table would pass with no check run.
         cfg = write_config(tmp_path / "g.json", {"methods": []})
         assert run("gradcheck", "--config", cfg) == 2
-        assert capsys.readouterr().err == (
-            "error: gradcheck: methods must list at least one method\n")
+        assert capsys.readouterr().err == "error: methods must list at least one method\n"
 
     def test_single_method_passes(self, tmp_path):
         cfg = write_config(tmp_path / "g.json", {"methods": ["simclr"], "instances": 2})

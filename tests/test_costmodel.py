@@ -105,3 +105,10 @@ class TestAssertLedger:
     def test_negative_slack_rejected(self):
         with pytest.raises(ValueError):
             assert_ledger(CostLedger(), CostLedger(), slack=-0.1)
+
+    @pytest.mark.parametrize("slack", [float("nan"), float("inf"), -0.1])
+    def test_slack_must_be_finite_and_not_negative(self, slack):
+        # A NaN or infinite slack would pass a ledger a billion times off.
+        with pytest.raises(ValueError) as err:
+            assert_ledger(CostLedger(10**9, 0, 0), CostLedger(1, 0, 0), slack=slack)
+        assert str(err.value) == f"slack must be finite and not negative, got {slack!r}"

@@ -9,6 +9,7 @@ from vgssl.gradcheck import (
     GradCheckResult,
     _hinge_signature,
     _kink_margin,
+    gradcheck_all,
     gradcheck_method,
     relative_error,
 )
@@ -71,6 +72,29 @@ class TestKinkScan:
         x = Value(np.array([1.0, 2.0]))
         y = (x * x).sum()
         assert _kink_margin(y) == np.inf
+
+
+class TestGradcheckAll:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"methods": ()}, "methods must list at least one method"),
+        ({"instances": 0}, "instances must be at least 1, got 0"),
+        ({"instances": -2}, "instances must be at least 1, got -2"),
+        ({"tol": 0.0}, "tol must be a finite number above 0, got 0.0"),
+        ({"tol": -1e-4}, "tol must be a finite number above 0, got -0.0001"),
+        ({"tol": float("inf")}, "tol must be a finite number above 0, got inf"),
+        ({"tol": float("nan")}, "tol must be a finite number above 0, got nan"),
+    ], ids=["no_methods", "instances_zero", "instances_negative", "tol_zero", "tol_negative",
+            "tol_inf", "tol_nan"])
+    def test_a_check_of_nothing_raises(self, kwargs, message):
+        # Each of these would otherwise return a verdict with nothing checked.
+        with pytest.raises(ValueError) as err:
+            gradcheck_all(**{"methods": (Method.SIMCLR,), **kwargs})
+        assert str(err.value) == message
+
+    def test_seed_numbers_the_instances(self):
+        runs = gradcheck_all((Method.SIMCLR,), instances=2, seed=5)[Method.SIMCLR]
+        assert [r.seed for r in runs] == [5, 6]
+        assert all(r.passed for r in runs)
 
 
 class TestHarness:

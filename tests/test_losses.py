@@ -1,5 +1,7 @@
 """Objective values against hand-computed cases, plus policy contracts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,14 @@ class TestEmbeddingPrediction:
         with pytest.raises(ValueError):
             embedding_prediction_loss(V(np.zeros((2, 3))), V(np.zeros((2, 4))))
 
+    def test_symmetric_takes_stacks_of_two_views(self):
+        z = np.random.default_rng(1).normal(size=(2, 3, 4))
+        for shape in [(3, 4), (1, 3, 4), (3, 3, 4)]:
+            with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}$"):
+                embedding_prediction_loss(V(np.ones(shape)), V(np.ones(shape)), symmetric=True)
+        both = embedding_prediction_loss(V(z), V(z[::-1].copy()), symmetric=True)
+        assert both.item() == embedding_prediction_loss(V(z), V(z[::-1].copy())).item()
+
 
 class TestCrossCorrelation:
     def test_identical_orthogonal_columns_give_identity(self):
@@ -253,7 +263,39 @@ class TestLossConfig:
     @pytest.mark.parametrize("name", ["margin", "lambda_bt", "lambda_inv", "lambda_var",
                                       "lambda_cov", "std_margin"])
     def test_zero_weights_and_margins_allowed(self, name):
-        assert getattr(LossConfig(Method.VICREG, **{name: 0.0}), name) == 0.0
+        # Each field on a method whose objective reads it.
+        method = {"margin": Method.TRIPLET, "lambda_bt": Method.BARLOW_TWINS}.get(
+            name, Method.VICREG)
+        assert getattr(LossConfig(method, **{name: 0.0}), name) == 0.0
+
+    # The settings each method's objective reads: 12 of the 56 pairs.
+    READS = {
+        Method.TRIPLET: {"margin"},
+        Method.SIMCLR: {"tau", "symmetric"},
+        Method.MOCOV2: {"tau", "symmetric"},
+        Method.BYOL: {"symmetric"},
+        Method.SIMSIAM: {"symmetric"},
+        Method.BARLOW_TWINS: {"lambda_bt"},
+        Method.VICREG: {"lambda_inv", "lambda_var", "lambda_cov", "std_margin"},
+    }
+
+    @pytest.mark.parametrize("name", ["tau", "margin", "lambda_bt", "lambda_inv",
+                                      "lambda_var", "lambda_cov", "std_margin", "symmetric"])
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+    def test_a_setting_the_method_does_not_read_is_an_error(self, method, name):
+        # A sweep over a setting its method ignores would draw a flat line.
+        value = True if name == "symmetric" else 0.5
+        if name in self.READS[method]:
+            assert getattr(LossConfig(method, **{name: value}), name) == value
+        else:
+            with pytest.raises(ValueError) as err:
+                LossConfig(method, **{name: value})
+            assert str(err.value).startswith(f"{method.value} loss does not read {name}; ")
+            # Its default, written out, is still no setting at all.
+            default = LossConfig.__dataclass_fields__[name].default
+            assert getattr(LossConfig(method, **{name: default}), name) == default
+        if "symmetric" not in self.READS[method]:
+            assert LossConfig(method).symmetric is None
 
 
 class TestDispatch:
@@ -267,10 +309,13 @@ class TestDispatch:
         cfg = LossConfig(Method.BYOL)
         with pytest.raises(ValueError) as err:
             compute_loss(cfg, V(np.eye(2)), V(np.eye(2)))
-        assert str(err.value) == "symmetric byol loss takes stacks of 2 views, got shape (2, 2)"
+        # The objective checks its own stack shape.
+        assert str(err.value) == ("symmetric prediction loss takes stacks of 2 views, "
+                                  "got shape (2, 2)")
         with pytest.raises(ValueError) as err:
             compute_loss(cfg, V(np.ones((1, 2, 2))), V(np.ones((1, 2, 2))))
-        assert str(err.value) == "symmetric byol loss takes stacks of 2 views, got shape (1, 2, 2)"
+        assert str(err.value) == ("symmetric prediction loss takes stacks of 2 views, "
+                                  "got shape (1, 2, 2)")
 
     def test_one_way_prediction_takes_two_views(self):
         cfg = LossConfig(Method.SIMSIAM, symmetric=False)

@@ -204,6 +204,14 @@ class TestTriplets:
         with pytest.raises(ValueError):
             MiningConfig(mode=MiningMode.PARTIAL_HNM)
 
+    @pytest.mark.parametrize("mode", [MiningMode.FULL_HNM, MiningMode.RANDOM])
+    def test_pool_size_only_for_partial(self, mode):
+        # Only partial mining draws a pool; elsewhere the size would be a no-op.
+        with pytest.raises(ValueError) as err:
+            MiningConfig(mode=mode, pool_size=8)
+        assert str(err.value) == f"{mode.value} mining does not read pool_size"
+        assert MiningConfig(mode=mode, pool_size=0).pool_size == 0
+
     def test_determinism(self):
         cfg = MiningConfig(mode=MiningMode.FULL_HNM)
         a = mine_triplets(self.ds, 6, cfg, identity_embed, rng_seed=3)
