@@ -117,7 +117,7 @@ def method_config(
     proj_layers: int = 1,
     eta: float = 1.0,
     mining: MiningConfig | None = None,
-    momentum: float = 0.99,
+    momentum: float = EncoderConfig.momentum,
     **loss_overrides,
 ) -> MethodConfig:
     """Build a consistent method bundle from the mechanism table.
@@ -127,10 +127,15 @@ def method_config(
     off the trunk.  ``mining`` belongs to the triplet baseline alone, and a
     pair method given one is an error.  Loss keyword overrides (``tau=``,
     ``margin=``, ...) pass through to ``LossConfig``, which takes those
-    the method's objective reads.
+    the method's objective reads.  ``momentum`` away from its default is
+    an error for a method without a momentum encoder.
     """
     if mining is not None and method is not Method.TRIPLET:
         raise ValueError(f"{method.value}: mining applies to the triplet baseline only")
+    if momentum != EncoderConfig.momentum and not (
+        method in TABLE_FLAGS and TABLE_FLAGS[method].momentum_encoder
+    ):
+        raise ValueError(f"{method.value} has no momentum encoder and does not read momentum")
     loss = LossConfig(method=method, **loss_overrides)
     if method is Method.TRIPLET:
         if not hidden_dims:

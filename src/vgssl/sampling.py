@@ -14,7 +14,14 @@ Triplets are ``(anchor, positive, negative)`` rows, with a hard negative
 mined per query either against the full database (``FULL_HNM``), against
 a fixed random candidate pool (``PARTIAL_HNM``), or uniformly
 (``RANDOM``).  Mining normalises the embedded database or pool once per
-call and reads each query's negatives as ascending row arrays.  All
+call and reads each query's negatives as ascending row arrays.  It is
+exact brute force in two steps, as ``retrieval.knn`` is: a filter, then a
+rerank.  One matrix product per block of queries scores every pool row;
+per query, only the eligible rows whose dot product is within
+``retrieval._knn_margin`` of the best eligible one stay candidates, and
+only they get direct-difference distances.  One ``lexsort`` by (query,
+distance, row) then picks each query's nearest, ties to the smallest id
+and NaN last, bit for bit the pick of a full per-query scan.  All
 randomness flows from one generator per call, so identical seeds give
 identical batches.
 """
@@ -29,6 +36,7 @@ import numpy as np
 
 from .costmodel import CostLedger
 from .geodata import GeoDataset
+from .retrieval import _knn_margin
 
 __all__ = [
     "MiningMode",
@@ -132,31 +140,80 @@ def _unit_rows(vecs: np.ndarray) -> np.ndarray:
     return vecs / np.maximum(np.linalg.norm(vecs, axis=1, keepdims=True), 1e-12)
 
 
-def _query_distances(query_vec: np.ndarray, unit_vecs: np.ndarray) -> np.ndarray:
-    """L2 distance of the normalised query to each (normalised) row, by
-    direct differences.  The query keeps the 1-D ``np.linalg.norm``; the
-    row norms are its float path along one axis written out (square,
-    ``np.add.reduce``, square root), the same ops without its argument
-    handling, so the same bits."""
-    q = query_vec / max(np.linalg.norm(query_vec), 1e-12)
-    diff = unit_vecs - q[None, :]
-    diff *= diff
-    return np.sqrt(np.add.reduce(diff, axis=1))
+def _nearest(queries: np.ndarray, unit: np.ndarray, eligible: list[np.ndarray]) -> np.ndarray:
+    """Per query row k, the index of its nearest row of ``unit`` among
+    ``eligible[k]`` (non-empty row indices), by L2 from the normalised
+    query, ties to the smallest index, NaN distances last.
+
+    Filter, then rerank, as ``retrieval.knn`` does with k = 1: a block of
+    queries gets its candidates from ``_candidates``, and ``_rerank``
+    takes direct distances for those alone.  Each query is divided by its
+    1-D ``np.linalg.norm``, floored at 1e-12.
+
+    A block holds ``width // 4`` queries (at least one), so its product is
+    at most a quarter of ``unit``'s size, and so are its candidate arrays
+    when every row is a candidate, as under a collapsed embedding.  The
+    two steps are functions of their own so that a block's temporaries
+    are freed before the next block allocates its own.
+    """
+    n, width = unit.shape
+    qn = queries / np.array([max(np.linalg.norm(v), 1e-12) for v in queries])[:, None]
+    sq = np.einsum("ij,ij->i", unit, unit)
+    vv = sq[np.isfinite(sq)]
+    limit = _knn_margin(width, vv.min(), vv.max()) if vv.size else 0.0
+    picks = np.empty(len(queries), dtype=np.int64)
+    step = max(1, width // 4)
+    for start in range(0, len(queries), step):
+        block = qn[start:start + step]
+        picks[start:start + step] = _rerank(
+            block, unit, *_candidates(block, unit, eligible[start:start + step], limit))
+    return picks
 
 
-def _closest(dists: np.ndarray, ids: np.ndarray) -> int:
-    """``np.lexsort((ids, dists))[0]`` without the sort: the index of the
-    smallest distance, ties to the smallest id, NaN distances last."""
-    tied = np.flatnonzero(dists == np.fmin.reduce(dists))
-    if tied.size == 0:  # every distance is NaN
-        tied = np.arange(dists.size)
-    return int(tied[np.argmin(ids[tied])])
+def _candidates(
+    block: np.ndarray, unit: np.ndarray, eligible: list[np.ndarray], limit: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates of a block of normalised queries, as ascending
+    (query, row) index arrays.  One product gives every dot product; per
+    query, an eligible row is a candidate when its dot product is not
+    below the best eligible one minus ``limit``: ``retrieval._knn_margin``
+    over ``unit``'s finite rows bounds how far below that the nearest row
+    can score.  A NaN dot product is never below, so NaN rows stay, and
+    each query keeps its best eligible row."""
+    g = block @ unit.T
+    barred = np.ones(g.shape, dtype=bool)
+    for row, cols in zip(barred, eligible):
+        row[cols] = False
+    np.copyto(g, -np.inf, where=barred)
+    drop = g < (np.fmax.reduce(g, axis=1) - limit)[:, None]
+    drop |= barred
+    return np.divmod(np.flatnonzero(~drop), len(unit))
+
+
+def _rerank(block: np.ndarray, unit: np.ndarray, qi: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Each query's pick among its candidates ``cand[qi == k]``.  A
+    candidate's distance is the row minus the query, squared,
+    ``np.add.reduce`` along the row and a square root; it is its own
+    reduce, so its bits do not depend on which rows are gathered with it.
+    The differences are taken ``len(unit) // 4`` candidates at a time.
+    One ``lexsort`` by (query, distance, row) then puts each query's pick
+    first in its run."""
+    d = np.empty(len(cand))
+    chunk = max(1, len(unit) // 4)
+    for lo in range(0, len(cand), chunk):
+        diff = unit[cand[lo:lo + chunk]]
+        diff -= block[qi[lo:lo + chunk]]
+        diff *= diff
+        d[lo:lo + chunk] = np.sqrt(np.add.reduce(diff, axis=1))
+    order = np.lexsort((cand, d, qi))
+    return cand[order[np.searchsorted(qi, np.arange(len(block)))]]
 
 
 def hardest_negative(
     query_vec: np.ndarray, candidate_ids: list[int], candidate_vecs: np.ndarray
 ) -> int:
-    """Id of the closest candidate by L2 on normalized vectors.
+    """Id of the closest candidate by L2 on normalized vectors: one query
+    through mining's search.
 
     Ties break toward the smallest id.  Raises on an empty candidate set.
     """
@@ -164,8 +221,11 @@ def hardest_negative(
         raise ValueError("no candidates to mine from")
     if candidate_vecs.shape[0] != len(candidate_ids):
         raise ValueError("candidate ids and vectors disagree in length")
-    dists = _query_distances(query_vec, _unit_rows(candidate_vecs))
-    return int(candidate_ids[_closest(dists, np.asarray(candidate_ids))])
+    # Rows in id order, so the smallest index is the smallest id.
+    order = np.argsort(candidate_ids, kind="stable")
+    unit = _unit_rows(np.asarray(candidate_vecs)[order])
+    pick = _nearest(query_vec[None, :], unit, [np.arange(len(order))])[0]
+    return int(candidate_ids[order[pick]])
 
 
 def mine_triplets(
@@ -187,8 +247,11 @@ def mine_triplets(
     query whose eligible negatives missed the pool; ``RANDOM`` skips
     embedding entirely.  Negatives are read as row arrays
     (``GeoDataset.neighbour_rows``), and the embedded database or pool is
-    normalised once per call; each pick is the one ``hardest_negative``
-    would make, bit for bit.
+    normalised once per call.  The picks come from one filtered product
+    per block of queries and one rerank of the candidates it keeps (see
+    ``_nearest``); each is the one ``hardest_negative`` would make, bit
+    for bit.  Partial mining's fallbacks draw in query order, after the
+    pool.
     """
     if ledger is None:
         ledger = CostLedger()
@@ -208,32 +271,41 @@ def mine_triplets(
     full = cfg.mode is MiningMode.FULL_HNM
     if not full and cfg.pool_size > n_db:
         raise ValueError(f"pool_size {cfg.pool_size} exceeds database size {n_db}")
-    # Full mining's pool is every database row, in order; partial mining
-    # draws one shared random candidate pool per call.
-    pool_rows = np.arange(n_db) if full else rng.choice(n_db, size=cfg.pool_size, replace=False)
     q_emb = embed(ds.features(query_ids))
-    pool_unit = _unit_rows(embed(ds.db_features if full else ds.db_features[pool_rows]))
+    if full:  # the pool is every database row, in order
+        pool_rows = np.arange(n_db)
+        pool_unit = _unit_rows(embed(ds.db_features))
+    else:  # one shared random candidate pool per call
+        drawn = rng.choice(n_db, size=cfg.pool_size, replace=False)
+        # Its rows in database order, so that a smaller place has a smaller id.
+        by_row = np.argsort(drawn)
+        pool_rows = drawn[by_row]
+        pool_unit = _unit_rows(embed(ds.db_features[drawn])[by_row])
     # Queries and the pool; partial mining also fetches each positive.
     extracted = m_q + n_db if full else 2 * m_q + cfg.pool_size
     ledger.add_extractions(extracted)
     ledger.note_cached(extracted)
-    # Each database row's place in the pool, if it is in it.
-    at = np.full(n_db, -1)
-    at[pool_rows] = np.arange(len(pool_rows))
-    in_pool = at >= 0
-    for k, qid in enumerate(query_ids):
-        negs = ds.neighbour_rows(qid)[1]
-        # Full mining compares each eligible negative; partial mining checks
-        # every pool member, then keeps the eligible negatives among them.
-        ledger.add_comparisons(len(negs) if full else cfg.pool_size)
-        rows = negs[in_pool[negs]]
-        if rows.size:
-            # Each row's distance is its own reduce, so taking it at ``rows``
-            # keeps its bits.  Rows ascend with ids, so they break ties as
-            # the ids would.
-            dists = _query_distances(q_emb[k], pool_unit)[at[rows]]
-            triplets[k, 2] = db_ids[rows[_closest(dists, rows)]]
-        else:  # only partial mining: every query has a negative in the database
-            triplets[k, 2] = db_ids[negs[int(rng.integers(len(negs)))]]
-            ledger.add_extractions(1)  # the fallback negative is fetched fresh
+    negatives = [ds.neighbour_rows(qid)[1] for qid in query_ids]
+    if full:
+        # Each query compares each of its eligible negatives.  The pool is
+        # the database in order, so their places in it are their rows.
+        ledger.add_comparisons(sum(len(negs) for negs in negatives))
+        eligible = negatives
+    else:
+        # Each query checks every pool member, then keeps the eligible
+        # negatives among them.
+        ledger.add_comparisons(m_q * cfg.pool_size)
+        at = np.full(n_db, -1)  # each database row's place in the pool, if any
+        at[pool_rows] = np.arange(cfg.pool_size)
+        eligible = [places[places >= 0] for places in (at[negs] for negs in negatives)]
+    has = [k for k, places in enumerate(eligible) if places.size]
+    rows = np.full(m_q, -1)
+    rows[has] = pool_rows[_nearest(q_emb[has], pool_unit, [eligible[k] for k in has])]
+    # Only partial mining falls back, since every query has a negative in
+    # the database.  The fallbacks draw in query order, after the pool.
+    for k in np.flatnonzero(rows < 0).tolist():
+        negs = negatives[k]
+        rows[k] = negs[int(rng.integers(len(negs)))]
+        ledger.add_extractions(1)  # the fallback negative is fetched fresh
+    triplets[:, 2] = [db_ids[r] for r in rows.tolist()]
     return triplets

@@ -195,6 +195,7 @@ class TestTrain:
          "simclr loss does not read lambda_bt; it reads tau, symmetric"),
         ({"method": "triplet", "mining": {"mode": "full_hnm", "pool_size": 8}},
          "full_hnm mining does not read pool_size"),
+        ({"momentum": 0.9}, "simclr has no momentum encoder and does not read momentum"),
     ])
     def test_impossible_settings_fail_before_training(
         self, tmp_path, world, capsys, monkeypatch, over, message

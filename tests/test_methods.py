@@ -72,6 +72,21 @@ class TestFactory:
         with pytest.raises(ValueError, match="hidden_dims"):
             method_config(Method.TRIPLET, input_dim=8, hidden_dims=())
 
+    @pytest.mark.parametrize("method", PAIR_METHODS + [Method.TRIPLET])
+    def test_momentum_only_for_a_momentum_encoder(self, method):
+        # A momentum no branch reads would be a silent no-op.
+        has_ema = method in (Method.MOCOV2, Method.BYOL)
+        assert has_ema == (method in TABLE_FLAGS and TABLE_FLAGS[method].momentum_encoder)
+        for momentum in (EncoderConfig.momentum, 0.9):
+            if has_ema or momentum == EncoderConfig.momentum:
+                m = method_config(method, input_dim=8, proj_layers=2, momentum=momentum)
+                assert m.encoder.momentum == momentum
+            else:
+                with pytest.raises(ValueError) as err:
+                    method_config(method, input_dim=8, proj_layers=2, momentum=momentum)
+                assert str(err.value) == (
+                    f"{method.value} has no momentum encoder and does not read momentum")
+
     def test_loss_overrides_pass_through(self):
         m = method_config(Method.SIMCLR, input_dim=8, tau=0.2)
         assert m.loss.tau == 0.2

@@ -1,10 +1,13 @@
 """Pair and triplet construction contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import vgssl.sampling
 from vgssl.costmodel import CostLedger
 from vgssl.geodata import GeoDataset, Role, distance_m, synth_dataset
 from vgssl.sampling import (
@@ -380,3 +383,89 @@ def test_mining_picks_what_hardest_negative_picks(case, full):
             assert negative == hardest_negative(queries[k], elig, table[elig])
         else:
             assert negative in negs
+
+
+@st.composite
+def pruning_mining_cases(draw):
+    """Pools of 100 to 400 rows, widths 8 to 64: large enough that the
+    margin filter drops most rows.  Embeddings are positive multiples of a
+    few Gaussian directions, so rows of one direction tie in exact
+    arithmetic, plus some zero rows and some NaN rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    per_place = int(rng.integers(2, 5))
+    n_places = int(rng.integers(-(-100 // per_place), 400 // per_place + 1))
+    world = synth_dataset(seed=int(rng.integers(1000)), n_places=n_places,
+                          db_per_place=per_place, query_fraction=1.0, feature_dim=1)
+    ds = GeoDataset([(s.role is Role.QUERY, s.id, s.position, [float(s.id)])
+                     for s in world.database + world.queries])
+    n = len(world.database) + len(world.queries)
+    dirs = rng.normal(size=(int(rng.integers(2, 6)), int(rng.integers(8, 65))))
+    table = dirs[rng.integers(0, len(dirs), size=n)] * rng.uniform(0.5, 2.0, size=(n, 1))
+    table[rng.random(n) < 0.05] = 0.0
+    table[rng.random(n) < 0.05] = np.nan
+    m_q = draw(st.integers(1, min(64, len(ds.eligible_queries(need_negatives=True)))))
+    pool = draw(st.integers(1, len(ds.db_ids)))
+    order = draw(st.sampled_from(["C", "F"]))
+    return ds, table, m_q, pool, draw(st.integers(0, 2**16)), order
+
+
+@given(case=pruning_mining_cases())
+def test_pruned_mining_matches_per_query_oracle(case):
+    ds, table, m_q, pool, seed, order = case
+    assert 100 <= len(ds.db_ids) <= 400
+    for cfg in (MiningConfig(MiningMode.FULL_HNM),
+                MiningConfig(MiningMode.PARTIAL_HNM, pool_size=pool)):
+        trips, calls, _ = _mine_with_spy(ds, table, m_q, cfg, seed, order)
+        for anchor, _, negative in trips.tolist():
+            negs = set(ds.negative_set(anchor))
+            elig = [i for i in calls[1] if i in negs]
+            if elig:
+                assert negative == oracle_hardest_negative(table[anchor], elig, table[elig])
+            else:
+                assert negative in negs
+
+
+def test_filter_reranks_few_rows(monkeypatch):
+    # On a Gaussian embedding of unit rows the margin is under 1e-13, so
+    # each query reranks its nearest row alone.
+    ds = synth_dataset(seed=3, n_places=100, db_per_place=4, feature_dim=32)
+    reranked = []
+    rerank = vgssl.sampling._rerank
+
+    def spy(block, unit, qi, cand):
+        reranked.append(len(cand))
+        return rerank(block, unit, qi, cand)
+
+    monkeypatch.setattr(vgssl.sampling, "_rerank", spy)
+    cfg = MiningConfig(MiningMode.FULL_HNM)
+    trips = mine_triplets(ds, 20, cfg, identity_embed, rng_seed=0)
+    assert sum(reranked) == 20
+    for anchor, _, negative in trips.tolist():
+        negs = ds.negative_set(anchor)
+        vecs = ds.features(negs)
+        assert negative == oracle_hardest_negative(ds.features([anchor])[0], negs, vecs)
+
+
+@pytest.mark.parametrize("collapsed", [False, True], ids=["gaussian", "collapsed"])
+def test_full_mining_peak_memory(collapsed):
+    # M 5000, D 64 and m_q 64.  The embedded database and its unit rows
+    # are 2x M*D*8 for a moment; a (m_q, M) product would be 1x more, and
+    # a collapsed embedding, where every row is a candidate, would gather
+    # (m_q * M, D) to rerank them all at once.
+    ds = synth_dataset(seed=0, n_places=625, db_per_place=8, feature_dim=64)
+    m, d = len(ds.db_ids), 64
+    weights = np.random.default_rng(0).normal(size=(64, d))
+
+    def embed(feats):
+        return np.ones((len(feats), d)) if collapsed else feats @ weights
+
+    cfg = MiningConfig(MiningMode.FULL_HNM)
+    mine_triplets(ds, 64, cfg, embed, rng_seed=0)  # runs the radius search
+    tracemalloc.start()
+    try:
+        mine_triplets(ds, 64, cfg, embed, rng_seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m == 5000
+    assert peak <= 2.5 * m * d * 8
